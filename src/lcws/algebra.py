@@ -231,13 +231,44 @@ def _affine_mul_naf(p, naf_digits_msb):
     return _jac_to_affine(acc)
 
 
-def _affine_mul(p, k: int):
-    k %= ORDER
-    if p is None or k == 0:
-        return None
-    if k == 1:
-        return p
-    return _affine_mul_naf(p, list(reversed(_naf(k)))[1:])
+# Subgroup membership from x alone.  ORDER = 2^159 + 2^107 + 1, so [ORDER]P
+# is the sum of A = [2^159]P, B = [2^107]P and P.  Three points sum to the
+# identity for some choice of signs exactly when Semaev's third summation
+# polynomial vanishes at their x coordinates (ePrint 2004/031); on
+# y^2 = x^3 + x it is
+#   S3(x1, x2, x3) = (x1 - x2)^2 x3^2 - 2 (x1 + x2)(x1 x2 + 1) x3 + (x1 x2 - 1)^2.
+# In projective form it also covers A or B being the identity: with
+# W_A = 0 it reduces to U_A^2 (x(P) W_B - U_B)^2, zero iff B = +-P.
+# E(F_q) is cyclic of order q + 1, so S3 = 0 iff the order of P divides one
+# of 2^159 +- 2^107 +- 1, whose common factors with q + 1 are ORDER, 3, 17
+# and 1.  Points of order 3 or 17 are then the ones with [16]P = +-P, that
+# is x([16]P) = x(P); no point of order ORDER has it.
+
+def _x_double(u: int, w: int, times: int) -> Tuple[int, int]:
+    """`times` projective x-only doublings (Montgomery, Math. Comp. 1987):
+    x(2P) = (x^2 - 1)^2 / (4x(x^2 + 1)), at four reductions per step.
+    (U, W) never becomes (0, 0), and W = 0 stands for the identity."""
+    for _ in range(times):
+        s = (u + w) * (u + w) % _Q
+        t = (u - w) * (u - w) % _Q
+        u, w = 2 * s * t % _Q, (s - t) * (s + t) % _Q
+    return u, w
+
+
+def _in_prime_subgroup(x: int) -> bool:
+    """Whether the curve points with x coordinate `x` (known to be on the
+    curve) have order ORDER."""
+    u16, w16 = _x_double(x, 1, 4)            # [2^4]P
+    if (u16 - x * w16) % _Q == 0:
+        return False
+    ub, wb = _x_double(u16, w16, 103)        # B = [2^107]P
+    ua, wa = _x_double(ub, wb, 52)           # A = [2^159]P
+    # S3(x(A), x(B), x(P)) scaled by (W_A W_B)^2
+    diff = (ua * wb - ub * wa) % _Q
+    total = (ua * wb + ub * wa) % _Q
+    prod = (ua * ub - wa * wb) % _Q
+    norm = (ua * ub + wa * wb) % _Q
+    return (diff * diff % _Q * x * x - 2 * total * norm % _Q * x + prod * prod) % _Q == 0
 
 
 # Fixed-base comb exponentiation: exponents are at most 160 bits, split
@@ -481,10 +512,9 @@ class G0Element:
             raise DecodeError("x is not on the curve")
         if (y & 1) != (prefix == 0x03):
             y = _Q - y
-        point = (x, y)
-        if _affine_mul(point, ORDER - 1) != _affine_neg(point):
+        if not _in_prime_subgroup(x):
             raise DecodeError("point not in the prime-order subgroup")
-        return cls(point)
+        return cls((x, y))
 
     @classmethod
     def identity(cls) -> "G0Element":
@@ -561,12 +591,14 @@ def pair(u: G0Element, v: G0Element) -> GTElement:
 # hashing and key derivation
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _hash_to_point(domain_tag: bytes, msg: bytes) -> Tuple[int, int]:
+def _hash_to_curve(domain_tag: bytes, msg: bytes) -> Tuple[int, int]:
     """Deterministic try-and-increment map onto the prime-order subgroup."""
-    framed = _H2C_PREFIX + len(domain_tag).to_bytes(1, "big") + domain_tag + msg
+    framed = hashlib.sha512(_H2C_PREFIX + len(domain_tag).to_bytes(1, "big") + domain_tag)
+    framed.update(msg)
     for counter in range(256):
-        digest = hashlib.sha512(framed + bytes([counter])).digest()
+        attempt = framed.copy()
+        attempt.update(bytes([counter]))
+        digest = attempt.digest()
         x = int.from_bytes(digest, "big") % _Q
         rhs = (x * x * x + x) % _Q
         y = pow(rhs, _SQRT_EXP, _Q)
@@ -580,9 +612,17 @@ def _hash_to_point(domain_tag: bytes, msg: bytes) -> Tuple[int, int]:
     raise RuntimeError("hash-to-group failed to find a curve point")  # pragma: no cover
 
 
+# Attribute and generator hashes recur across keys and blocks, so they are
+# cached.  Message hashes are not: an entry keyed by a whole plaintext would
+# pin up to 4096 recent messages in memory.
+_hash_to_point = lru_cache(maxsize=4096)(_hash_to_curve)
+
+
 def hash_to_g0(domain_tag: bytes, msg: bytes) -> G0Element:
     """Hash bytes into the source group under a domain separation tag."""
-    return G0Element(_hash_to_point(bytes(domain_tag), bytes(msg)))
+    domain_tag = bytes(domain_tag)
+    to_point = _hash_to_curve if domain_tag == TAG_MESSAGE else _hash_to_point
+    return G0Element(to_point(domain_tag, bytes(msg)))
 
 
 def kdf_mask(k_gt: GTElement, out_len: int) -> bytes:

@@ -467,11 +467,15 @@ def decrypt_block(ctb: CiphertextBlock, sk: SecretKey, unlock: Unlock
 class DecryptionState:
     """Accumulates arriving blocks and opens whatever becomes reachable.
 
-    Leaf values are computed per arrival; gate values resolve bottom-up as
-    their children's levels arrive; each block is opened by the first
-    available unlock among a recovered gate value at its level (with its
-    link element), the root value for block 1, or the chain element from
-    the previous block's payload.
+    Each block is opened by the first available unlock among a recovered
+    gate value at its level (with its link element), the root value for
+    block 1, or the chain element from the previous block's payload.  Until
+    block 1 opens, leaf values are computed per arrival and gate values
+    resolve bottom-up as their children's levels arrive.  Once block 1 is
+    open the chain opens every later block in turn, so later arrivals cost
+    no leaf pairings.  The test is "block 1 is open", not "this block has a
+    chain element": a gate can open block 2 while the root still needs
+    leaves from deeper blocks.
     """
 
     def __init__(self, sk: SecretKey):
@@ -487,25 +491,28 @@ class DecryptionState:
         self._children: Dict[int, List[NodeDescriptor]] = {}
         self._level_of_block: Dict[int, Tuple[NodeDescriptor, ...]] = {}
 
-    @property
-    def complete(self) -> bool:
-        return (self.block_count is not None
-                and len(self.data_blocks) + len(self.pending_blocks) == self.block_count
-                and not self.pending_blocks)
-
     def received_all(self) -> bool:
-        return (self.block_count is not None
-                and len(self.data_blocks) + len(self.pending_blocks) == self.block_count)
+        return self.block_count is not None and len(self._level_of_block) == self.block_count
 
     def add_block(self, ctb: CiphertextBlock) -> None:
-        """Ingest one arriving block and cascade any newly possible work."""
+        """Ingest one arriving block and cascade any newly possible work.
+
+        A repeat of a block already held is ignored; a different block
+        under the same index, or node ids shared with another block, is a
+        DecodeError."""
         if self.block_count is None:
             self.block_count = ctb.block_count
             self.total_len = ctb.total_len
         elif ctb.block_count != self.block_count or ctb.total_len != self.total_len:
             raise DecodeError("inconsistent headers across blocks")
-        if ctb.index in self.pending_blocks or ctb.index in self.data_blocks:
+        held = self._level_of_block.get(ctb.index)
+        if held is not None:
+            if held != ctb.descriptor:
+                raise DecodeError(f"conflicting blocks for index {ctb.index}")
             return
+        for desc in ctb.descriptor:
+            if desc.node_id in self._descriptors:
+                raise DecodeError(f"node id {desc.node_id} appears in more than one block")
         if ctb.index == 1:
             self.commitment = ctb.commitment
         self.pending_blocks[ctb.index] = ctb
@@ -514,13 +521,12 @@ class DecryptionState:
             self._descriptors[desc.node_id] = desc
             if desc.parent_id:
                 self._children.setdefault(desc.parent_id, []).append(desc)
-        for desc in ctb.descriptor:
-            if (desc.is_leaf and desc.attribute in self.sk.attrs
-                    and desc.node_id in ctb.leaf_components):
-                value = decrypt_leaf(ctb, self.sk, desc.node_id)
-                if value is not None:
-                    self.node_values[desc.node_id] = value
-        self._propagate_gates()
+        if 1 not in self.data_blocks:
+            for desc in ctb.descriptor:
+                if (desc.is_leaf and desc.attribute in self.sk.attrs
+                        and desc.node_id in ctb.leaf_components):
+                    self.node_values[desc.node_id] = decrypt_leaf(ctb, self.sk, desc.node_id)
+            self._propagate_gates()
         self._open_blocks()
 
     def _propagate_gates(self) -> None:
@@ -574,22 +580,16 @@ class DecryptionState:
 def assemble_message(state: DecryptionState, sk: SecretKey) -> bytes:
     """Rebuild the plaintext after all blocks arrived.
 
-    Fails when block 1 never opened: without it the chain start is
-    missing and no later block contributes anything."""
+    `add_block` has already opened every block the key reaches, so any
+    block still closed means the policy is not satisfied; that is always
+    block 1, since the chain from block 1 opens every later block.  `sk`
+    is the key the state was built with; the state already holds it."""
     if not state.received_all():
         raise ValueError("not all ciphertext blocks have been received")
-    if 1 not in state.data_blocks:
-        raise PolicyNotSatisfiedError("attributes do not satisfy the access policy")
-    for idx in sorted(state.pending_blocks):
-        ctb = state.pending_blocks[idx]
-        element = state.chain_elements.get(idx)
-        if element is None:
-            raise PolicyNotSatisfiedError(f"no unlock path for block {idx}")
-        db, next_element = decrypt_block(ctb, sk, ChainUnlock(element))
-        state.data_blocks[idx] = db
-        if next_element is not None:
-            state.chain_elements[idx + 1] = next_element
-    state.pending_blocks.clear()
+    if state.pending_blocks:
+        closed = min(state.pending_blocks)
+        raise PolicyNotSatisfiedError(
+            f"attributes do not satisfy the access policy: block {closed} stays closed")
     payloads = [state.data_blocks[i].payload for i in range(1, state.block_count + 1)]
     return unchain_blocks(payloads, state.total_len)
 

@@ -72,6 +72,13 @@ def _section(payload: bytes) -> bytes:
     return struct.pack(">I", len(payload)) + payload
 
 
+def _text(raw: bytes, encoding: str) -> str:
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError:
+        raise DecodeError(f"text is not valid {encoding}") from None
+
+
 def _encode_descriptor(descriptor: Tuple[NodeDescriptor, ...]) -> bytes:
     parts = [struct.pack(">I", len(descriptor))]
     for d in descriptor:
@@ -88,14 +95,21 @@ def _decode_descriptor(data: bytes) -> Tuple[NodeDescriptor, ...]:
     r = _Reader(data)
     count = r.u32()
     out = []
+    seen = set()
     for _ in range(count):
         node_id, parent_id, index = struct.unpack(">IIH", r.take(10))
+        if node_id in seen:
+            raise DecodeError(f"duplicate node id {node_id}")
+        seen.add(node_id)
         kind = r.u8()
         if kind == 0:
-            attr = r.take(r.u16()).decode("utf-8")
+            attr = _text(r.take(r.u16()), "utf-8")
             out.append(NodeDescriptor(node_id, parent_id, index, attr, None))
         elif kind == 1:
-            out.append(NodeDescriptor(node_id, parent_id, index, None, r.u16()))
+            threshold = r.u16()
+            if threshold == 0:
+                raise DecodeError(f"gate {node_id} has threshold 0")
+            out.append(NodeDescriptor(node_id, parent_id, index, None, threshold))
         else:
             raise DecodeError(f"unknown node kind {kind}")
     r.done()
@@ -140,11 +154,13 @@ def decode_ctb(data: bytes) -> Tuple[CiphertextBlock, str]:
     version = r.u16()
     if version != WIRE_VERSION:
         raise DecodeError(f"unsupported wire version {version}")
-    suite = r.section().decode("ascii")
+    suite = _text(r.section(), "ascii")
     if suite != SUITE_ID:
         raise DecodeError(f"unknown suite {suite!r}")
-    message_id = r.section().decode("ascii")
+    message_id = _text(r.section(), "ascii")
     index, block_count, flags = struct.unpack(">IIB", r.take(9))
+    if not 1 <= index <= block_count:
+        raise DecodeError(f"block index {index} outside 1..{block_count}")
     header = _Reader(r.section())
     total_len = header.u64()
     block_len = header.u32()
@@ -209,7 +225,7 @@ def _key_unframe(data: bytes, kind: int) -> bytes:
         raise DecodeError(f"unsupported key file version {version}")
     if got_kind != kind:
         raise DecodeError(f"wrong key file kind {got_kind}, expected {kind}")
-    suite = r.section().decode("ascii")
+    suite = _text(r.section(), "ascii")
     if suite != SUITE_ID:
         raise DecodeError(f"unknown suite {suite!r}")
     body = r.section()
@@ -260,7 +276,7 @@ def decode_secret_key(data: bytes) -> SecretKey:
     d_hat = G0Element.deserialize(r.take(G0_BYTES))
     components = {}
     for _ in range(r.u32()):
-        attr = r.take(r.u16()).decode("utf-8")
+        attr = _text(r.take(r.u16()), "utf-8")
         a = G0Element.deserialize(r.take(G0_BYTES))
         b = G0Element.deserialize(r.take(G0_BYTES))
         components[attr] = (a, b)

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -155,3 +156,82 @@ def test_gt_inverse_and_division():
     assert (x * x.inverse()).is_identity()
     y = E_GG ** alg.random_nonzero_scalar(rng)
     assert (x / y) * y == x
+
+
+# ---------------------------------------------------------------------------
+# point decode: the x-only subgroup check against the [ORDER]P == O oracle
+# ---------------------------------------------------------------------------
+
+_GROUP_ORDER = alg.FIELD_PRIME + 1
+_SMALL_ORDERS = (2, 4, 8, 3, 6, 12, 24, 17, 34, 51)
+
+
+def _mul(p, k):
+    """Plain double-and-add [k]P for k >= 1; None is the identity."""
+    if k == 1:
+        return p
+    return alg._affine_mul_naf(p, list(reversed(alg._naf(k)))[1:])
+
+
+def _oracle_in_subgroup(p):
+    return _mul(p, alg.ORDER) is None
+
+
+def _random_curve_point(rng):
+    while True:
+        x = rng.randrange(alg.FIELD_PRIME)
+        rhs = (x * x * x + x) % alg.FIELD_PRIME
+        y = pow(rhs, alg._SQRT_EXP, alg.FIELD_PRIME)
+        if y * y % alg.FIELD_PRIME == rhs:
+            return (x, y)
+
+
+def _point_of_order(d, rng):
+    """[(q + 1) / d]R for random points R until the result has order exactly d."""
+    primes = [p for p in (2, 3, 17) if d % p == 0]
+    while True:
+        t = _mul(_random_curve_point(rng), _GROUP_ORDER // d)
+        if t is not None and _mul(t, d) is None and all(_mul(t, d // p) is not None for p in primes):
+            return t
+
+
+def _decodes(point):
+    try:
+        G0Element.deserialize(G0Element(point).serialize())
+    except DecodeError:
+        return False
+    return True
+
+
+def test_subgroup_check_exponents_share_only_3_and_17_with_group_order():
+    assert alg.ORDER == 2 ** 159 + 2 ** 107 + 1
+    assert gcd(2 ** 159 + 2 ** 107 - 1, _GROUP_ORDER) == 3
+    assert gcd(2 ** 159 - 2 ** 107 - 1, _GROUP_ORDER) == 17
+    assert gcd(2 ** 159 - 2 ** 107 + 1, _GROUP_ORDER) == 1
+
+
+def test_subgroup_check_matches_oracle():
+    rng = random.Random(31)
+    subgroup = [(G ** alg.random_nonzero_scalar(rng))._p for _ in range(8)]
+    small = [_point_of_order(d, rng) for d in _SMALL_ORDERS]
+    cases = (subgroup
+             + [_random_curve_point(rng) for _ in range(20)]
+             + [(0, 0)]
+             + small
+             + [alg._affine_add(s, t) for s, t in zip(subgroup * 2, small)])
+    for point in cases:
+        assert _decodes(point) == _oracle_in_subgroup(point), point
+    assert all(_decodes(p) for p in subgroup)
+    assert not any(_decodes(p) for p in small)
+
+
+# ---------------------------------------------------------------------------
+# hash cache
+# ---------------------------------------------------------------------------
+
+def test_message_hashes_bypass_the_cache():
+    before = alg._hash_to_point.cache_info().currsize
+    alg.hash_to_g0(alg.TAG_MESSAGE, b"a message seen once " + bytes(range(64)))
+    assert alg._hash_to_point.cache_info().currsize == before
+    alg.hash_to_g0(alg.TAG_ATTRIBUTE, b"attribute seen once")
+    assert alg._hash_to_point.cache_info().currsize == min(before + 1, 4096)

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcws import algebra as alg
-from lcws import scheme
+from lcws import bench, scheme, wire
 from lcws.algebra import G0Element, Scalar
-from lcws.errors import EncryptionStateError, PolicyNotSatisfiedError
+from lcws.errors import DecodeError, EncryptionStateError, PolicyNotSatisfiedError
 from lcws.policy import parse_policy
 from lcws.scheme import (
+    ChainUnlock,
     DecryptionState,
     EncryptionTrace,
+    GateUnlock,
     KeygenTrace,
     RootUnlock,
     assemble_message,
@@ -379,6 +381,124 @@ def test_chain_completeness_without_leaf_components(suite):
         for ctb in ctbs[2:]
     ]
     assert _decrypt(stripped, sk) == msg
+
+
+def _counting_decrypt(monkeypatch, ctbs, sk):
+    """Decrypt in arrival order, counting pairings and unlock kinds."""
+    counts = {"pair": 0, RootUnlock: 0, GateUnlock: 0, ChainUnlock: 0}
+    real_pair, real_decrypt_block = scheme.pair, scheme.decrypt_block
+
+    def pair(u, v):
+        counts["pair"] += 1
+        return real_pair(u, v)
+
+    def decrypt_block(ctb, key, unlock):
+        counts[type(unlock)] += 1
+        return real_decrypt_block(ctb, key, unlock)
+
+    monkeypatch.setattr(scheme, "pair", pair)
+    monkeypatch.setattr(scheme, "decrypt_block", decrypt_block)
+    return _decrypt(ctbs, sk), counts
+
+
+def test_spread_key_pairs_no_leaves_once_block_1_is_open(suite, monkeypatch):
+    # 2 pairings for the first leaf, 1 for block 1's mask key, then 2 per
+    # chained block; no leaf of blocks 3..10 is paired
+    pk, mk, ctx = suite
+    rng = random.Random(26)
+    text, spread = bench.synthetic_policy(10, 100)
+    msg = rng.randbytes(1000)
+    sk = scheme.keygen(pk, mk, spread, rng)
+    _, ctbs = _encrypt_all(msg, text, pk, ctx, rng)
+    out, counts = _counting_decrypt(monkeypatch, ctbs, sk)
+    assert out == msg
+    assert counts == {"pair": 21, RootUnlock: 1, GateUnlock: 0, ChainUnlock: 9}
+
+
+def test_gate_opens_block_2_before_block_1(suite, monkeypatch):
+    # block 3 brings leaf a, so the gate (a OR x) opens block 2 and the chain
+    # opens block 3; the root still needs b and c from block 4, whose chain
+    # element is already known
+    pk, mk, ctx = suite
+    rng = random.Random(27)
+    msg = rng.randbytes(800)
+    sk = scheme.keygen(pk, mk, {"a", "b", "c"}, rng)
+    _, ctbs = _encrypt_all(msg, "((a OR x) AND ((b AND c) OR y))", pk, ctx, rng)
+    assert len(ctbs) == 4
+    state = DecryptionState(sk)
+    for ctb in ctbs[:3]:
+        state.add_block(ctb)
+    assert sorted(state.data_blocks) == [2, 3] and 4 in state.chain_elements
+    state.add_block(ctbs[3])
+    assert assemble_message(state, sk) == msg
+    _, counts = _counting_decrypt(monkeypatch, ctbs, sk)
+    assert counts[RootUnlock] == counts[GateUnlock] == 1
+
+
+def test_repeated_block_ignored_conflicting_block_rejected(suite):
+    pk, mk, ctx = suite
+    rng = random.Random(28)
+    msg = rng.randbytes(300)
+    sk = scheme.keygen(pk, mk, {"a"}, rng)
+    _, ctbs = _encrypt_all(msg, "(a OR (b AND c))", pk, ctx, rng)
+    state = DecryptionState(sk)
+    for ctb in ctbs:
+        state.add_block(ctb)
+        state.add_block(ctb)
+    assert assemble_message(state, sk) == msg
+    # block 2 relabelled as block 3, before and after the genuine block 3
+    relabelled = dataclasses.replace(ctbs[1], index=3)
+    for order in ([ctbs[0], relabelled, ctbs[2]], [ctbs[0], ctbs[2], relabelled]):
+        state = DecryptionState(sk)
+        with pytest.raises(DecodeError):
+            for ctb in order:
+                state.add_block(ctb)
+
+
+def test_node_ids_shared_across_blocks_rejected(suite):
+    pk, mk, ctx = suite
+    rng = random.Random(29)
+    sk = scheme.keygen(pk, mk, {"a"}, rng)
+    _, ctbs = _encrypt_all(b"0123456789", "(a AND b)", pk, ctx, rng)
+    clash = ctbs[1].descriptor[0]
+    forged = dataclasses.replace(ctbs[1], descriptor=ctbs[1].descriptor[1:] + (
+        dataclasses.replace(clash, node_id=ctbs[0].descriptor[0].node_id),))
+    state = DecryptionState(sk)
+    state.add_block(ctbs[0])
+    with pytest.raises(DecodeError):
+        state.add_block(forged)
+
+
+_FUZZ_POLICY = "((a OR x) AND ((b AND c) OR y))"
+_FUZZ_KEYS = ({"a", "b", "c"}, {"x", "y"}, {"b", "c"})
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(suite):
+    pk, mk, ctx = suite
+    rng = random.Random(30)
+    _, ctbs = _encrypt_all(rng.randbytes(500), _FUZZ_POLICY, pk, ctx, rng)
+    keys = [scheme.keygen(pk, mk, attrs, rng) for attrs in _FUZZ_KEYS]
+    return ctbs, [wire.encode_ctb(ctb, "msg-0001") for ctb in ctbs], keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bit_flips_end_in_typed_errors(fuzz_corpus, data):
+    ctbs, blobs, keys = fuzz_corpus
+    target = data.draw(st.integers(0, len(blobs) - 1), label="block")
+    bit = data.draw(st.integers(0, 200 * 8 - 1), label="bit")
+    sk = data.draw(st.sampled_from(keys), label="key")
+    flipped = bytearray(blobs[target])
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    try:
+        mutated, _ = wire.decode_ctb(bytes(flipped))
+        state = DecryptionState(sk)
+        for i, ctb in enumerate(ctbs):
+            state.add_block(mutated if i == target else ctb)
+        assemble_message(state, sk)
+    except (DecodeError, PolicyNotSatisfiedError):
+        pass
 
 
 def test_assemble_requires_all_blocks(suite):

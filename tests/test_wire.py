@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from lcws import scheme, wire
+from lcws.algebra import SUITE_ID
 from lcws.errors import DecodeError
 from lcws.policy import parse_policy
 
@@ -72,6 +74,62 @@ def test_ctb_rejects_corrupt_element(corpus):
     data[-1] ^= 0x01                              # inside a leaf component
     with pytest.raises(DecodeError):
         wire.decode_ctb(bytes(data))
+
+
+def _replaced(data, old, new):
+    assert len(old) == len(new) and data.count(old) == 1
+    return data.replace(old, new)
+
+
+def test_ctb_rejects_non_text_fields(corpus):
+    data = wire.encode_ctb(corpus[0], "msg-text-field")
+    for field in (SUITE_ID.encode("ascii"), b"msg-text-field"):
+        with pytest.raises(DecodeError):
+            wire.decode_ctb(_replaced(data, field, b"\xff" + field[1:]))
+    ctb = next(c for c in corpus if any(d.is_leaf for d in c.descriptor))
+    leaf = next(i for i, d in enumerate(ctb.descriptor) if d.is_leaf)
+    descriptor = list(ctb.descriptor)
+    descriptor[leaf] = dataclasses.replace(descriptor[leaf], attribute="attribute:text")
+    data = wire.encode_ctb(dataclasses.replace(ctb, descriptor=tuple(descriptor)), "m")
+    with pytest.raises(DecodeError):
+        wire.decode_ctb(_replaced(data, b"attribute:text", b"\xffttribute:text"))
+
+
+def test_ctb_rejects_index_outside_block_range(corpus):
+    # a middle block: neither the commitment nor the sentinel pins its index
+    ctb = next(c for c in corpus if 1 < c.index < c.block_count)
+    data = bytearray(wire.encode_ctb(ctb, "m"))
+    at = 4 + 2 + 4 + len(SUITE_ID) + 4 + 1            # index field after "m"
+    assert int.from_bytes(data[at:at + 4], "big") == ctb.index
+    for index in (0, ctb.block_count + 1):
+        data[at:at + 4] = index.to_bytes(4, "big")
+        with pytest.raises(DecodeError):
+            wire.decode_ctb(bytes(data))
+
+
+def test_ctb_rejects_bad_descriptors(corpus):
+    ctb = next(c for c in corpus if c.index > 1 and len(c.descriptor) > 1
+               and any(not d.is_leaf for d in c.descriptor))
+    gate = next(i for i, d in enumerate(ctb.descriptor) if not d.is_leaf)
+    zero = list(ctb.descriptor)
+    zero[gate] = dataclasses.replace(zero[gate], threshold=0)
+    twice = list(ctb.descriptor)
+    twice[1] = dataclasses.replace(twice[1], node_id=twice[0].node_id)
+    for descriptor in (zero, twice):
+        data = wire.encode_ctb(dataclasses.replace(ctb, descriptor=tuple(descriptor)), "m")
+        with pytest.raises(DecodeError):
+            wire.decode_ctb(data)
+
+
+def test_key_file_rejects_non_utf8_attribute(suite):
+    pk, mk, _ = suite
+    sk = scheme.keygen(pk, mk, {"attribute:plain-text"}, random.Random(92))
+    data = wire.encode_secret_key(sk)
+    with pytest.raises(DecodeError):
+        wire.decode_secret_key(_replaced(data, b"attribute:plain-text", b"\xffttribute:plain-text"))
+    with pytest.raises(DecodeError):
+        wire.decode_secret_key(_replaced(data, SUITE_ID.encode("ascii"),
+                                         b"\x80" + SUITE_ID.encode("ascii")[1:]))
 
 
 def test_key_file_round_trips(suite):

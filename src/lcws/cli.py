@@ -138,10 +138,15 @@ def do_encrypt(message_file, pk_path, ctx_path, policy, store_dir, message_id, s
     tree = parse_policy(policy)
     store = BlobStore(store_dir)
     mid = message_id or _derive_message_id(message)
-    count = 0
-    for ctb in scheme.encrypt_message(message, tree, pk, ctx, _rng(seed)):
-        store.put(make_object_id(mid, ctb.index), wire.encode_ctb(ctb, mid))
-        count += 1
+
+    def encode(index, ctb):
+        return make_object_id(mid, ctb.index), wire.encode_ctb(ctb, mid)
+
+    def upload(index, object_blob):
+        store.put(*object_blob)
+
+    blocks = scheme.encrypt_message(message, tree, pk, ctx, _rng(seed))
+    count = len(pipeline_mod.run_two_stage(blocks, pipeline_mod.ENC, encode, upload).rows)
     click.echo(mid)
     click.echo(f"uploaded {count} blocks", err=True)
 
@@ -152,30 +157,33 @@ def do_encrypt(message_file, pk_path, ctx_path, policy, store_dir, message_id, s
 @click.option("--message-id", required=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 @click.option("--bandwidth", type=float, default=None,
-              help="Bytes/s; when set, downloads run through the pipelined executor "
-                   "over a simulated link.")
+              help="Bytes/s; when set, each download also crosses a simulated link.")
 @click.option("--latency", type=float, default=0.0, help="Simulated link latency, seconds.")
 @_exit_codes
 def dr_decrypt(sk_path, store_dir, message_id, out_path, bandwidth, latency):
-    """Download, decrypt, and reassemble a stored message."""
+    """Download, decrypt, and reassemble a stored message, decrypting each
+    block while the next ones download."""
     sk = wire.decode_secret_key(sk_path.read_bytes())
     store = BlobStore(store_dir)
     object_ids = store.list(message_id)
     if not object_ids:
         raise StoreNotFoundError(message_id)
+    link = None if bandwidth is None else pipeline_mod.LinkModel(bandwidth, latency)
     state = scheme.DecryptionState(sk)
-    blobs = [store.get(oid) for oid in object_ids]
+
+    def download(index, object_id):
+        blob = store.get(object_id)
+        return blob if link is None else link.transmit(index, blob)
 
     def ingest(index, blob):
         ctb, _ = wire.decode_ctb(blob)
         state.add_block(ctb)
 
-    if bandwidth is not None:
-        link = pipeline_mod.LinkModel(bandwidth=bandwidth, latency=latency)
-        pipeline_mod.run_pipeline(blobs, link, pipeline_mod.DEC, ingest)
-    else:
-        for i, blob in enumerate(blobs):
-            ingest(i + 1, blob)
+    pipeline_mod.run_two_stage(object_ids, pipeline_mod.DEC, download, ingest)
+    held = state.data_blocks.keys() | state.pending_blocks.keys()
+    for index in range(1, state.block_count + 1):
+        if index not in held:
+            raise StoreNotFoundError(make_object_id(message_id, index))
     message = scheme.assemble_message(state, sk)
     out_path.write_bytes(message)
     click.echo(f"wrote {len(message)} bytes to {out_path}")

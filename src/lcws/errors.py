@@ -27,11 +27,3 @@ class EncryptionStateError(RuntimeError):
 class StoreNotFoundError(KeyError):
     """Requested object id is not present in the store."""
 
-
-class PipelineStageError(RuntimeError):
-    """A pipeline stage failed; carries the index of the failing block."""
-
-    def __init__(self, block_index: int, cause: BaseException):
-        super().__init__(f"stage failed on block {block_index}: {cause!r}")
-        self.block_index = block_index
-        self.cause = cause

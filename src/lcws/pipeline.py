@@ -1,29 +1,23 @@
-"""Two-stage pipeline latency model and executor.
+"""Two-stage pipeline: the latency recurrence and a threaded executor.
 
-A block stream passes through a compute stage and a transmit stage (in
-either order).  With one worker per stage and FIFO hand-off, completion
-times follow the classic recurrence: stage two starts a block no earlier
-than both its own previous finish and the block's stage-one finish.  The
-analytic functions are exact; `simulate_schedule` reproduces them with an
-event loop, and `run_pipeline` with real threads and a simulated link.
+Blocks pass through a compute stage and a transmit stage, in either order,
+one worker per stage with FIFO hand-off: stage two starts a block once it
+has finished the previous one and stage one has finished this one.
 """
 
-from __future__ import annotations
-
-import csv
-import heapq
-import itertools
+import functools
 import queue
-import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
-
-from .errors import PipelineStageError
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 ENC = "enc"
 DEC = "dec"
+# side -> (stage one, stage two), naming both the StageTimes durations and
+# the BlockSchedule fields of each stage
+_STAGES = {ENC: ("enc", "tx"), DEC: ("tx", "dec")}
+_HANDOFF_BLOCKS = 4            # blocks stage one may run ahead of stage two
 
 
 @dataclass(frozen=True)
@@ -35,11 +29,9 @@ class StageTimes:
     dec: Tuple[float, ...]
 
     def __init__(self, enc: Sequence[float], tx: Sequence[float], dec: Sequence[float] = None):
-        if dec is None:
-            dec = [0.0] * len(tx)
-        object.__setattr__(self, "enc", tuple(float(x) for x in enc))
-        object.__setattr__(self, "tx", tuple(float(x) for x in tx))
-        object.__setattr__(self, "dec", tuple(float(x) for x in dec))
+        dec = [0.0] * len(tx) if dec is None else dec
+        for name, values in (("enc", enc), ("tx", tx), ("dec", dec)):
+            object.__setattr__(self, name, tuple(float(x) for x in values))
         if not (len(self.enc) == len(self.tx) == len(self.dec)):
             raise ValueError("stage duration lists must have equal length")
         if any(x < 0 for x in self.enc + self.tx + self.dec):
@@ -63,7 +55,6 @@ class BlockSchedule:
 
 @dataclass
 class ScheduleResult:
-    side: str
     rows: List[BlockSchedule]
     total_sequential: float
     total_pipelined: float
@@ -72,140 +63,47 @@ class ScheduleResult:
     def delta_t(self) -> float:
         return self.total_sequential - self.total_pipelined
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["block", "enc_start", "enc_end", "tx_start", "tx_end",
-                        "dec_start", "dec_end"])
-            for r in self.rows:
-                w.writerow([
-                    r.block,
-                    *("" if v is None else f"{v:.9f}" for v in
-                      (r.enc_start, r.enc_end, r.tx_start, r.tx_end,
-                       r.dec_start, r.dec_end)),
-                ])
+
+def _stages(side: str) -> Tuple[str, str]:
+    if side not in _STAGES:
+        raise ValueError(f"side must be {ENC!r} or {DEC!r}")
+    return _STAGES[side]
+
+
+def _result(side: str, spans, sequential: float, total: float) -> ScheduleResult:
+    fields = [f"{stage}_{edge}" for stage in _STAGES[side] for edge in ("start", "end")]
+    rows = [BlockSchedule(i, **dict(zip(fields, span))) for i, span in enumerate(spans, 1)]
+    return ScheduleResult(rows, sequential, total)
+
+
+def schedule(times: StageTimes, side: str) -> ScheduleResult:
+    """Exact overlap recurrence and sequential total for one side."""
+    first, second = (getattr(times, name) for name in _stages(side))
+    spans = []
+    end1 = end2 = 0.0
+    for a, b in zip(first, second):
+        start1, end1 = end1, end1 + a
+        start2 = max(end2, end1)
+        end2 = start2 + b
+        spans.append((start1, end1, start2, end2))
+    return _result(side, spans, sum(first) + sum(second), end2)
+
+
+pipelined_total_enc = functools.partial(schedule, side=ENC)
+pipelined_total_dec = functools.partial(schedule, side=DEC)
 
 
 def sequential_total_enc(times: StageTimes) -> float:
-    """Unpipelined encrypt-then-transmit total."""
-    return sum(times.enc) + sum(times.tx)
+    return schedule(times, ENC).total_sequential
 
 
 def sequential_total_dec(times: StageTimes) -> float:
-    """Unpipelined transmit-then-decrypt total."""
-    return sum(times.tx) + sum(times.dec)
-
-
-def pipelined_total_enc(times: StageTimes) -> ScheduleResult:
-    """Exact overlap recurrence for the encrypt/transmit pipeline."""
-    rows = []
-    e_end = 0.0
-    x_end = 0.0
-    for i in range(times.n):
-        e_start = e_end
-        e_end = e_start + times.enc[i]
-        x_start = max(x_end, e_end)
-        x_end = x_start + times.tx[i]
-        rows.append(BlockSchedule(i + 1, enc_start=e_start, enc_end=e_end,
-                                  tx_start=x_start, tx_end=x_end))
-    return ScheduleResult(ENC, rows, sequential_total_enc(times), x_end)
-
-
-def pipelined_total_dec(times: StageTimes) -> ScheduleResult:
-    """Exact overlap recurrence for the transmit/decrypt pipeline."""
-    rows = []
-    a_end = 0.0
-    d_end = 0.0
-    for i in range(times.n):
-        a_start = a_end
-        a_end = a_start + times.tx[i]
-        d_start = max(d_end, a_end)
-        d_end = d_start + times.dec[i]
-        rows.append(BlockSchedule(i + 1, tx_start=a_start, tx_end=a_end,
-                                  dec_start=d_start, dec_end=d_end))
-    return ScheduleResult(DEC, rows, sequential_total_dec(times), d_end)
+    return schedule(times, DEC).total_sequential
 
 
 def delta_t(times: StageTimes, side: str) -> float:
-    """Sequential minus pipelined total for one side of the protocol."""
-    if side == ENC:
-        return pipelined_total_enc(times).delta_t
-    if side == DEC:
-        return pipelined_total_dec(times).delta_t
-    raise ValueError(f"side must be {ENC!r} or {DEC!r}")
+    return schedule(times, side).delta_t
 
-
-# ---------------------------------------------------------------------------
-# discrete-event simulation
-# ---------------------------------------------------------------------------
-
-def simulate_schedule(times: StageTimes, side: str) -> ScheduleResult:
-    """Event-driven rerun of the two-stage pipeline.
-
-    Two servers, FIFO hand-off, blocks released in index order; agrees
-    with the analytic recurrence to machine precision because it performs
-    the same additions in the same order.
-    """
-    if side == ENC:
-        first, second = times.enc, times.tx
-    elif side == DEC:
-        first, second = times.tx, times.dec
-    else:
-        raise ValueError(f"side must be {ENC!r} or {DEC!r}")
-
-    n = times.n
-    rows = [BlockSchedule(i + 1) for i in range(n)]
-    events = []  # (time, seq, kind, block)
-    seq = itertools.count()
-    heapq.heappush(events, (0.0, next(seq), "start1", 0))
-    stage1_busy_until = None
-    stage2_busy = False
-    ready: List[int] = []          # blocks finished with stage 1, FIFO
-    starts1 = [None] * n
-    ends1 = [None] * n
-    starts2 = [None] * n
-    ends2 = [None] * n
-    finished = 0
-    now = 0.0
-    while events:
-        now, _, kind, i = heapq.heappop(events)
-        if kind == "start1":
-            starts1[i] = now
-            heapq.heappush(events, (now + first[i], next(seq), "end1", i))
-        elif kind == "end1":
-            ends1[i] = now
-            ready.append(i)
-            if i + 1 < n:
-                heapq.heappush(events, (now, next(seq), "start1", i + 1))
-            if not stage2_busy:
-                j = ready.pop(0)
-                stage2_busy = True
-                starts2[j] = now
-                heapq.heappush(events, (now + second[j], next(seq), "end2", j))
-        elif kind == "end2":
-            ends2[i] = now
-            finished += 1
-            stage2_busy = False
-            if ready:
-                j = ready.pop(0)
-                stage2_busy = True
-                starts2[j] = now
-                heapq.heappush(events, (now + second[j], next(seq), "end2", j))
-    total = now
-    for i in range(n):
-        if side == ENC:
-            rows[i].enc_start, rows[i].enc_end = starts1[i], ends1[i]
-            rows[i].tx_start, rows[i].tx_end = starts2[i], ends2[i]
-        else:
-            rows[i].tx_start, rows[i].tx_end = starts1[i], ends1[i]
-            rows[i].dec_start, rows[i].dec_end = starts2[i], ends2[i]
-    seq_total = sequential_total_enc(times) if side == ENC else sequential_total_dec(times)
-    return ScheduleResult(side, rows, seq_total, total)
-
-
-# ---------------------------------------------------------------------------
-# link model and threaded executor
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LinkModel:
@@ -213,139 +111,76 @@ class LinkModel:
 
     bandwidth: float             # bytes per second
     latency: float = 0.0         # seconds per message
-    jitter: float = 0.0          # max relative jitter, requires jitter_seed
-    jitter_seed: Optional[int] = None
 
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
 
-    def transmit_seconds(self, nbytes: int, rng: Optional[random.Random] = None) -> float:
-        base = self.latency + nbytes / self.bandwidth
-        if self.jitter and rng is not None:
-            base *= 1.0 + rng.uniform(-self.jitter, self.jitter)
-        return base
+    def transmit_seconds(self, nbytes: int) -> float:
+        return self.latency + nbytes / self.bandwidth
 
-    def make_rng(self) -> Optional[random.Random]:
-        return random.Random(self.jitter_seed) if self.jitter_seed is not None else None
+    def transmit(self, index: int, payload: bytes) -> bytes:
+        """Stage callable: hold `payload` for its time on the link."""
+        time.sleep(self.transmit_seconds(len(payload)))
+        return payload
 
 
-def run_pipeline(blocks: Sequence, link: LinkModel, side: str,
-                 work: Callable[[int, object], object],
-                 overlap: bool = True, queue_capacity: int = 4) -> ScheduleResult:
-    """Drive real stage executors over a block stream, wall-clock timed.
-
-    `work` is the compute stage: called as work(index, item) with 1-based
-    index; for the encrypt side it runs before the simulated transmission
-    and its result's byte length prices the link, for the decrypt side it
-    runs after.  Blocks are handled strictly in index order.  With
-    `overlap` off the two stages run back to back in one thread, which
-    reproduces the sequential baseline.
+def run_two_stage(items: Iterable, side: str, first: Callable[[int, object], object],
+                  second: Callable[[int, object], object]) -> ScheduleResult:
+    """Run second(i, first(i, item)) for each item, i from 1, each stage in
+    its own thread and in item order, stage one at most `_HANDOFF_BLOCKS`
+    blocks ahead; rows are wall-clock seconds from the call.  If a stage
+    raises, neither stage starts another block, and the exception is
+    re-raised here once both threads have ended.
     """
-    if side not in (ENC, DEC):
-        raise ValueError(f"side must be {ENC!r} or {DEC!r}")
-    n = len(blocks)
-    rows = [BlockSchedule(i + 1) for i in range(n)]
-    jrng = link.make_rng()
-    clock = time.perf_counter
-
-    def tx_seconds(payload) -> float:
-        nbytes = len(payload) if isinstance(payload, (bytes, bytearray)) else int(payload)
-        return link.transmit_seconds(nbytes, jrng)
-
-    failure: List[PipelineStageError] = []
-
-    def compute(i: int, item):
-        try:
-            return work(i + 1, item)
-        except Exception as exc:
-            raise PipelineStageError(i + 1, exc) from exc
-
-    t0 = clock()
-
-    if not overlap:
-        for i, item in enumerate(blocks):
-            if side == ENC:
-                rows[i].enc_start = clock() - t0
-                produced = compute(i, item)
-                rows[i].enc_end = clock() - t0
-                rows[i].tx_start = rows[i].enc_end
-                time.sleep(tx_seconds(produced))
-                rows[i].tx_end = clock() - t0
-            else:
-                rows[i].tx_start = clock() - t0
-                time.sleep(tx_seconds(item))
-                rows[i].tx_end = clock() - t0
-                rows[i].dec_start = rows[i].tx_end
-                compute(i, item)
-                rows[i].dec_end = clock() - t0
-        total = clock() - t0
-        times = _measured_stage_times(rows, side)
-        seq = sequential_total_enc(times) if side == ENC else sequential_total_dec(times)
-        return ScheduleResult(side, rows, seq, total)
-
-    handoff: "queue.Queue" = queue.Queue(maxsize=max(1, queue_capacity))
-    _DONE = object()
+    handoff: "queue.Queue" = queue.Queue(maxsize=_HANDOFF_BLOCKS)
+    done = object()
+    errors: List[BaseException] = []
+    spans: List[list] = []
+    t0 = time.perf_counter()
 
     def stage_one():
         try:
-            for i, item in enumerate(blocks):
-                if side == ENC:
-                    rows[i].enc_start = clock() - t0
-                    produced = compute(i, item)
-                    rows[i].enc_end = clock() - t0
-                    handoff.put((i, produced))
-                else:
-                    rows[i].tx_start = clock() - t0
-                    time.sleep(tx_seconds(item))
-                    rows[i].tx_end = clock() - t0
-                    handoff.put((i, item))
-            handoff.put(_DONE)
-        except PipelineStageError as exc:
-            failure.append(exc)
-            handoff.put(_DONE)
+            for i, item in enumerate(items, 1):
+                if errors:
+                    break
+                start = time.perf_counter() - t0
+                out = first(i, item)
+                spans.append([start, time.perf_counter() - t0])
+                handoff.put((i, out, spans[-1]))
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            handoff.put(done)
 
     def stage_two():
-        try:
-            while True:
-                got = handoff.get()
-                if got is _DONE:
-                    return
-                i, item = got
-                if side == ENC:
-                    rows[i].tx_start = clock() - t0
-                    time.sleep(tx_seconds(item))
-                    rows[i].tx_end = clock() - t0
-                else:
-                    rows[i].dec_start = clock() - t0
-                    compute(i, item)
-                    rows[i].dec_end = clock() - t0
-        except PipelineStageError as exc:
-            failure.append(exc)
-            # keep draining so a blocked producer can finish and shut down
-            while handoff.get() is not _DONE:
-                pass
+        # drains the hand-off to the end, so stage one never blocks on it
+        for i, out, span in iter(handoff.get, done):
+            if errors:
+                continue
+            try:
+                start = time.perf_counter() - t0
+                second(i, out)
+                span.extend((start, time.perf_counter() - t0))
+            except BaseException as exc:
+                errors.append(exc)
 
-    t_one = threading.Thread(target=stage_one, name="lcws-stage1")
-    t_two = threading.Thread(target=stage_two, name="lcws-stage2")
-    t_one.start()
-    t_two.start()
-    t_one.join()
-    t_two.join()
-    if failure:
-        raise failure[0]
-    total = clock() - t0
-    times = _measured_stage_times(rows, side)
-    seq = sequential_total_enc(times) if side == ENC else sequential_total_dec(times)
-    return ScheduleResult(side, rows, seq, total)
+    threads = [threading.Thread(target=stage_one, name="lcws-stage1"),
+               threading.Thread(target=stage_two, name="lcws-stage2")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    total = time.perf_counter() - t0
+    if errors:
+        raise errors[0]
+    return _result(side, spans, sum(e1 - s1 + e2 - s2 for s1, e1, s2, e2 in spans), total)
 
 
-def _measured_stage_times(rows: Sequence[BlockSchedule], side: str) -> StageTimes:
-    """Per-block durations recovered from measured schedule rows."""
-    def dur(a, b):
-        return 0.0 if a is None or b is None else max(0.0, b - a)
-
-    enc = [dur(r.enc_start, r.enc_end) for r in rows]
-    tx = [dur(r.tx_start, r.tx_end) for r in rows]
-    dec = [dur(r.dec_start, r.dec_end) for r in rows]
-    return StageTimes(enc, tx, dec)
+def run_pipeline(blocks: Sequence, link: LinkModel, side: str,
+                 work: Callable[[int, object], object]) -> ScheduleResult:
+    """Run `work` (called as work(index, item)) and the link over a block
+    stream: on the encrypt side `work` comes first and its output's length
+    prices the link, on the decrypt side it runs on each item as carried."""
+    stages = (link.transmit if name == "tx" else work for name in _stages(side))
+    return run_two_stage(blocks, side, *stages)

@@ -159,6 +159,8 @@ def decode_ctb(data: bytes) -> Tuple[CiphertextBlock, str]:
         raise DecodeError(f"unknown suite {suite!r}")
     message_id = _text(r.section(), "ascii")
     index, block_count, flags = struct.unpack(">IIB", r.take(9))
+    if flags & ~(FLAG_COMMITMENT | FLAG_SENTINEL):
+        raise DecodeError(f"unknown flag bits {flags:#04x}")
     if not 1 <= index <= block_count:
         raise DecodeError(f"block index {index} outside 1..{block_count}")
     header = _Reader(r.section())

@@ -207,3 +207,53 @@ def test_bench_command_writes_reports(runner, tmp_path):
     assert rows[0][0] == "size_bytes"
     assert len(rows) == 3
     assert out_dat.read_text().startswith("# size_bytes")
+
+
+@pytest.fixture()
+def four_block_message(runner, tmp_path):
+    keys = _setup_keys(runner, tmp_path)
+    sk = tmp_path / "sk.lcws"
+    assert _keygen(runner, keys, "a,b,c,d", sk).exit_code == 0
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"four blocks " * 400)
+    res = runner.invoke(main, [
+        "do-encrypt", str(msg), "--pk", str(keys / "pk.lcws"),
+        "--enc-ctx", str(keys / "enc-ctx.lcws"), "--policy", "(a AND (b AND (c AND d)))",
+        "--store", str(tmp_path / "store"), "--seed", "9",
+    ])
+    assert res.exit_code == 0, res.output
+    mid = res.output.strip().splitlines()[0]
+    assert len(list((tmp_path / "store" / mid).glob("*.ctb"))) == 4
+    return sk, tmp_path / "store", mid
+
+
+def _dr_decrypt(runner, sk, store, mid, out, link_args):
+    return runner.invoke(main, [
+        "dr-decrypt", "--sk", str(sk), "--store", str(store),
+        "--message-id", mid, "--out", str(out), *link_args,
+    ])
+
+
+@pytest.mark.parametrize("link_args", [[], ["--bandwidth", "1e7"]])
+def test_corrupt_block_is_format_error(runner, tmp_path, four_block_message, link_args):
+    sk, store, mid = four_block_message
+    block = store / mid / "00002.ctb"
+    data = bytearray(block.read_bytes())
+    data[-1] ^= 0x01                              # inside a leaf component
+    block.write_bytes(bytes(data))
+    out = tmp_path / "o.bin"
+    res = _dr_decrypt(runner, sk, store, mid, out, link_args)
+    assert res.exit_code == 4, res.output
+    assert "malformed input" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("link_args", [[], ["--bandwidth", "1e7"]])
+def test_missing_block_is_io_error(runner, tmp_path, four_block_message, link_args):
+    sk, store, mid = four_block_message
+    (store / mid / "00003.ctb").unlink()
+    out = tmp_path / "o.bin"
+    res = _dr_decrypt(runner, sk, store, mid, out, link_args)
+    assert res.exit_code == 3, res.output
+    assert f"{mid}/00003" in res.stderr
+    assert not out.exists()

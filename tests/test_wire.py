@@ -54,6 +54,13 @@ def test_ctb_rejects_unknown_version(corpus):
     data[4:6] = (99).to_bytes(2, "big")
     with pytest.raises(DecodeError):
         wire.decode_ctb(bytes(data))
+    # so are flag bits other than commitment and sentinel
+    data = bytearray(wire.encode_ctb(corpus[0], "m"))
+    at = 4 + 2 + 4 + len(SUITE_ID) + 4 + 1 + 8         # flags byte after "m", index, count
+    assert data[at] == wire.FLAG_COMMITMENT | wire.FLAG_SENTINEL
+    data[at] |= 0x04
+    with pytest.raises(DecodeError):
+        wire.decode_ctb(bytes(data))
 
 
 def test_ctb_rejects_truncation_everywhere(corpus):

@@ -150,19 +150,15 @@ def measure_stage_times(message: bytes, tree: AccessTree, pk: PublicKey,
 
 
 def run_bench(sizes: Sequence[int], levels: int, leaves: int, link: LinkModel,
-              runs: int = 5, seed: Optional[int] = None, warmup: bool = True,
-              policy_text: Optional[str] = None,
-              key_attrs: Optional[Sequence[str]] = None) -> BenchReport:
-    """Sweep message sizes; report median sequential and pipelined totals
-    for both protocol sides."""
+              runs: int = 5, seed: Optional[int] = None, warmup: bool = True) -> BenchReport:
+    """Sweep message sizes over the synthetic policy with its spread key;
+    report median sequential and pipelined totals for both protocol sides."""
     rng = random.Random(seed)
-    if policy_text is None:
-        policy_text, spread = synthetic_policy(levels, leaves)
-        key_attrs = key_attrs or spread
+    policy_text, spread = synthetic_policy(levels, leaves)
     tree = parse_policy(policy_text)
     pk, mk = scheme.setup(rng)
     ctx = scheme.encryption_context(mk)
-    sk = scheme.keygen(pk, mk, key_attrs, rng)
+    sk = scheme.keygen(pk, mk, spread, rng)
 
     messages = {size: random.Random(rng.randrange(2 ** 32)).randbytes(size)
                 for size in sizes}

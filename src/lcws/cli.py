@@ -51,6 +51,17 @@ def _exit_codes(fn):
     return wrapper
 
 
+def _parse_sizes(ctx, param, value):
+    """Message sizes in MiB, comma separated, as strictly increasing byte counts."""
+    try:
+        sizes = [int(float(s) * 1048576) for s in value.split(",") if s.strip()]
+    except (ValueError, OverflowError):
+        raise click.BadParameter(f"{value!r} is not a comma-separated list of numbers") from None
+    if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise click.BadParameter("sizes must be at least one byte and strictly increasing")
+    return sizes
+
+
 def _derive_message_id(message: bytes) -> str:
     return hashlib.sha256(b"lcws-message-id" + message).hexdigest()[:24]
 
@@ -156,9 +167,10 @@ def do_encrypt(message_file, pk_path, ctx_path, policy, store_dir, message_id, s
 @click.option("--store", "store_dir", type=click.Path(path_type=Path), required=True)
 @click.option("--message-id", required=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
-@click.option("--bandwidth", type=float, default=None,
+@click.option("--bandwidth", type=click.FloatRange(min=0, min_open=True), default=None,
               help="Bytes/s; when set, each download also crosses a simulated link.")
-@click.option("--latency", type=float, default=0.0, help="Simulated link latency, seconds.")
+@click.option("--latency", type=click.FloatRange(min=0), default=0.0,
+              help="Simulated link latency, seconds.")
 @_exit_codes
 def dr_decrypt(sk_path, store_dir, message_id, out_path, bandwidth, latency):
     """Download, decrypt, and reassemble a stored message, decrypting each
@@ -203,21 +215,27 @@ def dr_verify(message_file, v_path):
 
 
 @main.command("bench")
-@click.option("--sizes", default="1,2,4,8,16", help="Message sizes in MiB, comma separated.")
-@click.option("--levels", type=int, default=10)
-@click.option("--leaves", type=int, default=100)
-@click.option("--bandwidth", type=float, default=1048576.0, help="Simulated link bytes/s.")
-@click.option("--latency", type=float, default=0.25, help="Simulated link latency, seconds.")
-@click.option("--runs", type=int, default=5)
+@click.option("--sizes", default="1,2,4,8,16", callback=_parse_sizes,
+              help="Message sizes in MiB, comma separated, increasing.")
+@click.option("--levels", type=click.IntRange(min=1), default=10)
+@click.option("--leaves", type=click.IntRange(min=1), default=100)
+@click.option("--bandwidth", type=click.FloatRange(min=0, min_open=True), default=1048576.0,
+              help="Simulated link bytes/s.")
+@click.option("--latency", type=click.FloatRange(min=0), default=0.25,
+              help="Simulated link latency, seconds.")
+@click.option("--runs", type=click.IntRange(min=1), default=5)
 @click.option("--seed", type=int, default=None)
 @click.option("--out-csv", type=click.Path(path_type=Path), required=True)
 @click.option("--out-dat", type=click.Path(path_type=Path), default=None)
 @_exit_codes
 def bench(sizes, levels, leaves, bandwidth, latency, runs, seed, out_csv, out_dat):
     """Sweep message sizes and compare sequential vs pipelined totals."""
-    size_list = [int(float(s) * 1048576) for s in sizes.split(",") if s.strip()]
+    try:
+        bench_mod.synthetic_policy(levels, leaves)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--levels' / '--leaves'") from None
     link = pipeline_mod.LinkModel(bandwidth=bandwidth, latency=latency)
-    report = bench_mod.run_bench(size_list, levels, leaves, link, runs=runs, seed=seed)
+    report = bench_mod.run_bench(sizes, levels, leaves, link, runs=runs, seed=seed)
     report.write_csv(out_csv)
     if out_dat is not None:
         report.write_dat(out_dat)

@@ -115,6 +115,8 @@ class LinkModel:
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
+        if self.latency < 0:
+            raise ValueError("latency must be non-negative")
 
     def transmit_seconds(self, nbytes: int) -> float:
         return self.latency + nbytes / self.bandwidth

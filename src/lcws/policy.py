@@ -320,13 +320,6 @@ class LevelSlice:
 class LevelPartition:
     levels: Tuple[LevelSlice, ...]
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    def slice_at(self, level: int) -> LevelSlice:
-        return self.levels[level - 1]
-
 
 def partition_levels(tree: AccessTree) -> LevelPartition:
     """Group nodes by level; each slice's descriptor is self-contained."""

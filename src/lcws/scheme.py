@@ -12,7 +12,8 @@ chain without touching deeper levels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Tuple, Union)
 
 import secrets
 
@@ -464,117 +465,119 @@ def decrypt_block(ctb: CiphertextBlock, sk: SecretKey, unlock: Unlock
     return DataBlock(ctb.index, payload), next_element
 
 
-class DecryptionState:
-    """Accumulates arriving blocks and opens whatever becomes reachable.
+class _OpenedBlock(NamedTuple):
+    """An opened block without its masked payload, so no block is held twice."""
+    index: int
+    descriptor: Tuple[NodeDescriptor, ...]
+    leaf_components: Mapping[int, Tuple[G0Element, G0Element]]
 
-    Each block is opened by the first available unlock among a recovered
-    gate value at its level (with its link element), the root value for
-    block 1, or the chain element from the previous block's payload.  Until
-    block 1 opens, leaf values are computed per arrival and gate values
-    resolve bottom-up as their children's levels arrive.  Once block 1 is
-    open the chain opens every later block in turn, so later arrivals cost
-    no leaf pairings.  The test is "block 1 is open", not "this block has a
-    chain element": a gate can open block 2 while the root still needs
-    leaves from deeper blocks.
-    """
+
+class DecryptionState:
+    """Accumulates arriving blocks and opens each one as soon as it can.
+
+    A block opens by its chain element when that is known; while block 1
+    is closed, block 1 can also open by the root value and a later block by
+    a gate of its level with that gate's link element.  Node values are
+    computed only for such an unlock, from the held subset with the fewest
+    leaves still to pair; children sit only in the next block (block 1
+    itself for a one-level policy's leaf), so no parent id can loop."""
 
     def __init__(self, sk: SecretKey):
         self.sk = sk
         self.block_count: Optional[int] = None
         self.total_len: Optional[int] = None
-        self.pending_blocks: Dict[int, CiphertextBlock] = {}
         self.data_blocks: Dict[int, DataBlock] = {}
         self.chain_elements: Dict[int, G0Element] = {}
         self.node_values: Dict[int, GTElement] = {}
         self.commitment: Optional[G0Element] = None
-        self._descriptors: Dict[int, NodeDescriptor] = {}
-        self._children: Dict[int, List[NodeDescriptor]] = {}
-        self._level_of_block: Dict[int, Tuple[NodeDescriptor, ...]] = {}
+        self._blocks: Dict[int, Union[CiphertextBlock, _OpenedBlock]] = {}
+
+    @property
+    def pending_blocks(self) -> Dict[int, CiphertextBlock]:
+        return {i: ctb for i, ctb in self._blocks.items() if i not in self.data_blocks}
 
     def received_all(self) -> bool:
-        return self.block_count is not None and len(self._level_of_block) == self.block_count
+        return self.block_count is not None and len(self._blocks) == self.block_count
 
     def add_block(self, ctb: CiphertextBlock) -> None:
-        """Ingest one arriving block and cascade any newly possible work.
-
-        A repeat of a block already held is ignored; a different block
-        under the same index, or node ids shared with another block, is a
-        DecodeError."""
+        """Ingest one block and open every block now reachable.  A repeat is
+        ignored; another block under a held index or a held node id is a DecodeError."""
         if self.block_count is None:
             self.block_count = ctb.block_count
             self.total_len = ctb.total_len
         elif ctb.block_count != self.block_count or ctb.total_len != self.total_len:
             raise DecodeError("inconsistent headers across blocks")
-        held = self._level_of_block.get(ctb.index)
-        if held is not None:
-            if held != ctb.descriptor:
+        if ctb.index in self._blocks:
+            if self._blocks[ctb.index].descriptor != ctb.descriptor:
                 raise DecodeError(f"conflicting blocks for index {ctb.index}")
             return
-        for desc in ctb.descriptor:
-            if desc.node_id in self._descriptors:
-                raise DecodeError(f"node id {desc.node_id} appears in more than one block")
+        shared = {d.node_id for d in ctb.descriptor}.intersection(
+            d.node_id for b in self._blocks.values() for d in b.descriptor)
+        if shared:
+            raise DecodeError(f"node id {min(shared)} appears in more than one block")
         if ctb.index == 1:
             self.commitment = ctb.commitment
-        self.pending_blocks[ctb.index] = ctb
-        self._level_of_block[ctb.index] = ctb.descriptor
-        for desc in ctb.descriptor:
-            self._descriptors[desc.node_id] = desc
-            if desc.parent_id:
-                self._children.setdefault(desc.parent_id, []).append(desc)
-        if 1 not in self.data_blocks:
-            for desc in ctb.descriptor:
-                if (desc.is_leaf and desc.attribute in self.sk.attrs
-                        and desc.node_id in ctb.leaf_components):
-                    self.node_values[desc.node_id] = decrypt_leaf(ctb, self.sk, desc.node_id)
-            self._propagate_gates()
-        self._open_blocks()
-
-    def _propagate_gates(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for nid, desc in self._descriptors.items():
-                if desc.is_leaf or nid in self.node_values:
-                    continue
-                kids = self._children.get(nid, [])
-                available = {
-                    k.index: self.node_values[k.node_id]
-                    for k in kids if k.node_id in self.node_values
-                }
-                value = decrypt_interior(available, desc.threshold)
-                if value is not None:
-                    self.node_values[nid] = value
-                    changed = True
-
-    def _unlock_for(self, ctb: CiphertextBlock) -> Optional[Unlock]:
-        if ctb.index == 1:
-            root = next((d for d in ctb.descriptor if d.parent_id == 0), None)
-            if root is not None and root.node_id in self.node_values:
-                return RootUnlock(self.node_values[root.node_id])
-        else:
-            for nid in ctb.gate_links:
-                if nid in self.node_values:
-                    return GateUnlock(nid, self.node_values[nid])
-        element = self.chain_elements.get(ctb.index)
-        if element is not None:
-            return ChainUnlock(element)
-        return None
-
-    def _open_blocks(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            for idx in sorted(self.pending_blocks):
-                ctb = self.pending_blocks[idx]
-                unlock = self._unlock_for(ctb)
-                if unlock is None:
-                    continue
-                db, next_element = decrypt_block(ctb, self.sk, unlock)
-                del self.pending_blocks[idx]
+        self._blocks[ctb.index] = ctb
+        # one ascending pass: opening block i only yields what blocks after i need
+        for idx, pending in sorted(self.pending_blocks.items()):
+            unlock = self._unlock_for(pending)
+            if unlock is not None:
+                db, next_element = decrypt_block(pending, self.sk, unlock)
                 self.data_blocks[idx] = db
+                self._blocks[idx] = _OpenedBlock(idx, pending.descriptor, pending.leaf_components)
                 if next_element is not None:
                     self.chain_elements[idx + 1] = next_element
-                progress = True
+
+    def _unlock_for(self, ctb: CiphertextBlock) -> Optional[Unlock]:
+        if ctb.index in self.chain_elements:
+            return ChainUnlock(self.chain_elements[ctb.index])
+        if 1 in self.data_blocks:
+            return None
+        plan = self._plan()
+        ids = ([d.node_id for d in ctb.descriptor if d.parent_id == 0] if ctb.index == 1
+               else ctb.gate_links)
+        ready = [(plan[nid][0], nid) for nid in ids if nid in plan and plan[nid][1] == ctb.index]
+        if not ready:
+            return None
+        nid = min(ready)[1]
+        value = self._value(plan, nid)
+        return RootUnlock(value) if ctb.index == 1 else GateUnlock(nid, value)
+
+    def _plan(self) -> Dict[int, tuple]:
+        """(leaves to pair, block, descriptor, children) per satisfied node, deepest block first."""
+        plan: Dict[int, tuple] = {}
+        kids: Dict[Tuple[int, int], List[NodeDescriptor]] = {}
+        for j, ctb in sorted(self._blocks.items(), reverse=True):
+            for d in sorted(ctb.descriptor, key=lambda d: not d.is_leaf):
+                if d.node_id in self.node_values:
+                    plan[d.node_id] = (0, j, d, ())
+                elif (d.is_leaf and d.attribute in self.sk.attrs
+                      and d.node_id in ctb.leaf_components):
+                    plan[d.node_id] = (1, j, d, ())
+                elif not d.is_leaf:
+                    chosen = sorted(kids.get((j, d.node_id), ()),
+                                    key=lambda k: (plan[k.node_id][0], k.index))[:d.threshold]
+                    if len({k.index for k in chosen}) == d.threshold:
+                        plan[d.node_id] = (sum(plan[k.node_id][0] for k in chosen), j, d, chosen)
+                if d.node_id in plan:
+                    parent_block = j if d.is_leaf and self.block_count == 1 else j - 1
+                    kids.setdefault((parent_block, d.parent_id), []).append(d)
+        return plan
+
+    def _value(self, plan: Dict[int, tuple], node_id: int) -> GTElement:
+        """Evaluate a planned node, children first, pairing only unknown leaves."""
+        order, todo = [], [node_id]
+        while todo:
+            nid = todo.pop()
+            if nid not in self.node_values:
+                order.append(nid)
+                todo.extend(k.node_id for k in plan[nid][3])
+        for nid in reversed(order):
+            _, j, d, chosen = plan[nid]
+            shares = {k.index: self.node_values[k.node_id] for k in chosen}
+            self.node_values[nid] = (decrypt_leaf(self._blocks[j], self.sk, nid) if d.is_leaf
+                                     else decrypt_interior(shares, d.threshold))
+        return self.node_values[node_id]
 
 
 def assemble_message(state: DecryptionState, sk: SecretKey) -> bytes:

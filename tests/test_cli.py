@@ -257,3 +257,38 @@ def test_missing_block_is_io_error(runner, tmp_path, four_block_message, link_ar
     assert res.exit_code == 3, res.output
     assert f"{mid}/00003" in res.stderr
     assert not out.exists()
+
+
+_BENCH_ARGS = ["bench", "--sizes", "0.0625", "--levels", "3", "--leaves", "4", "--runs", "1",
+               "--seed", "8"]
+
+
+_BAD_OPTIONS = [
+    ("dr-decrypt", ["--bandwidth", "0"]),
+    ("dr-decrypt", ["--bandwidth", "1e7", "--latency", "-1"]),
+    ("bench", ["--bandwidth", "0"]),
+    ("bench", ["--latency", "-5"]),
+    ("bench", ["--runs", "0"]),
+    ("bench", ["--levels", "0"]),
+    ("bench", ["--levels", "3", "--leaves", "1"]),
+    ("bench", ["--sizes", "0"]),
+    ("bench", ["--sizes", "0.01,0.01"]),
+    ("bench", ["--sizes", "abc"]),
+]
+
+
+@pytest.mark.parametrize("command, bad_args", _BAD_OPTIONS,
+                         ids=[command + "".join(args) for command, args in _BAD_OPTIONS])
+def test_out_of_range_option_is_usage_error(runner, tmp_path, four_block_message, command,
+                                            bad_args):
+    # every other option is valid, and a later option overrides an earlier one
+    sk, store, mid = four_block_message
+    out = tmp_path / "out"
+    if command == "dr-decrypt":
+        res = _dr_decrypt(runner, sk, store, mid, out, bad_args)
+    else:
+        res = runner.invoke(main, [*_BENCH_ARGS, "--out-csv", str(out), *bad_args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Invalid value" in res.output
+    assert not out.exists()

@@ -201,6 +201,8 @@ def test_link_model():
     assert link.transmit_seconds(2000) == 2.5
     with pytest.raises(ValueError):
         LinkModel(bandwidth=0)
+    with pytest.raises(ValueError):
+        LinkModel(bandwidth=1000.0, latency=-1)
 
 
 # ---------------------------------------------------------------------------

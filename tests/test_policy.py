@@ -125,7 +125,7 @@ def test_satisfaction_monotonicity_random_trees():
 def test_partition_wrapped_tree_single_slice():
     tree = parse_policy("a")
     part = partition_levels(tree)
-    assert part.depth == 1
+    assert len(part.levels) == 1
     only = part.levels[0]
     assert [n.node_id for n in only.interior_nodes] == [tree.root.node_id]
     assert [n.attribute for n in only.leaf_nodes] == ["a"]
@@ -134,7 +134,7 @@ def test_partition_wrapped_tree_single_slice():
 def test_partition_hand_labeled_depths():
     tree = parse_policy("(a AND (b OR c))")
     part = partition_levels(tree)
-    assert part.depth == 3
+    assert len(part.levels) == 3
     s1, s2, s3 = part.levels
     assert [n.node_id for n in s1.interior_nodes] == [tree.root.node_id]
     assert s1.leaf_nodes == ()
@@ -148,7 +148,7 @@ def test_partition_ten_level_hundred_leaf_tree():
     text, _ = synthetic_policy(10, 100)
     tree = parse_policy(text)
     part = partition_levels(tree)
-    assert part.depth == 10
+    assert len(part.levels) == 10
     assert sum(len(s.leaf_nodes) for s in part.levels) == 100
 
 

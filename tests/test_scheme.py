@@ -8,7 +8,7 @@ from lcws import algebra as alg
 from lcws import bench, scheme, wire
 from lcws.algebra import G0Element, Scalar
 from lcws.errors import DecodeError, EncryptionStateError, PolicyNotSatisfiedError
-from lcws.policy import parse_policy
+from lcws.policy import NodeDescriptor, parse_policy
 from lcws.scheme import (
     ChainUnlock,
     DecryptionState,
@@ -384,35 +384,57 @@ def test_chain_completeness_without_leaf_components(suite):
 
 
 def _counting_decrypt(monkeypatch, ctbs, sk):
-    """Decrypt in arrival order, counting pairings and unlock kinds."""
-    counts = {"pair": 0, RootUnlock: 0, GateUnlock: 0, ChainUnlock: 0}
+    """Decrypt in arrival order, counting pairings, leaf evaluations and
+    unlock kinds."""
+    counts = {"pair": 0, "leaf": 0, RootUnlock: 0, GateUnlock: 0, ChainUnlock: 0}
     real_pair, real_decrypt_block = scheme.pair, scheme.decrypt_block
+    real_decrypt_leaf = scheme.decrypt_leaf
 
     def pair(u, v):
         counts["pair"] += 1
         return real_pair(u, v)
+
+    def decrypt_leaf(ctb, key, node_id):
+        counts["leaf"] += 1
+        return real_decrypt_leaf(ctb, key, node_id)
 
     def decrypt_block(ctb, key, unlock):
         counts[type(unlock)] += 1
         return real_decrypt_block(ctb, key, unlock)
 
     monkeypatch.setattr(scheme, "pair", pair)
+    monkeypatch.setattr(scheme, "decrypt_leaf", decrypt_leaf)
     monkeypatch.setattr(scheme, "decrypt_block", decrypt_block)
     return _decrypt(ctbs, sk), counts
 
 
-def test_spread_key_pairs_no_leaves_once_block_1_is_open(suite, monkeypatch):
-    # 2 pairings for the first leaf, 1 for block 1's mask key, then 2 per
-    # chained block; no leaf of blocks 3..10 is paired
+@pytest.fixture(scope="module")
+def bench_policy_blocks(suite):
     pk, mk, ctx = suite
     rng = random.Random(26)
     text, spread = bench.synthetic_policy(10, 100)
     msg = rng.randbytes(1000)
-    sk = scheme.keygen(pk, mk, spread, rng)
-    _, ctbs = _encrypt_all(msg, text, pk, ctx, rng)
-    out, counts = _counting_decrypt(monkeypatch, ctbs, sk)
+    tree, ctbs = _encrypt_all(msg, text, pk, ctx, rng)
+    keys = {"spread": scheme.keygen(pk, mk, spread, rng),
+            "full": scheme.keygen(pk, mk, tree.leaf_attributes(), rng)}
+    return msg, ctbs, keys
+
+
+@pytest.mark.parametrize("key", ["spread", "full"])
+@pytest.mark.parametrize("order", ["in-order", "reversed"])
+def test_bench_policy_costs_21_pairings_and_one_leaf(bench_policy_blocks, monkeypatch,
+                                                     key, order):
+    # one leaf (2 pairings) opens the first block to open; every other block
+    # costs 2 pairings (chain: unlock element and mask key; gate: link and
+    # mask key, its value read from the gate below) and block 1 by the root
+    # costs 1, so 21 on 10 blocks
+    msg, ctbs, keys = bench_policy_blocks
+    arrival = ctbs if order == "in-order" else ctbs[::-1]
+    out, counts = _counting_decrypt(monkeypatch, arrival, keys[key])
     assert out == msg
-    assert counts == {"pair": 21, RootUnlock: 1, GateUnlock: 0, ChainUnlock: 9}
+    unlocks = ({RootUnlock: 1, GateUnlock: 0, ChainUnlock: 9} if order == "in-order"
+               else {RootUnlock: 1, GateUnlock: 8, ChainUnlock: 1})
+    assert counts == {"pair": 21, "leaf": 1, **unlocks}
 
 
 def test_gate_opens_block_2_before_block_1(suite, monkeypatch):
@@ -469,6 +491,61 @@ def test_node_ids_shared_across_blocks_rejected(suite):
         state.add_block(forged)
 
 
+def _hang_gate_chain(ctbs, length):
+    """Block 2 gains `length` gates, each the parent of the next, the first
+    hung under the root."""
+    root, block_2 = ctbs[0].descriptor[0], ctbs[1]
+    first = max(d.node_id for ctb in ctbs for d in ctb.descriptor) + 1
+    chain = tuple(NodeDescriptor(node_id=first + k, parent_id=first + k - 1 if k else root.node_id,
+                                 index=1 if k else 99, attribute=None, threshold=1)
+                  for k in range(length))
+    return [ctbs[0], dataclasses.replace(block_2, descriptor=block_2.descriptor + chain),
+            *ctbs[2:]]
+
+
+def _gates_parent_each_other(ctbs):
+    """The gate of block 2 names the gate of block 3 as its parent; that one
+    already names it."""
+    gate_2 = next(d for d in ctbs[1].descriptor if not d.is_leaf)
+    gate_3 = next(d for d in ctbs[2].descriptor if d.parent_id == gate_2.node_id
+                  and not d.is_leaf)
+    descriptor = tuple(dataclasses.replace(d, parent_id=gate_3.node_id) if d == gate_2 else d
+                       for d in ctbs[1].descriptor)
+    return [ctbs[0], dataclasses.replace(ctbs[1], descriptor=descriptor), *ctbs[2:]]
+
+
+def _root_parents_itself(ctbs):
+    root = ctbs[0].descriptor[0]
+    forged = dataclasses.replace(root, parent_id=root.node_id)
+    return [dataclasses.replace(ctbs[0], descriptor=(forged,)), *ctbs[1:]]
+
+
+@pytest.mark.parametrize("forge", [lambda ctbs: _hang_gate_chain(ctbs, 3000),
+                                   _gates_parent_each_other, _root_parents_itself],
+                         ids=["gate-chain-3000", "gates-parent-each-other", "root-parents-itself"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+def test_hostile_parent_ids_end_in_typed_errors(suite, forge, reverse):
+    # the evaluator looks up children only in the next block, so no parent
+    # id can make it loop or recurse; every key either opens the message or
+    # ends in a typed error
+    pk, mk, ctx = suite
+    rng = random.Random(31)
+    msg = rng.randbytes(400)
+    _, ctbs = _encrypt_all(msg, "(a OR (b AND (c OR d)))", pk, ctx, rng)
+    assert len(ctbs) == 4 and len(ctbs[0].descriptor) == 1
+    forged = forge(ctbs)
+    for attrs in ({"a"}, {"b", "c"}, {"b", "d"}, {"c", "d"}):
+        sk = scheme.keygen(pk, mk, attrs, rng)
+        state = DecryptionState(sk)
+        try:
+            for ctb in (forged[::-1] if reverse else forged):
+                state.add_block(ctb)
+            out = assemble_message(state, sk)
+        except (DecodeError, PolicyNotSatisfiedError):
+            continue
+        assert out == msg
+
+
 _FUZZ_POLICY = "((a OR x) AND ((b AND c) OR y))"
 _FUZZ_KEYS = ({"a", "b", "c"}, {"x", "y"}, {"b", "c"})
 
@@ -489,13 +566,15 @@ def test_bit_flips_end_in_typed_errors(fuzz_corpus, data):
     target = data.draw(st.integers(0, len(blobs) - 1), label="block")
     bit = data.draw(st.integers(0, 200 * 8 - 1), label="bit")
     sk = data.draw(st.sampled_from(keys), label="key")
+    reverse = data.draw(st.booleans(), label="reversed arrival")
     flipped = bytearray(blobs[target])
     flipped[bit // 8] ^= 1 << (bit % 8)
     try:
         mutated, _ = wire.decode_ctb(bytes(flipped))
+        arrival = [mutated if i == target else ctb for i, ctb in enumerate(ctbs)]
         state = DecryptionState(sk)
-        for i, ctb in enumerate(ctbs):
-            state.add_block(mutated if i == target else ctb)
+        for ctb in (arrival[::-1] if reverse else arrival):
+            state.add_block(ctb)
         assemble_message(state, sk)
     except (DecodeError, PolicyNotSatisfiedError):
         pass

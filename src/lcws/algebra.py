@@ -8,7 +8,8 @@ E(F_q^2), which makes the exposed map symmetric: pair(u, v) == pair(v, u)
 for all source-group elements.  Scalars live in Z mod `ORDER`.
 
 Everything here is a pure function of its inputs; elements are immutable
-and hashable.
+and hashable (one made by `fixed_base()` also keeps the exponentiation
+table it builds on first use).
 """
 
 from __future__ import annotations
@@ -71,8 +72,13 @@ def _naf(k: int) -> list:
     return digits
 
 
-_NAF_ORDER_MSB = list(reversed(_naf(ORDER)))[1:]
-_NAF_COFACTOR_MSB = list(reversed(_naf(COFACTOR)))[1:]
+def _naf_msb(k: int) -> list:
+    """NAF digits of k >= 1, most significant first, without the leading 1."""
+    return list(reversed(_naf(k)))[1:]
+
+
+_NAF_ORDER_MSB = _naf_msb(ORDER)
+_NAF_COFACTOR_MSB = _naf_msb(COFACTOR)
 
 
 # ---------------------------------------------------------------------------
@@ -271,52 +277,80 @@ def _in_prime_subgroup(x: int) -> bool:
     return (diff * diff % _Q * x * x - 2 * total * norm % _Q * x + prod * prod) % _Q == 0
 
 
-# Fixed-base comb exponentiation: exponents are at most 160 bits, split
-# into 4 rows of 40; the per-base table holds every subset product of the
-# row base points.  Table construction costs about one plain exponentiation,
-# so caching is pure win for bases that recur (generators, key elements).
+# Fixed-base comb exponentiation (Lim and Lee, CRYPTO '94).  An exponent
+# below 2^160 is cut into `teeth` rows of 160 / teeth bits, and entry b of
+# the base's table is the sum of the row bases [2^(span*j)]P over the bits j
+# set in b, so one exponentiation costs span - 1 doublings and at most span
+# additions.  The public key's g and h each keep a wide 8 x 20 table (255
+# points, about 61 KB) from their first exponentiation on; every other base
+# shares the 4 x 40 tables (15 points) of the `_comb_table` LRU, whose build
+# costs about one plain exponentiation.
 
+_COMB_BITS = ORDER.bit_length()          # 160
 _COMB_TEETH = 4
-_COMB_SPAN = 40
+_WIDE_TEETH = 8
+
+
+def _batch_to_affine(points):
+    """Jacobian points, none the identity, to affine with one inversion
+    (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for _, _, z in points:
+        prefix.append(acc)
+        acc = acc * z % _Q
+    inv = pow(acc, -1, _Q)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        zi = inv * prefix[i] % _Q
+        inv = inv * z % _Q
+        zi2 = zi * zi % _Q
+        out[i] = (x * zi2 % _Q, y * zi2 % _Q * zi % _Q)
+    return out
+
+
+def _build_comb(point, teeth: int) -> tuple:
+    """Affine comb table of a subgroup point; entry 0 (the identity) is None.
+    Rows come from doubling and entries from mixed additions in Jacobian
+    coordinates, each set made affine with a single inversion."""
+    span = _COMB_BITS // teeth
+    acc = (point[0], point[1], 1)
+    rows = [acc]
+    for _ in range(teeth - 1):
+        for _ in range(span):
+            acc = _jac_double(acc)
+        rows.append(acc)
+    rows = _batch_to_affine(rows)
+    entries = [None] * (1 << teeth)
+    for b in range(1, 1 << teeth):
+        low = b & -b
+        row = rows[low.bit_length() - 1]
+        entries[b] = (row[0], row[1], 1) if b == low else _jac_add_affine(entries[b ^ low], row)
+    return (None, *_batch_to_affine(entries[1:]))
 
 
 @lru_cache(maxsize=512)
 def _comb_table(point):
-    rows = [point]
-    acc = (point[0], point[1], 1)
-    for _ in range(_COMB_TEETH - 1):
-        for _ in range(_COMB_SPAN):
-            acc = _jac_double(acc)
-        rows.append(_jac_to_affine(acc))
-    table = [None] * (1 << _COMB_TEETH)
-    for b in range(1, 1 << _COMB_TEETH):
-        low = b & -b
-        rest = b ^ low
-        row = rows[low.bit_length() - 1]
-        table[b] = row if rest == 0 else _affine_add(table[rest], row)
-    return tuple(table)
+    return _build_comb(point, _COMB_TEETH)
 
 
-def _comb_pow(p, k: int):
-    k %= ORDER
-    if p is None or k == 0:
-        return None
-    table = _comb_table(p)
+def _comb_columns(k: int, teeth: int) -> list:
+    """The comb's table indices for 0 <= k < 2^160, most significant column
+    first: bit j of column i is bit span*j + i of k.  In k's 160-digit
+    binary string, column span-1-c is every span-th digit from digit c."""
+    span = _COMB_BITS // teeth
+    bits = format(k, f"0{_COMB_BITS}b")
+    return [int(bits[c::span], 2) for c in range(span)]
+
+
+def _comb_pow(table, k: int):
+    """[k]P from P's comb table, for 0 < k < ORDER."""
     acc = None
-    for i in range(_COMB_SPAN - 1, -1, -1):
-        if acc is not None:
-            acc = _jac_double(acc)
-        b = 0
-        for j in range(_COMB_TEETH):
-            if (k >> (_COMB_SPAN * j + i)) & 1:
-                b |= 1 << j
+    for b in _comb_columns(k, len(table).bit_length() - 1):
+        acc = _jac_double(acc)
         if b:
-            entry = table[b]
-            if entry is not None:
-                if acc is None:
-                    acc = (entry[0], entry[1], 1)
-                else:
-                    acc = _jac_add_affine(acc, entry)
+            acc = _jac_add_affine(acc, table[b])
     return _jac_to_affine(acc)
 
 
@@ -351,24 +385,10 @@ def _fq2_inv(u):
     return (a * n % _Q, (_Q - b) * n % _Q)
 
 
-def _fq2_pow_unitary(u, k: int):
-    """Exponentiation where the inverse is the conjugate (norm-1 inputs only)."""
-    if k == 0:
-        return _FQ2_ONE
-    inv = _fq2_conj(u)
-    acc = _FQ2_ONE
-    for d in reversed(_naf(k)):
-        acc = _fq2_sqr(acc)
-        if d == 1:
-            acc = _fq2_mul(acc, u)
-        elif d == -1:
-            acc = _fq2_mul(acc, inv)
-    return acc
-
-
 def _fq2_pow_naf(u, naf_digits_after_leading):
-    """Unitary exponentiation; digit list excludes the leading 1 and the
-    accumulator starts at the base, matching `_affine_mul_naf`."""
+    """Unitary exponentiation (the inverse is the conjugate, so norm-1
+    inputs only); digit list excludes the leading 1 and the accumulator
+    starts at the base, matching `_affine_mul_naf`."""
     inv = _fq2_conj(u)
     acc = u
     for d in naf_digits_after_leading:
@@ -377,6 +397,33 @@ def _fq2_pow_naf(u, naf_digits_after_leading):
             acc = _fq2_mul(acc, u)
         elif d == -1:
             acc = _fq2_mul(acc, inv)
+    return acc
+
+
+# The same comb in the target group: the public key's egg_alpha keeps an
+# 8 x 20 table of 255 products of its row powers u^(2^(20j)).
+
+def _build_fq2_comb(u) -> tuple:
+    span = _COMB_BITS // _WIDE_TEETH
+    rows = [u]
+    for _ in range(_WIDE_TEETH - 1):
+        for _ in range(span):
+            u = _fq2_sqr(u)
+        rows.append(u)
+    table = [_FQ2_ONE] * (1 << _WIDE_TEETH)
+    for b in range(1, 1 << _WIDE_TEETH):
+        low = b & -b
+        row = rows[low.bit_length() - 1]
+        table[b] = row if b == low else _fq2_mul(table[b ^ low], row)
+    return tuple(table)
+
+
+def _fq2_comb_pow(table, k: int):
+    acc = _FQ2_ONE
+    for b in _comb_columns(k, _WIDE_TEETH):
+        acc = _fq2_sqr(acc)
+        if b:
+            acc = _fq2_mul(acc, table[b])
     return acc
 
 
@@ -450,20 +497,46 @@ def _final_exponentiation(f):
 # public element types
 # ---------------------------------------------------------------------------
 
+# The `_table` of an element made by `fixed_base()` before its first
+# exponentiation.  Two threads may both build the table; either copy is kept.
+_NOT_BUILT = object()
+
+
+def _exponent(k) -> int:
+    return (k.value if isinstance(k, Scalar) else int(k)) % ORDER
+
+
 class G0Element:
     """Element of the prime-order source-group subgroup (multiplicative API)."""
 
-    __slots__ = ("_p",)
+    __slots__ = ("_p", "_table")
 
     def __init__(self, point: Optional[Tuple[int, int]]):
         self._p = point
+        self._table = None
+
+    def fixed_base(self) -> "G0Element":
+        """An equal element that builds its own wide 8 x 20 comb table on its
+        first exponentiation and keeps it, for bases that recur throughout."""
+        if self._table is not None:
+            return self
+        out = G0Element(self._p)
+        out._table = _NOT_BUILT
+        return out
 
     def __mul__(self, other: "G0Element") -> "G0Element":
         return G0Element(_affine_add(self._p, other._p))
 
     def __pow__(self, k) -> "G0Element":
-        e = k.value if isinstance(k, Scalar) else int(k)
-        return G0Element(_comb_pow(self._p, e))
+        e = _exponent(k)
+        if self._p is None or e == 0:
+            return G0Element(None)
+        table = self._table
+        if table is None:
+            table = _comb_table(self._p)
+        elif table is _NOT_BUILT:
+            table = self._table = _build_comb(self._p, _WIDE_TEETH)
+        return G0Element(_comb_pow(table, e))
 
     def inverse(self) -> "G0Element":
         return G0Element(_affine_neg(self._p))
@@ -524,18 +597,34 @@ class G0Element:
 class GTElement:
     """Element of the order-`ORDER` subgroup of F_q^2 (the pairing target)."""
 
-    __slots__ = ("_v",)
+    __slots__ = ("_v", "_table")
 
     def __init__(self, value: Tuple[int, int]):
         self._v = value
+        self._table = None
+
+    def fixed_base(self) -> "GTElement":
+        """An equal element that builds its own 8 x 20 comb table on its first
+        exponentiation and keeps it, for bases that recur throughout."""
+        if self._table is not None:
+            return self
+        out = GTElement(self._v)
+        out._table = _NOT_BUILT
+        return out
 
     def __mul__(self, other: "GTElement") -> "GTElement":
         return GTElement(_fq2_mul(self._v, other._v))
 
     def __pow__(self, k) -> "GTElement":
-        e = k.value if isinstance(k, Scalar) else int(k)
-        e %= ORDER
-        return GTElement(_fq2_pow_unitary(self._v, e))
+        e = _exponent(k)
+        if e == 0:
+            return GTElement(_FQ2_ONE)
+        table = self._table
+        if table is None:
+            return GTElement(_fq2_pow_naf(self._v, _naf_msb(e)))
+        if table is _NOT_BUILT:
+            table = self._table = _build_fq2_comb(self._v)
+        return GTElement(_fq2_comb_pow(table, e))
 
     def inverse(self) -> "GTElement":
         # subgroup elements have norm 1, so conjugation inverts
@@ -571,7 +660,7 @@ class GTElement:
         v = (a, b)
         if (a * a + b * b) % _Q != 1:
             raise DecodeError("element not in the unit-norm subgroup")
-        if _fq2_pow_unitary(v, ORDER) != _FQ2_ONE:
+        if _fq2_pow_naf(v, _NAF_ORDER_MSB) != _FQ2_ONE:
             raise DecodeError("element not in the pairing target subgroup")
         return cls(v)
 

@@ -54,6 +54,12 @@ class PublicKey:
     h: G0Element                 # g^beta
     egg_alpha: GTElement         # pair(g, g)^alpha
 
+    def __post_init__(self):
+        # every block encryption exponentiates these three bases, so each
+        # keeps its own wide comb table, built on its first exponentiation
+        for name in ("g", "h", "egg_alpha"):
+            object.__setattr__(self, name, getattr(self, name).fixed_base())
+
 
 @dataclass(frozen=True)
 class MasterKey:
@@ -102,7 +108,7 @@ class KeygenTrace:
 def setup(rng=None) -> Tuple[PublicKey, MasterKey]:
     """Sample the master secrets and publish the public parameters."""
     rng = _rng_or_default(rng)
-    g = generator()
+    g = generator().fixed_base()     # h and g_alpha build the table pk.g keeps
     alpha = random_nonzero_scalar(rng)
     beta = random_nonzero_scalar(rng)
     q = random_nonzero_scalar(rng)
@@ -125,13 +131,14 @@ def keygen(pk: PublicKey, mk: MasterKey, attrs: Iterable[str], rng=None,
     rng = _rng_or_default(rng)
     r = random_nonzero_scalar(rng)
     beta_inv = mk.beta.inverse()
-    d = (mk.g_alpha * pk.g ** r) ** beta_inv
+    g_r = pk.g ** r
+    d = (mk.g_alpha * g_r) ** beta_inv
     d_hat = pk.g ** (r * mk.q)
     components = {}
     for attr in sorted(attrs):
         r_j = random_nonzero_scalar(rng)
         components[attr] = (
-            pk.g ** r * hash_to_g0(TAG_ATTRIBUTE, attr.encode()) ** r_j,
+            g_r * hash_to_g0(TAG_ATTRIBUTE, attr.encode()) ** r_j,
             pk.g ** r_j,
         )
         if trace is not None:

@@ -170,7 +170,7 @@ def _mul(p, k):
     """Plain double-and-add [k]P for k >= 1; None is the identity."""
     if k == 1:
         return p
-    return alg._affine_mul_naf(p, list(reversed(alg._naf(k)))[1:])
+    return alg._affine_mul_naf(p, alg._naf_msb(k))
 
 
 def _oracle_in_subgroup(p):
@@ -235,3 +235,79 @@ def test_message_hashes_bypass_the_cache():
     assert alg._hash_to_point.cache_info().currsize == before
     alg.hash_to_g0(alg.TAG_ATTRIBUTE, b"attribute seen once")
     assert alg._hash_to_point.cache_info().currsize == min(before + 1, 4096)
+
+
+# ---------------------------------------------------------------------------
+# fixed-base tables: the public key's wide combs and the shared 4 x 40 LRU
+# ---------------------------------------------------------------------------
+
+def _exponents(seed):
+    rng = random.Random(seed)
+    edges = (0, 1, 2, alg.ORDER - 1, alg.ORDER, alg.ORDER + 1, -1)
+    return edges + tuple(alg.random_scalar(rng) for _ in range(6))
+
+
+def _oracle_pow(point, k):
+    e = (k.value if isinstance(k, Scalar) else k) % alg.ORDER
+    return None if e == 0 else _mul(point, e)
+
+
+def test_wide_g0_comb_matches_generic_path(suite):
+    pk = suite[0]
+    for base in (pk.g, pk.h):
+        generic = G0Element(base._p)
+        for k in _exponents(41):
+            assert base ** k == generic ** k
+            assert (base ** k)._p == _oracle_pow(base._p, k)
+    assert len(pk.g._table) == len(pk.h._table) == 256
+
+
+def test_wide_gt_comb_matches_generic_path(suite):
+    egg_alpha = suite[0].egg_alpha
+    generic = GTElement(egg_alpha._v)
+    for k in _exponents(42):
+        assert egg_alpha ** k == generic ** k
+    assert egg_alpha ** alg.ORDER == GTElement.one()
+    assert egg_alpha ** 3 == generic * generic * generic
+    assert len(egg_alpha._table) == 256
+
+
+def test_cold_narrow_comb_matches_oracle():
+    rng = random.Random(43)
+    for _ in range(3):
+        point = (G ** alg.random_nonzero_scalar(rng))._p
+        misses = alg._comb_table.cache_info().misses
+        for k in _exponents(44):
+            assert (G0Element(point) ** k)._p == _oracle_pow(point, k)
+        assert alg._comb_table.cache_info().misses == misses + 1
+    # every entry of both widths is the sum of its row bases [2^(span*j)]P
+    for teeth, entries in ((4, range(1, 16)), (8, (1, 2, 128, 3, 0x81, 0xA5, 0xFF))):
+        table = alg._build_comb(point, teeth)
+        span = 160 // teeth
+        assert len(table) == 1 << teeth and table[0] is None
+        for b in entries:
+            k = sum(1 << (span * j) for j in range(teeth) if b >> j & 1)
+            assert table[b] == _mul(point, k)
+
+
+def test_fixed_base_is_equal_and_idempotent():
+    wide = G.fixed_base()
+    assert wide == G and hash(wide) == hash(G) and wide.fixed_base() is wide
+    assert G._table is None
+    egg = E_GG.fixed_base()
+    assert egg == E_GG and egg.fixed_base() is egg
+    assert G0Element.identity().fixed_base() ** 5 == G0Element.identity()
+
+
+def test_unitary_power_loop_serves_decode_and_final_exponentiation():
+    # a norm-1 element of F_q^2 lies in the target group only after the
+    # cofactor power that ends the final exponentiation
+    rng = random.Random(45)
+    f = (rng.randrange(1, alg.FIELD_PRIME), rng.randrange(1, alg.FIELD_PRIME))
+    unit = alg._fq2_mul(alg._fq2_conj(f), alg._fq2_inv(f))
+    outside = GTElement(unit).serialize()
+    with pytest.raises(DecodeError, match="target subgroup"):
+        GTElement.deserialize(outside)
+    inside = GTElement(alg._final_exponentiation(f))
+    assert GTElement.deserialize(inside.serialize()) == inside
+    assert inside ** alg.ORDER == GTElement.one()

@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
-from lcws import scheme, wire
+from lcws import algebra, scheme, wire
 from lcws.algebra import SUITE_ID
 from lcws.errors import DecodeError
 from lcws.policy import parse_policy
@@ -165,3 +166,36 @@ def test_key_file_truncation(suite):
     data = wire.encode_public_key(pk)
     with pytest.raises(DecodeError):
         wire.decode_public_key(data[:-3])
+
+
+# sha256 of the public, master, encryption-context and two secret-key files
+# made from seed 2026; must never change
+KEY_FILES_DIGEST = "9371b4651febcd4d3a94e4c458cdc3730fa2abc3197e0e7275fcfbfac5957ba3"
+
+
+def test_key_files_golden_digest():
+    rng = random.Random(2026)
+    pk, mk = scheme.setup(rng)
+    ctx = scheme.encryption_context(mk)
+    files = [wire.encode_public_key(pk), wire.encode_master_key(mk),
+             wire.encode_encryption_context(ctx)]
+    for attrs in ({"a"}, {"a", "b", "room:42", "dept:ops"}):
+        files.append(wire.encode_secret_key(scheme.keygen(pk, mk, attrs, rng)))
+    assert hashlib.sha256(b"".join(files)).hexdigest() == KEY_FILES_DIGEST
+
+
+def test_decoded_public_key_builds_its_tables_on_first_use(suite, monkeypatch):
+    expected = (suite[0].g ** 5, suite[0].h ** 6, suite[0].egg_alpha ** 7)
+    built = []
+    build_comb, build_fq2_comb = algebra._build_comb, algebra._build_fq2_comb
+    monkeypatch.setattr(algebra, "_build_comb",
+                        lambda point, teeth: built.append(("g0", teeth)) or build_comb(point, teeth))
+    monkeypatch.setattr(algebra, "_build_fq2_comb",
+                        lambda u: built.append(("gt", 8)) or build_fq2_comb(u))
+    misses = algebra._comb_table.cache_info().misses
+    pk = wire.decode_public_key(wire.encode_public_key(suite[0]))
+    assert built == []
+    for _ in range(2):
+        assert (pk.g ** 5, pk.h ** 6, pk.egg_alpha ** 7) == expected
+    assert built == [("g0", 8), ("g0", 8), ("gt", 8)]
+    assert algebra._comb_table.cache_info().misses == misses

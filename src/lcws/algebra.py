@@ -9,7 +9,8 @@ for all source-group elements.  Scalars live in Z mod `ORDER`.
 
 Everything here is a pure function of its inputs; elements are immutable
 and hashable (one made by `fixed_base()` also keeps the exponentiation
-table it builds on first use).
+table it builds on first use, and a decoded source-group element keeps its
+coordinates once its first use has validated them).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ SUITE_MANIFEST = {
 
 _Q = FIELD_PRIME
 _SQRT_EXP = (_Q + 1) // 4          # valid square roots since q = 3 (mod 4)
-_LEGENDRE_EXP = (_Q - 1) // 2
 
 TAG_MESSAGE = b"Hv"
 TAG_ATTRIBUTE = b"Hatt"
@@ -144,10 +144,6 @@ def random_nonzero_scalar(rng) -> Scalar:
 # ---------------------------------------------------------------------------
 # Affine points are (x, y) tuples; None is the identity.  Jacobian triples
 # (X, Y, Z) satisfy x = X/Z^2, y = Y/Z^3.
-
-def _on_curve(x: int, y: int) -> bool:
-    return (y * y - (x * x * x + x)) % _Q == 0
-
 
 def _affine_neg(p):
     if p is None:
@@ -281,10 +277,10 @@ def _in_prime_subgroup(x: int) -> bool:
 # below 2^160 is cut into `teeth` rows of 160 / teeth bits, and entry b of
 # the base's table is the sum of the row bases [2^(span*j)]P over the bits j
 # set in b, so one exponentiation costs span - 1 doublings and at most span
-# additions.  The public key's g and h each keep a wide 8 x 20 table (255
-# points, about 61 KB) from their first exponentiation on; every other base
-# shares the 4 x 40 tables (15 points) of the `_comb_table` LRU, whose build
-# costs about one plain exponentiation.
+# additions.  The generator and the public key's g and h each keep a wide
+# 8 x 20 table (255 points, about 61 KB) from their first exponentiation
+# on; every other base shares the 4 x 40 tables (15 points) of the
+# `_comb_table` LRU, whose build costs about one plain exponentiation.
 
 _COMB_BITS = ORDER.bit_length()          # 160
 _COMB_TEETH = 4
@@ -501,19 +497,55 @@ def _final_exponentiation(f):
 # exponentiation.  Two threads may both build the table; either copy is kept.
 _NOT_BUILT = object()
 
+# The `_point` of a decoded element whose first use has not yet validated it.
+_UNCHECKED = object()
+
 
 def _exponent(k) -> int:
     return (k.value if isinstance(k, Scalar) else int(k)) % ORDER
 
 
-class G0Element:
-    """Element of the prime-order source-group subgroup (multiplicative API)."""
+def _decompress(data: bytes) -> Tuple[int, int]:
+    """The subgroup point behind a structurally valid, non-identity encoding."""
+    x = int.from_bytes(data[1:], "big")
+    rhs = (x * x * x + x) % _Q
+    y = pow(rhs, _SQRT_EXP, _Q)
+    if y * y % _Q != rhs:
+        raise DecodeError("x is not on the curve")
+    if (y & 1) != (data[0] == 0x03):
+        y = _Q - y
+    if not _in_prime_subgroup(x):
+        raise DecodeError("point not in the prime-order subgroup")
+    return (x, y)
 
-    __slots__ = ("_p", "_table")
+
+class G0Element:
+    """Element of the prime-order source-group subgroup (multiplicative API).
+
+    A decoded element keeps its wire bytes and is validated (square root
+    and subgroup check) on its first arithmetic use, which then raises
+    `DecodeError` if the bytes name no subgroup point; encoding, equality,
+    hashing and `is_identity` need no validation."""
+
+    __slots__ = ("_point", "_raw", "_table")
 
     def __init__(self, point: Optional[Tuple[int, int]]):
-        self._p = point
+        self._point = point
+        self._raw = None
         self._table = None
+
+    @property
+    def _p(self) -> Optional[Tuple[int, int]]:
+        """The affine point, or None for the identity; every read of the
+        coordinates goes through here, so none is used unvalidated."""
+        p = self._point
+        if p is _UNCHECKED:
+            p = self._point = _decompress(self._raw)
+        return p
+
+    def validate(self) -> None:
+        """Run the deferred validation now; raises `DecodeError` on failure."""
+        self._p
 
     def fixed_base(self) -> "G0Element":
         """An equal element that builds its own wide 8 x 20 comb table on its
@@ -528,14 +560,15 @@ class G0Element:
         return G0Element(_affine_add(self._p, other._p))
 
     def __pow__(self, k) -> "G0Element":
+        p = self._p
         e = _exponent(k)
-        if self._p is None or e == 0:
+        if p is None or e == 0:
             return G0Element(None)
         table = self._table
         if table is None:
-            table = _comb_table(self._p)
+            table = _comb_table(p)
         elif table is _NOT_BUILT:
-            table = self._table = _build_comb(self._p, _WIDE_TEETH)
+            table = self._table = _build_comb(p, _WIDE_TEETH)
         return G0Element(_comb_pow(table, e))
 
     def inverse(self) -> "G0Element":
@@ -545,28 +578,31 @@ class G0Element:
         return self * other.inverse()
 
     def is_identity(self) -> bool:
-        return self._p is None
+        return self._point is None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, G0Element) and self._p == other._p
+        return isinstance(other, G0Element) and self.serialize() == other.serialize()
 
     def __hash__(self):
-        return hash(("g0", self._p))
+        return hash(("g0", self.serialize()))
 
     def __repr__(self):
-        if self._p is None:
+        if self._point is None:
             return "G0Element(identity)"
-        return f"G0Element(x={self._p[0]:#x})"
+        return f"G0Element(x={int.from_bytes(self.serialize()[1:], 'big'):#x})"
 
     def serialize(self) -> bytes:
-        if self._p is None:
+        if self._raw is not None:
+            return self._raw
+        if self._point is None:
             return b"\x00" * G0_BYTES
-        x, y = self._p
+        x, y = self._point
         prefix = 0x03 if y & 1 else 0x02
         return bytes([prefix]) + x.to_bytes(_FQ_BYTES, "big")
 
     @classmethod
     def deserialize(cls, data: bytes) -> "G0Element":
+        """Structural checks only: length, prefix, canonical identity, x < q."""
         if len(data) != G0_BYTES:
             raise DecodeError(f"group element must be {G0_BYTES} bytes, got {len(data)}")
         prefix = data[0]
@@ -576,18 +612,11 @@ class G0Element:
             return cls(None)
         if prefix not in (0x02, 0x03):
             raise DecodeError(f"bad point prefix {prefix:#x}")
-        x = int.from_bytes(data[1:], "big")
-        if x >= _Q:
+        if int.from_bytes(data[1:], "big") >= _Q:
             raise DecodeError("x coordinate out of range")
-        rhs = (x * x * x + x) % _Q
-        y = pow(rhs, _SQRT_EXP, _Q)
-        if y * y % _Q != rhs:
-            raise DecodeError("x is not on the curve")
-        if (y & 1) != (prefix == 0x03):
-            y = _Q - y
-        if not _in_prime_subgroup(x):
-            raise DecodeError("point not in the prime-order subgroup")
-        return cls((x, y))
+        out = cls(_UNCHECKED)
+        out._raw = bytes(data)
+        return out
 
     @classmethod
     def identity(cls) -> "G0Element":
@@ -671,9 +700,10 @@ class GTElement:
 
 def pair(u: G0Element, v: G0Element) -> GTElement:
     """Symmetric bilinear map into the target group."""
-    if u._p is None or v._p is None:
+    p, q = u._p, v._p
+    if p is None or q is None:
         return GTElement.one()
-    return GTElement(_final_exponentiation(_miller(u._p, v._p)))
+    return GTElement(_final_exponentiation(_miller(p, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +751,13 @@ def kdf_mask(k_gt: GTElement, out_len: int) -> bytes:
     return hashlib.shake_256(_KDF_PREFIX + k_gt.serialize()).digest(out_len)
 
 
+_GENERATOR = G0Element(_hash_to_curve(_TAG_GENERATOR, SUITE_ID.encode("ascii"))).fixed_base()
+
+
 def generator() -> G0Element:
-    """The fixed public generator of the source group."""
-    return hash_to_g0(_TAG_GENERATOR, SUITE_ID.encode("ascii"))
+    """The fixed public generator of the source group: always the same
+    element, so every exponentiation of it shares one wide comb table."""
+    return _GENERATOR
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import csv
 import gc
+import json
+import os
 import random
 import statistics
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from . import pipeline, scheme, wire
@@ -98,13 +102,34 @@ class BenchReport:
                 w.writerow([f"{v:.9f}" if isinstance(v, float) else v
                             for v in self._values(row)])
 
-    def write_dat(self, path) -> None:
-        """Gnuplot-style data file: comment header, space-separated columns."""
+    def write_json(self, path) -> None:
+        """The rows, the sweep shape, and the machine and commit they ran on."""
+        doc = {
+            "levels": self.levels,
+            "leaves": self.leaves,
+            "runs": self.runs,
+            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count(),
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "commit": _commit(),
+            "rows": [dict(zip(self._FIELDS, self._values(row))) for row in self.rows],
+        }
         with open(path, "w") as fh:
-            fh.write("# " + " ".join(self._FIELDS) + "\n")
-            for row in self.rows:
-                fh.write(" ".join(f"{v:.9f}" if isinstance(v, float) else str(v)
-                                  for v in self._values(row)) + "\n")
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+
+
+def _commit() -> Optional[str]:
+    """The git commit this source tree is checked out at, if it is in one."""
+    # imported here: every benchmark role process imports this module, and
+    # subprocess alone adds about half a MiB to its peak RSS
+    import subprocess
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+                             capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
 
 
 def measure_stage_times(message: bytes, tree: AccessTree, pk: PublicKey,

@@ -226,9 +226,10 @@ def dr_verify(message_file, v_path):
 @click.option("--runs", type=click.IntRange(min=1), default=5)
 @click.option("--seed", type=int, default=None)
 @click.option("--out-csv", type=click.Path(path_type=Path), required=True)
-@click.option("--out-dat", type=click.Path(path_type=Path), default=None)
+@click.option("--json", "json_path", type=click.Path(path_type=Path), default=None,
+              help="Also write the rows with nproc, the Python version and the commit.")
 @_exit_codes
-def bench(sizes, levels, leaves, bandwidth, latency, runs, seed, out_csv, out_dat):
+def bench(sizes, levels, leaves, bandwidth, latency, runs, seed, out_csv, json_path):
     """Sweep message sizes and compare sequential vs pipelined totals."""
     try:
         bench_mod.synthetic_policy(levels, leaves)
@@ -237,8 +238,8 @@ def bench(sizes, levels, leaves, bandwidth, latency, runs, seed, out_csv, out_da
     link = pipeline_mod.LinkModel(bandwidth=bandwidth, latency=latency)
     report = bench_mod.run_bench(sizes, levels, leaves, link, runs=runs, seed=seed)
     report.write_csv(out_csv)
-    if out_dat is not None:
-        report.write_dat(out_dat)
+    if json_path is not None:
+        report.write_json(json_path)
     for row in report.rows:
         click.echo(
             f"size={row.size} enc-tx: seq={row.enc_seq:.3f}s pipe={row.enc_pipe:.3f}s "

@@ -108,7 +108,7 @@ class KeygenTrace:
 def setup(rng=None) -> Tuple[PublicKey, MasterKey]:
     """Sample the master secrets and publish the public parameters."""
     rng = _rng_or_default(rng)
-    g = generator().fixed_base()     # h and g_alpha build the table pk.g keeps
+    g = generator()                  # a fixed base: pk.g and challenges share its table
     alpha = random_nonzero_scalar(rng)
     beta = random_nonzero_scalar(rng)
     q = random_nonzero_scalar(rng)
@@ -508,7 +508,9 @@ class DecryptionState:
 
     def add_block(self, ctb: CiphertextBlock) -> None:
         """Ingest one block and open every block now reachable.  A repeat is
-        ignored; another block under a held index or a held node id is a DecodeError."""
+        ignored; another block under a held index or a held node id, or a
+        node of a block after the first whose parent id names no gate of the
+        block before (once both are held), is a DecodeError."""
         if self.block_count is None:
             self.block_count = ctb.block_count
             self.total_len = ctb.total_len
@@ -522,6 +524,14 @@ class DecryptionState:
             d.node_id for b in self._blocks.values() for d in b.descriptor)
         if shared:
             raise DecodeError(f"node id {min(shared)} appears in more than one block")
+        for parent, child in ((self._blocks.get(ctb.index - 1), ctb),
+                              (ctb, self._blocks.get(ctb.index + 1))):
+            if parent is not None and child is not None:
+                gates = {d.node_id for d in parent.descriptor if not d.is_leaf}
+                dangling = [d.node_id for d in child.descriptor if d.parent_id not in gates]
+                if dangling:
+                    raise DecodeError(f"node {min(dangling)} of block {child.index} has "
+                                      f"no parent gate in block {parent.index}")
         if ctb.index == 1:
             self.commitment = ctb.commitment
         self._blocks[ctb.index] = ctb

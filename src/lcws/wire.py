@@ -3,6 +3,11 @@
 All integers are big-endian; every variable-length section carries a
 4-byte length prefix.  Maps are serialized sorted by node id, making the
 encoding canonical: parse followed by serialize is byte identity.
+
+Decoding checks structure; a source-group point is checked for its prefix,
+length, canonical identity and x < q here, and is proven to lie in the
+prime-order subgroup on its first arithmetic use (block 1's commitment at
+once), so a point no decryption reads costs no square root or subgroup check.
 """
 
 from __future__ import annotations
@@ -172,7 +177,10 @@ def decode_ctb(data: bytes) -> Tuple[CiphertextBlock, str]:
     encap = G0Element.deserialize(r.section())
     commitment = None
     if flags & FLAG_COMMITMENT:
+        # points are otherwise validated on first use; a message whose
+        # commitment is invalid can never be verified, so reject it here
         commitment = G0Element.deserialize(r.section())
+        commitment.validate()
     deltas = _Reader(r.section())
     gate_links: Dict[int, G0Element] = {}
     for _ in range(deltas.u32()):

@@ -136,11 +136,15 @@ def test_decode_rejects_bad_input():
         G0Element.deserialize(b"\x05" + good[1:])             # bad prefix
     with pytest.raises(DecodeError):
         G0Element.deserialize(b"\x00" + b"\x01" * 64)         # junk identity
+    with pytest.raises(DecodeError):
+        G0Element.deserialize(b"\x02" + alg.FIELD_PRIME.to_bytes(64, "big"))  # x >= q
     bad_x = bytearray(good)
     bad_x[-1] ^= 1
-    # flipping an x bit leaves the curve or at best the prime-order subgroup
+    # flipping an x bit leaves the curve or at best the prime-order subgroup;
+    # decode checks structure only, and the first use of the point finds it
+    lazy = G0Element.deserialize(bytes(bad_x))
     with pytest.raises(DecodeError):
-        G0Element.deserialize(bytes(bad_x))
+        lazy ** 2
     t = (E_GG ** 3).serialize()
     with pytest.raises(DecodeError):
         GTElement.deserialize(t[:-1])
@@ -197,7 +201,7 @@ def _point_of_order(d, rng):
 
 def _decodes(point):
     try:
-        G0Element.deserialize(G0Element(point).serialize())
+        G0Element.deserialize(G0Element(point).serialize()).validate()
     except DecodeError:
         return False
     return True
@@ -223,6 +227,31 @@ def test_subgroup_check_matches_oracle():
         assert _decodes(point) == _oracle_in_subgroup(point), point
     assert all(_decodes(p) for p in subgroup)
     assert not any(_decodes(p) for p in small)
+
+
+def test_every_arithmetic_entry_point_validates_a_decoded_point():
+    # decode checks structure only; an x off the curve, the point of order 2
+    # and a point outside the prime-order subgroup all decode, encode back to
+    # their bytes, and fail with DecodeError at every first use
+    q = alg.FIELD_PRIME
+    off_curve = next(x for x in range(1, 100) if pow(x * x * x + x, (q - 1) // 2, q) != 1)
+    outside = _random_curve_point(random.Random(46))
+    assert not _oracle_in_subgroup(outside)
+    encodings = [b"\x02" + off_curve.to_bytes(64, "big"), G0Element((0, 0)).serialize(),
+                 G0Element(outside).serialize()]
+    one = G0Element.identity()
+    uses = [lambda e: e ** 3, lambda e: e ** 0, lambda e: e * G, lambda e: G * e,
+            lambda e: e / G, lambda e: G / e, lambda e: e.inverse(),
+            lambda e: alg.pair(e, G), lambda e: alg.pair(G, e), lambda e: alg.pair(e, one),
+            lambda e: alg.pair(one, e), lambda e: e.fixed_base(), lambda e: e.validate()]
+    for data in encodings:
+        for use in uses:
+            e = G0Element.deserialize(data)
+            assert e.serialize() == data and not e.is_identity()
+            assert e == G0Element.deserialize(data) and hash(e) == hash(G0Element.deserialize(data))
+            for _ in range(2):
+                with pytest.raises(DecodeError):
+                    use(e)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +320,13 @@ def test_cold_narrow_comb_matches_oracle():
 
 
 def test_fixed_base_is_equal_and_idempotent():
-    wide = G.fixed_base()
-    assert wide == G and hash(wide) == hash(G) and wide.fixed_base() is wide
-    assert G._table is None
+    plain = G ** 3
+    wide = plain.fixed_base()
+    assert wide == plain and hash(wide) == hash(plain) and wide.fixed_base() is wide
+    assert plain._table is None
+    # the generator is one fixed base, so setup's g and every challenge's
+    # generator() ** t share its table
+    assert alg.generator() is G and G.fixed_base() is G and G._table is not None
     egg = E_GG.fixed_base()
     assert egg == E_GG and egg.fixed_base() is egg
     assert G0Element.identity().fixed_base() ** 5 == G0Element.identity()

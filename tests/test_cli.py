@@ -1,8 +1,12 @@
 import csv
+import json
+import platform
+import random
 
 import pytest
 from click.testing import CliRunner
 
+from lcws import scheme, wire
 from lcws.cli import main
 
 
@@ -26,7 +30,6 @@ def _keygen(runner, keys, attrs, out, seed="2"):
 
 
 def test_keygen_writes_one_component_per_attribute(runner, tmp_path):
-    from lcws import wire
     keys = _setup_keys(runner, tmp_path)
     out = tmp_path / "sk3.lcws"
     assert _keygen(runner, keys, "a,b,c", out).exit_code == 0
@@ -156,6 +159,25 @@ def test_corrupt_key_file_is_format_error(runner, tmp_path):
     assert res.exit_code == 4
 
 
+def test_corrupt_verification_tuple_point_is_format_error(runner, tmp_path):
+    # the tuple decodes; its point off the subgroup fails on the first pairing
+    _, mk = scheme.setup(random.Random(10))
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"attested content")
+    v = scheme.make_challenge(scheme.data_verification(msg.read_bytes(), mk), mk,
+                              random.Random(11))
+    raw = v.v1.serialize()
+    data = wire.encode_verification_tuple(v)
+    bad = data.replace(raw, raw[:-1] + bytes([raw[-1] ^ 0x01]))
+    wire.decode_verification_tuple(bad)
+    v_path = tmp_path / "v.lcws"
+    for content, code in ((data, 0), (bad, 4)):
+        v_path.write_bytes(content)
+        res = runner.invoke(main, ["dr-verify", str(msg), "--v", str(v_path)])
+        assert res.exit_code == code, res.output
+    assert "malformed input" in res.stderr
+
+
 def test_ten_level_policy_uploads_ten_blocks(runner, tmp_path):
     from lcws.bench import synthetic_policy
     keys = _setup_keys(runner, tmp_path)
@@ -195,18 +217,24 @@ def test_decrypt_through_simulated_link(runner, tmp_path):
 
 def test_bench_command_writes_reports(runner, tmp_path):
     out_csv = tmp_path / "bench.csv"
-    out_dat = tmp_path / "bench.dat"
+    out_json = tmp_path / "bench.json"
     res = runner.invoke(main, [
         "bench", "--sizes", "0.0625,0.125", "--levels", "3", "--leaves", "4",
         "--bandwidth", "2097152", "--latency", "0.05", "--runs", "1",
-        "--seed", "8", "--out-csv", str(out_csv), "--out-dat", str(out_dat),
+        "--seed", "8", "--out-csv", str(out_csv), "--json", str(out_json),
     ])
     assert res.exit_code == 0, res.output
     with open(out_csv) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "size_bytes"
     assert len(rows) == 3
-    assert out_dat.read_text().startswith("# size_bytes")
+    report = json.loads(out_json.read_text())
+    assert (report["levels"], report["leaves"], report["runs"]) == (3, 4, 1)
+    assert report["nproc"] >= 1 and report["python"] == platform.python_version()
+    assert "commit" in report
+    assert [list(row) for row in report["rows"]] == [rows[0]] * 2
+    for row, csv_row in zip(report["rows"], rows[1:]):
+        assert list(row.values()) == pytest.approx([float(v) for v in csv_row], abs=1e-9)
 
 
 @pytest.fixture()
@@ -239,7 +267,7 @@ def test_corrupt_block_is_format_error(runner, tmp_path, four_block_message, lin
     sk, store, mid = four_block_message
     block = store / mid / "00002.ctb"
     data = bytearray(block.read_bytes())
-    data[-1] ^= 0x01                              # inside a leaf component
+    data[-1] ^= 0x01                              # inside a leaf component the key reads
     block.write_bytes(bytes(data))
     out = tmp_path / "o.bin"
     res = _dr_decrypt(runner, sk, store, mid, out, link_args)

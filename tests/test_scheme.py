@@ -437,6 +437,30 @@ def test_bench_policy_costs_21_pairings_and_one_leaf(bench_policy_blocks, monkey
     assert counts == {"pair": 21, "leaf": 1, **unlocks}
 
 
+def test_bench_policy_validates_26_points(bench_policy_blocks, monkeypatch):
+    # the key file and the 10 blocks hold 248 points, counting the 9 chain
+    # elements the payloads carry; the spread key, in order, reads d and
+    # d_hat, one leaf's two key and two block components, the 10
+    # encapsulations and the 9 chain elements, and decode checks block 1's
+    # commitment: 26 square roots and subgroup checks
+    msg, ctbs, keys = bench_policy_blocks
+    key_file = wire.encode_secret_key(keys["spread"])
+    blobs = [wire.encode_ctb(ctb, "m") for ctb in ctbs]
+    held = (2 + 2 * len(keys["spread"].components) + len(ctbs) - 1
+            + sum(1 + (ctb.commitment is not None) + len(ctb.gate_links)
+                  + 2 * len(ctb.leaf_components) for ctb in ctbs))
+    assert held == 248
+    checked = []
+    real = alg._in_prime_subgroup
+    monkeypatch.setattr(alg, "_in_prime_subgroup", lambda x: checked.append(x) or real(x))
+    sk = wire.decode_secret_key(key_file)
+    state = DecryptionState(sk)
+    for blob in blobs:
+        state.add_block(wire.decode_ctb(blob)[0])
+    assert assemble_message(state, sk) == msg
+    assert len(checked) == 26
+
+
 def test_gate_opens_block_2_before_block_1(suite, monkeypatch):
     # block 3 brings leaf a, so the gate (a OR x) opens block 2 and the chain
     # opens block 3; the root still needs b and c from block 4, whose chain
@@ -544,6 +568,30 @@ def test_hostile_parent_ids_end_in_typed_errors(suite, forge, reverse):
         except (DecodeError, PolicyNotSatisfiedError):
             continue
         assert out == msg
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+def test_dangling_parent_id_rejected_once_both_blocks_held(suite, reverse):
+    # a node of block 3 names a leaf of block 2, or no node at all, as its
+    # parent; key {a} never reads block 3's nodes, yet the block is refused
+    # as soon as block 2 is held too
+    pk, mk, ctx = suite
+    rng = random.Random(32)
+    _, ctbs = _encrypt_all(rng.randbytes(400), "(a OR (b AND (c OR d)))", pk, ctx, rng)
+    sk = scheme.keygen(pk, mk, {"a"}, rng)
+    leaf_2 = next(d for d in ctbs[1].descriptor if d.is_leaf)
+    unknown = max(d.node_id for ctb in ctbs for d in ctb.descriptor) + 1
+    child, *rest = ctbs[2].descriptor
+    for parent_id in (leaf_2.node_id, unknown):
+        forged = dataclasses.replace(ctbs[2], descriptor=(
+            dataclasses.replace(child, parent_id=parent_id), *rest))
+        arrival = [ctbs[0], ctbs[1], forged, ctbs[3]]
+        arrival = arrival[::-1] if reverse else arrival
+        state = DecryptionState(sk)
+        for ctb in arrival[:2]:
+            state.add_block(ctb)
+        with pytest.raises(DecodeError, match="no parent gate"):
+            state.add_block(arrival[2])
 
 
 _FUZZ_POLICY = "((a OR x) AND ((b AND c) OR y))"

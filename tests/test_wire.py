@@ -77,16 +77,144 @@ def test_ctb_rejects_trailing_garbage(corpus):
         wire.decode_ctb(data + b"\x00")
 
 
-def test_ctb_rejects_corrupt_element(corpus):
-    data = bytearray(wire.encode_ctb(corpus[0], "m"))
-    data[-1] ^= 0x01                              # inside a leaf component
-    with pytest.raises(DecodeError):
-        wire.decode_ctb(bytes(data))
-
-
 def _replaced(data, old, new):
     assert len(old) == len(new) and data.count(old) == 1
     return data.replace(old, new)
+
+
+def _corrupt(data, element):
+    """`data` with the last byte of `element`'s encoding flipped: the x
+    coordinate then leaves the curve or at best the prime-order subgroup."""
+    raw = element.serialize()
+    return _replaced(data, raw, raw[:-1] + bytes([raw[-1] ^ 0x01]))
+
+
+def test_ctb_rejects_corrupt_element(corpus):
+    # other points are validated on first use, but block 1's commitment is
+    # checked by decode itself: a message whose commitment names no subgroup
+    # point can never be verified
+    ctb = corpus[0]
+    with pytest.raises(DecodeError, match="curve|subgroup"):
+        wire.decode_ctb(_corrupt(wire.encode_ctb(ctb, "m"), ctb.commitment))
+
+
+# "(a OR (b AND c))": block 1 holds the root, block 2 leaf a and the gate
+# (b AND c) with its link, block 3 leaves b and c; key {a} reads leaf a only
+@pytest.fixture(scope="module")
+def three_blocks(suite):
+    pk, mk, ctx = suite
+    rng = random.Random(93)
+    msg = rng.randbytes(300)
+    ctbs = list(scheme.encrypt_message(msg, parse_policy("(a OR (b AND c))"), pk, ctx, rng))
+    assert len(ctbs) == 3
+    return msg, ctbs, scheme.keygen(pk, mk, {"a"}, rng)
+
+
+def _leaf_components(ctb, attribute):
+    return next(ctb.leaf_components[d.node_id] for d in ctb.descriptor
+                if d.attribute == attribute)
+
+
+def _decrypt(ctbs, sk, reverse=False):
+    state = scheme.DecryptionState(sk)
+    for ctb in (ctbs[::-1] if reverse else ctbs):
+        state.add_block(ctb)
+    return scheme.assemble_message(state, sk)
+
+
+@pytest.mark.parametrize("component", [0, 1])
+@pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+def test_corrupt_leaf_component_the_key_reads_fails_in_add_block(three_blocks, component,
+                                                                  reverse):
+    msg, ctbs, sk = three_blocks
+    blobs = [wire.encode_ctb(ctb, "m") for ctb in ctbs]
+    blobs[1] = _corrupt(blobs[1], _leaf_components(ctbs[1], "a")[component])
+    decoded = [wire.decode_ctb(blob)[0] for blob in blobs]
+    assert wire.encode_ctb(decoded[1], "m") == blobs[1]
+    with pytest.raises(DecodeError, match="curve|subgroup"):
+        _decrypt(decoded, sk, reverse)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+def test_corrupt_points_the_key_never_reads_still_decrypt(three_blocks, reverse):
+    msg, ctbs, sk = three_blocks
+    blob_2 = _corrupt(wire.encode_ctb(ctbs[1], "m"), next(iter(ctbs[1].gate_links.values())))
+    blob_3 = wire.encode_ctb(ctbs[2], "m")
+    for attribute in ("b", "c"):
+        for element in _leaf_components(ctbs[2], attribute):
+            blob_3 = _corrupt(blob_3, element)
+    decoded = [ctbs[0], wire.decode_ctb(blob_2)[0], wire.decode_ctb(blob_3)[0]]
+    assert _decrypt(decoded, sk, reverse) == msg
+
+
+def _key_file_cases(suite, three_blocks):
+    """(encoded file, element to corrupt, decode, first use) per decoded point kind."""
+    pk, mk, _ = suite
+    msg, ctbs, sk = three_blocks
+    v = scheme.make_challenge(scheme.data_verification(msg, mk), mk, random.Random(94))
+    pk_file, mk_file = wire.encode_public_key(pk), wire.encode_master_key(mk)
+    sk_file, v_file = wire.encode_secret_key(sk), wire.encode_verification_tuple(v)
+    # the public key's g and h become fixed bases, which reads them at once
+    return [
+        (pk_file, pk.g, wire.decode_public_key, None),
+        (pk_file, pk.h, wire.decode_public_key, None),
+        (mk_file, mk.g_alpha, wire.decode_master_key,
+         lambda bad: scheme.keygen(pk, bad, {"a"}, random.Random(95))),
+        *((sk_file, element, wire.decode_secret_key, lambda bad: _decrypt(ctbs, bad))
+          for element in (sk.d, sk.d_hat, *sk.components["a"])),
+        *((v_file, element, wire.decode_verification_tuple,
+           lambda bad: scheme.verify_message(msg, bad)) for element in (v.v1, v.v2)),
+    ]
+
+
+def test_corrupt_key_file_point_fails_on_first_use(suite, three_blocks):
+    for data, element, decode, use in _key_file_cases(suite, three_blocks):
+        bad = _corrupt(data, element)
+        if use is None:
+            with pytest.raises(DecodeError, match="curve|subgroup"):
+                decode(bad)
+            continue
+        decoded = decode(bad)
+        with pytest.raises(DecodeError, match="curve|subgroup"):
+            use(decoded)
+
+
+def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_blocks,
+                                                                  monkeypatch):
+    # every point handed to the Miller loop, point addition, a comb table
+    # build or a comb exponentiation is a prime-order subgroup point, also
+    # while corrupt blocks and key files are being decrypted and checked
+    seen = set()
+
+    def watch(name, points):
+        real = getattr(algebra, name)
+
+        def wrapper(*args):
+            seen.update(p for p in points(*args) if p is not None)
+            return real(*args)
+        monkeypatch.setattr(algebra, name, wrapper)
+
+    watch("_miller", lambda p, q: (p, q))
+    watch("_affine_add", lambda p1, p2: (p1, p2))
+    watch("_build_comb", lambda point, teeth: (point,))
+    watch("_comb_pow", lambda table, k: (table[1],))
+    algebra._comb_table.cache_clear()
+    msg, ctbs, sk = three_blocks
+    blobs = [wire.encode_ctb(ctb, "m") for ctb in ctbs]
+    blobs[1] = _corrupt(blobs[1], _leaf_components(ctbs[1], "a")[0])
+    with pytest.raises(DecodeError):
+        _decrypt([wire.decode_ctb(blob)[0] for blob in blobs], sk)
+    for data, element, decode, use in _key_file_cases(suite, three_blocks):
+        with pytest.raises(DecodeError):
+            decoded = decode(_corrupt(data, element))
+            use(decoded)
+        if use is not None:
+            use(decode(data))
+    assert _decrypt([wire.decode_ctb(wire.encode_ctb(ctb, "m"))[0] for ctb in ctbs], sk) == msg
+    assert len(seen) > 20
+    order_naf = algebra._naf_msb(algebra.ORDER)
+    for point in seen:
+        assert algebra._affine_mul_naf(point, order_naf) is None, point
 
 
 def test_ctb_rejects_non_text_fields(corpus):

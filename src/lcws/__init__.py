@@ -16,6 +16,7 @@ from .algebra import (
     hash_to_g0,
     kdf_mask,
     pair,
+    pair_ratio,
 )
 from .errors import (
     DecodeError,
@@ -74,6 +75,7 @@ __all__ = [
     "keygen",
     "make_challenge",
     "pair",
+    "pair_ratio",
     "parse_policy",
     "partition_levels",
     "partition_message",

@@ -9,8 +9,9 @@ for all source-group elements.  Scalars live in Z mod `ORDER`.
 
 Everything here is a pure function of its inputs; elements are immutable
 and hashable (one made by `fixed_base()` also keeps the exponentiation
-table it builds on first use, and a decoded source-group element keeps its
-coordinates once its first use has validated them).
+table and the Miller-loop lines it builds on first use, and a decoded
+source-group element keeps its coordinates once its first use has
+validated them).
 """
 
 from __future__ import annotations
@@ -424,52 +425,56 @@ def _fq2_comb_pow(table, k: int):
 
 
 # ---------------------------------------------------------------------------
-# pairing core
+# pairing core: the lines of a Miller loop and one product of pairings
 # ---------------------------------------------------------------------------
+# f_{ORDER,P} is the product of a tangent line at each NAF step's running
+# point and a secant line at each nonzero digit.  A line is kept as three
+# coefficients (a, b, c) in F_q; at the distorted image (-x, i*y) of
+# Q = (x, y), that is at x_bar = -x, its value is (a*x_bar + b) - c*y*i.
+# The coefficients carry a projective factor in F_q and the vertical lines
+# lie in F_q altogether; the final exponentiation removes both, so the
+# lines need no inversion and the vertical ones are left out.  A source
+# element made by `fixed_base()` keeps the lines of its first Miller loop,
+# so each later pairing with it costs only the evaluations (Costello and
+# Stebila, "Fixed argument pairings", LATINCRYPT 2010).
+#
+# A product of pairings shares one squaring of f per step among its terms
+# and one final exponentiation (Granger and Smart, ePrint 2006/172).  An
+# inverted term is evaluated at -Q, whose lines are the conjugates, since
+# fe(f1 * conj(f2)) = fe(f1) / fe(f2).
 
-def _miller(p, q):
-    """f_{ORDER, p} evaluated at the distorted image of q.
-
-    The distortion map sends (xq, yq) to (-xq, i*yq), so line values have
-    an F_q real part and a constant-shape imaginary part.  Vertical-line
-    factors lie in F_q and vanish under the final exponentiation, so they
-    are skipped throughout.
-    """
-    xq, yq = q
-    xq_d = (_Q - xq) % _Q                     # x coordinate of the image
-    f = _FQ2_ONE
-    X, Y, Z = p[0], p[1], 1
+def _lines(p):
+    """(tangent line, secant line or None) per NAF step of f_{ORDER, p}."""
     px, py = p
-    npx, npy = px, _Q - py
+    npy = _Q - py
+    X, Y, Z = px, py, 1
+    out = []
     for d in _NAF_ORDER_MSB:
-        # tangent line at the running point, then double
         Z2 = Z * Z % _Q
-        Z3 = Z2 * Z % _Q
         W = (3 * X * X + Z2 * Z2) % _Q
-        l_re = (W * ((xq_d * Z2 - X) % _Q) + 2 * Y * Y) % _Q
-        l_im = _Q - (2 * Y % _Q) * Z3 % _Q * yq % _Q
-        f = _fq2_mul(_fq2_sqr(f), (l_re, l_im % _Q))
         Y2 = Y * Y % _Q
+        tangent = (W * Z2 % _Q, (2 * Y2 - W * X) % _Q, 2 * Y * Z2 % _Q * Z % _Q)
         S = 4 * X * Y2 % _Q
         Xn = (W * W - 2 * S) % _Q
         Y, Z = (W * (S - Xn) - 8 * Y2 * Y2) % _Q, 2 * Y * Z % _Q
         X = Xn
+        secant = None
         if d:
-            ax, ay = (px, py) if d == 1 else (npx, npy)
+            ay = py if d == 1 else npy
             Z1Z1 = Z * Z % _Q
-            U2 = ax * Z1Z1 % _Q
+            U2 = px * Z1Z1 % _Q
             S2 = ay * Z % _Q * Z1Z1 % _Q
             if U2 == X and (S2 + Y) % _Q == 0:
-                # running point is the negative of the addend: the secant
-                # degenerates to a vertical line (an F_q factor); the sum is
-                # the identity.  Only reachable on the final NAF digit.
+                # running point is the negative of the addend: the secant is
+                # vertical and the sum is the identity; only reachable on
+                # the final NAF digit
+                out.append((tangent, None))
                 X, Y, Z = 0, 1, 0
                 continue
             H = (U2 - X) % _Q
             rr = (S2 - Y) % _Q
-            l_re = (rr * ((xq_d - ax) % _Q) + ay * H % _Q * Z) % _Q
-            l_im = _Q - yq * H % _Q * Z % _Q
-            f = _fq2_mul(f, (l_re, l_im % _Q))
+            HZ = H * Z % _Q
+            secant = (rr, (ay * HZ - rr * px) % _Q, HZ)
             HH = H * H % _Q
             I = 4 * HH % _Q
             J = H * I % _Q
@@ -479,7 +484,30 @@ def _miller(p, q):
             Y3 = (r2 * (V - X3) - 2 * Y * J) % _Q
             Z3n = ((Z + H) * (Z + H) - Z1Z1 - HH) % _Q
             X, Y, Z = X3, Y3, Z3n
-    return f
+        out.append((tangent, secant))
+    return out
+
+
+def _miller_product(terms):
+    """The final exponentiation of the product of f_{ORDER, p} at the
+    distorted image of q over `terms`, each (lines of p, q, inverted); an
+    inverted term contributes the inverse of its pairing."""
+    # (x_bar, -y), or (x_bar, y) to conjugate an inverted term's lines
+    points = [((_Q - q[0]) % _Q, q[1] if inverted else _Q - q[1]) for _, q, inverted in terms]
+    f0, f1 = _FQ2_ONE
+    for row in zip(*(lines for lines, _, _ in terms)):
+        f0, f1 = (f0 + f1) * (f0 - f1) % _Q, 2 * f0 * f1 % _Q
+        for step, (x_bar, ny) in zip(row, points):
+            for line in step:
+                if line is None:
+                    continue
+                a, b, c = line
+                l0 = (a * x_bar + b) % _Q
+                l1 = c * ny % _Q
+                t0 = f0 * l0 % _Q
+                t1 = f1 * l1 % _Q
+                f0, f1 = (t0 - t1) % _Q, ((f0 + f1) * (l0 + l1) - t0 - t1) % _Q
+    return _final_exponentiation((f0, f1))
 
 
 def _final_exponentiation(f):
@@ -494,7 +522,8 @@ def _final_exponentiation(f):
 # ---------------------------------------------------------------------------
 
 # The `_table` of an element made by `fixed_base()` before its first
-# exponentiation.  Two threads may both build the table; either copy is kept.
+# exponentiation, and its `_line_table` before its first Miller loop.  Two
+# threads may both build a table; either copy is kept.
 _NOT_BUILT = object()
 
 # The `_point` of a decoded element whose first use has not yet validated it.
@@ -527,12 +556,13 @@ class G0Element:
     `DecodeError` if the bytes name no subgroup point; encoding, equality,
     hashing and `is_identity` need no validation."""
 
-    __slots__ = ("_point", "_raw", "_table")
+    __slots__ = ("_point", "_raw", "_table", "_line_table")
 
     def __init__(self, point: Optional[Tuple[int, int]]):
         self._point = point
         self._raw = None
         self._table = None
+        self._line_table = None
 
     @property
     def _p(self) -> Optional[Tuple[int, int]]:
@@ -548,12 +578,15 @@ class G0Element:
         self._p
 
     def fixed_base(self) -> "G0Element":
-        """An equal element that builds its own wide 8 x 20 comb table on its
-        first exponentiation and keeps it, for bases that recur throughout."""
+        """An equal element, for bases that recur throughout: it builds its
+        own wide 8 x 20 comb table on its first exponentiation and the lines
+        of its Miller loop on its first pairing, and keeps both.  A decoded
+        element stays unvalidated until its first use."""
         if self._table is not None:
             return self
-        out = G0Element(self._p)
-        out._table = _NOT_BUILT
+        out = G0Element(self._point)
+        out._raw = self._raw
+        out._table = out._line_table = _NOT_BUILT
         return out
 
     def __mul__(self, other: "G0Element") -> "G0Element":
@@ -698,12 +731,36 @@ class GTElement:
         return cls(_FQ2_ONE)
 
 
+def _pairing_product(pairs) -> GTElement:
+    """The product of pair(u, v), or of its inverse where `inverted`, over
+    (u, v, inverted) triples, with one final exponentiation.  The pairing
+    is symmetric, so a fixed base on either side is the Miller point."""
+    terms = []
+    for u, v, inverted in pairs:
+        p, q = u._p, v._p                    # both validated, even beside the identity
+        if p is None or q is None:
+            continue
+        if u._line_table is None and v._line_table is not None:
+            u, p, q = v, q, p
+        lines = u._line_table
+        if lines is None:
+            lines = _lines(p)
+        elif lines is _NOT_BUILT:
+            lines = u._line_table = _lines(p)
+        terms.append((lines, q, inverted))
+    if not terms:
+        return GTElement.one()
+    return GTElement(_miller_product(terms))
+
+
 def pair(u: G0Element, v: G0Element) -> GTElement:
     """Symmetric bilinear map into the target group."""
-    p, q = u._p, v._p
-    if p is None or q is None:
-        return GTElement.one()
-    return GTElement(_final_exponentiation(_miller(p, q)))
+    return _pairing_product(((u, v, False),))
+
+
+def pair_ratio(a: G0Element, b: G0Element, c: G0Element, d: G0Element) -> GTElement:
+    """pair(a, b) / pair(c, d), with one final exponentiation."""
+    return _pairing_product(((a, b, False), (c, d, True)))
 
 
 # ---------------------------------------------------------------------------

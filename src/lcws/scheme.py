@@ -30,6 +30,7 @@ from .algebra import (
     hash_to_g0,
     kdf_mask,
     pair,
+    pair_ratio,
     random_nonzero_scalar,
     xor_bytes,
 )
@@ -89,6 +90,11 @@ class SecretKey:
     def __post_init__(self):
         if set(self.components) != set(self.attrs):
             raise ValueError("key components must cover exactly the attribute set")
+        # every block's mask key pairs d, and every block after the first
+        # d_hat, so each keeps the lines of its Miller loop from its first
+        # pairing on
+        for name in ("d", "d_hat"):
+            object.__setattr__(self, name, getattr(self, name).fixed_base())
 
 
 @dataclass(frozen=True)
@@ -403,7 +409,7 @@ def decrypt_leaf(ctb: CiphertextBlock, sk: SecretKey, node_id: int) -> Optional[
         return None
     d_j, d_j_prime = sk.components[desc.attribute]
     c_hat, c_hat_prime = ctb.leaf_components[node_id]
-    return pair(d_j, c_hat) / pair(d_j_prime, c_hat_prime)
+    return pair_ratio(d_j, c_hat, d_j_prime, c_hat_prime)
 
 
 def decrypt_interior(children: Mapping[int, GTElement], threshold: int) -> Optional[GTElement]:
@@ -449,21 +455,21 @@ def decrypt_block(ctb: CiphertextBlock, sk: SecretKey, unlock: Unlock
 
     All three unlock paths reconstruct the same blinded level secret; the
     keystream key is then the quotient of the encapsulation pairing by
-    that value.  Returns the data block and the next block's chain unlock
-    element (None on the last block, whose slot holds the identity
-    sentinel)."""
+    that value, one product of pairings for a gate or chain unlock.
+    Returns the data block and the next block's chain unlock element (None
+    on the last block, whose slot holds the identity sentinel)."""
     if isinstance(unlock, RootUnlock):
         if ctb.index != 1:
             raise ValueError("root unlock only applies to block 1")
-        blinded = unlock.value
+        mask_key = pair(ctb.encap, sk.d) / unlock.value
     elif isinstance(unlock, GateUnlock):
-        blinded = unlock.value * pair(ctb.gate_links[unlock.node_id], sk.d_hat)
+        mask_key = pair_ratio(ctb.encap, sk.d, ctb.gate_links[unlock.node_id],
+                              sk.d_hat) / unlock.value
     elif isinstance(unlock, ChainUnlock):
-        blinded = pair(unlock.element, sk.d_hat)
+        mask_key = pair_ratio(ctb.encap, sk.d, unlock.element, sk.d_hat)
     else:
         raise TypeError(f"unsupported unlock {unlock!r}")
 
-    mask_key = pair(ctb.encap, sk.d) / blinded
     plain = xor_bytes(ctb.masked_payload, kdf_mask(mask_key, len(ctb.masked_payload)))
     payload, sec_bytes = plain[: ctb.block_len], plain[ctb.block_len:]
     next_element = G0Element.deserialize(sec_bytes)
@@ -510,7 +516,9 @@ class DecryptionState:
         """Ingest one block and open every block now reachable.  A repeat is
         ignored; another block under a held index or a held node id, or a
         node of a block after the first whose parent id names no gate of the
-        block before (once both are held), is a DecodeError."""
+        block before (once both are held), is a DecodeError.  So is a point
+        that fails its deferred validation, and the block holding it is
+        dropped first, so a re-sent copy is taken in."""
         if self.block_count is None:
             self.block_count = ctb.block_count
             self.total_len = ctb.total_len
@@ -539,7 +547,11 @@ class DecryptionState:
         for idx, pending in sorted(self.pending_blocks.items()):
             unlock = self._unlock_for(pending)
             if unlock is not None:
-                db, next_element = decrypt_block(pending, self.sk, unlock)
+                try:
+                    db, next_element = decrypt_block(pending, self.sk, unlock)
+                except DecodeError:
+                    del self._blocks[idx]
+                    raise
                 self.data_blocks[idx] = db
                 self._blocks[idx] = _OpenedBlock(idx, pending.descriptor, pending.leaf_components)
                 if next_element is not None:
@@ -591,9 +603,15 @@ class DecryptionState:
                 todo.extend(k.node_id for k in plan[nid][3])
         for nid in reversed(order):
             _, j, d, chosen = plan[nid]
-            shares = {k.index: self.node_values[k.node_id] for k in chosen}
-            self.node_values[nid] = (decrypt_leaf(self._blocks[j], self.sk, nid) if d.is_leaf
-                                     else decrypt_interior(shares, d.threshold))
+            if d.is_leaf:
+                try:
+                    self.node_values[nid] = decrypt_leaf(self._blocks[j], self.sk, nid)
+                except DecodeError:
+                    del self._blocks[j]
+                    raise
+            else:
+                shares = {k.index: self.node_values[k.node_id] for k in chosen}
+                self.node_values[nid] = decrypt_interior(shares, d.threshold)
         return self.node_values[node_id]
 
 
@@ -631,4 +649,4 @@ def make_challenge(commitment: G0Element, mk: MasterKey, rng=None) -> Verificati
 
 def verify_message(message: bytes, v: VerificationTuple) -> bool:
     """Pairing check that the decrypted plaintext matches the committed one."""
-    return pair(hash_to_g0(TAG_MESSAGE, message), v.v2) == pair(v.v1, generator())
+    return pair_ratio(hash_to_g0(TAG_MESSAGE, message), v.v2, v.v1, generator()).is_identity()

@@ -243,7 +243,11 @@ def test_every_arithmetic_entry_point_validates_a_decoded_point():
     uses = [lambda e: e ** 3, lambda e: e ** 0, lambda e: e * G, lambda e: G * e,
             lambda e: e / G, lambda e: G / e, lambda e: e.inverse(),
             lambda e: alg.pair(e, G), lambda e: alg.pair(G, e), lambda e: alg.pair(e, one),
-            lambda e: alg.pair(one, e), lambda e: e.fixed_base(), lambda e: e.validate()]
+            lambda e: alg.pair(one, e), lambda e: alg.pair_ratio(e, G, G, G),
+            lambda e: alg.pair_ratio(G, e, G, G), lambda e: alg.pair_ratio(G, G, e, G),
+            lambda e: alg.pair_ratio(G, G, G, e), lambda e: alg.pair_ratio(e, one, G, G),
+            lambda e: alg.pair_ratio(G, G, one, e), lambda e: e.fixed_base() ** 2,
+            lambda e: alg.pair(G, e.fixed_base()), lambda e: e.validate()]
     for data in encodings:
         for use in uses:
             e = G0Element.deserialize(data)
@@ -252,6 +256,111 @@ def test_every_arithmetic_entry_point_validates_a_decoded_point():
             for _ in range(2):
                 with pytest.raises(DecodeError):
                     use(e)
+        # making a decoded element a fixed base validates nothing
+        fixed = G0Element.deserialize(data).fixed_base()
+        assert fixed._point is alg._UNCHECKED and fixed.serialize() == data
+
+
+# ---------------------------------------------------------------------------
+# the pairing engine against the plain Miller loop
+# ---------------------------------------------------------------------------
+
+def _miller(p, q):
+    """Oracle: f_{ORDER, p} at the distorted image of q in one Miller loop
+    that makes and evaluates each line in place (projective tangents and
+    secants in Jacobian coordinates, vertical lines skipped)."""
+    Q = alg.FIELD_PRIME
+    xq, yq = q
+    xq_d = (Q - xq) % Q
+    f = alg._FQ2_ONE
+    X, Y, Z = p[0], p[1], 1
+    px, py = p
+    npx, npy = px, Q - py
+    for d in alg._NAF_ORDER_MSB:
+        Z2 = Z * Z % Q
+        Z3 = Z2 * Z % Q
+        W = (3 * X * X + Z2 * Z2) % Q
+        l_re = (W * ((xq_d * Z2 - X) % Q) + 2 * Y * Y) % Q
+        l_im = Q - (2 * Y % Q) * Z3 % Q * yq % Q
+        f = alg._fq2_mul(alg._fq2_sqr(f), (l_re, l_im % Q))
+        Y2 = Y * Y % Q
+        S = 4 * X * Y2 % Q
+        Xn = (W * W - 2 * S) % Q
+        Y, Z = (W * (S - Xn) - 8 * Y2 * Y2) % Q, 2 * Y * Z % Q
+        X = Xn
+        if d:
+            ax, ay = (px, py) if d == 1 else (npx, npy)
+            Z1Z1 = Z * Z % Q
+            U2 = ax * Z1Z1 % Q
+            S2 = ay * Z % Q * Z1Z1 % Q
+            if U2 == X and (S2 + Y) % Q == 0:
+                X, Y, Z = 0, 1, 0
+                continue
+            H = (U2 - X) % Q
+            rr = (S2 - Y) % Q
+            l_re = (rr * ((xq_d - ax) % Q) + ay * H % Q * Z) % Q
+            l_im = Q - yq * H % Q * Z % Q
+            f = alg._fq2_mul(f, (l_re, l_im % Q))
+            HH = H * H % Q
+            I = 4 * HH % Q
+            J = H * I % Q
+            r2 = 2 * rr % Q
+            V = X * I % Q
+            X3 = (r2 * r2 - J - 2 * V) % Q
+            Y3 = (r2 * (V - X3) - 2 * Y * J) % Q
+            Z3n = ((Z + H) * (Z + H) - Z1Z1 - HH) % Q
+            X, Y, Z = X3, Y3, Z3n
+    return f
+
+
+def _oracle_pair(u, v):
+    if u.is_identity() or v.is_identity():
+        return GTElement.one()
+    return GTElement(alg._final_exponentiation(_miller(u._p, v._p)))
+
+
+def test_pair_and_pair_ratio_match_the_miller_loop_oracle():
+    rng = random.Random(47)
+    one = G0Element.identity()
+    a, b, c, d = (G ** alg.random_nonzero_scalar(rng) for _ in range(4))
+    fixed = {id(e): e.fixed_base() for e in (a, b, c, d, one)}
+    cases = [(a, b, c, d), (c, a, d, b), (one, b, c, d), (a, one, c, d), (a, b, one, d),
+             (a, b, c, one), (one, b, c, one), (a, b, a, b), (one, one, one, one)]
+    # each pair plain, its first, its second or both arguments fixed bases
+    sides = [(False, False), (True, False), (False, True), (True, True)]
+    for args in cases:
+        ab, cd = _oracle_pair(*args[:2]), _oracle_pair(*args[2:])
+        for marks in ((s + t) for s in sides for t in sides):
+            x, y, z, w = (fixed[id(e)] if m else e for e, m in zip(args, marks))
+            assert alg.pair(x, y) == alg.pair(y, x) == ab
+            assert alg.pair(z, w) == alg.pair(w, z) == cd
+            assert alg.pair_ratio(x, y, z, w) == alg.pair_ratio(y, x, w, z) == ab / cd
+            assert alg.pair_ratio(x, y, z, w).serialize() == (ab / cd).serialize()
+
+
+def test_lines_recorded_once_per_fixed_base_and_never_kept_on_a_plain_one(monkeypatch):
+    recorded = []
+    real_lines = alg._lines
+    monkeypatch.setattr(alg, "_lines", lambda p: recorded.append(p) or real_lines(p))
+    rng = random.Random(48)
+    plain, other = (G ** alg.random_nonzero_scalar(rng) for _ in range(2))
+    expected = alg.pair(plain, other)
+    recorded.clear()
+    for _ in range(3):
+        assert alg.pair(plain, other) == expected
+        assert alg.pair_ratio(other, plain, plain, other).is_identity()
+    assert len(recorded) == 9 and plain._line_table is other._line_table is None
+    fixed = plain.fixed_base()
+    assert fixed._line_table is alg._NOT_BUILT
+    recorded.clear()
+    for _ in range(3):
+        assert alg.pair(other, fixed) == expected
+        assert alg.pair_ratio(fixed, other, other, fixed).is_identity()
+    assert recorded == [fixed._p]
+    assert len(fixed._line_table) == len(alg._NAF_ORDER_MSB)
+    assert plain._line_table is None
+    # the generator is one fixed base, so its lines are shared process-wide
+    assert len(G._line_table) == len(alg._NAF_ORDER_MSB)
 
 
 # ---------------------------------------------------------------------------

@@ -384,15 +384,20 @@ def test_chain_completeness_without_leaf_components(suite):
 
 
 def _counting_decrypt(monkeypatch, ctbs, sk):
-    """Decrypt in arrival order, counting pairings, leaf evaluations and
-    unlock kinds."""
-    counts = {"pair": 0, "leaf": 0, RootUnlock: 0, GateUnlock: 0, ChainUnlock: 0}
-    real_pair, real_decrypt_block = scheme.pair, scheme.decrypt_block
-    real_decrypt_leaf = scheme.decrypt_leaf
+    """Decrypt in arrival order, counting Miller-loop terms (one per
+    pairing), final exponentiations, leaf evaluations and unlock kinds."""
+    counts = {"terms": 0, "final_exp": 0, "leaf": 0, RootUnlock: 0, GateUnlock: 0,
+              ChainUnlock: 0}
+    real_product, real_final = alg._miller_product, alg._final_exponentiation
+    real_decrypt_block, real_decrypt_leaf = scheme.decrypt_block, scheme.decrypt_leaf
 
-    def pair(u, v):
-        counts["pair"] += 1
-        return real_pair(u, v)
+    def miller_product(terms):
+        counts["terms"] += len(terms)
+        return real_product(terms)
+
+    def final_exponentiation(f):
+        counts["final_exp"] += 1
+        return real_final(f)
 
     def decrypt_leaf(ctb, key, node_id):
         counts["leaf"] += 1
@@ -402,7 +407,8 @@ def _counting_decrypt(monkeypatch, ctbs, sk):
         counts[type(unlock)] += 1
         return real_decrypt_block(ctb, key, unlock)
 
-    monkeypatch.setattr(scheme, "pair", pair)
+    monkeypatch.setattr(alg, "_miller_product", miller_product)
+    monkeypatch.setattr(alg, "_final_exponentiation", final_exponentiation)
     monkeypatch.setattr(scheme, "decrypt_leaf", decrypt_leaf)
     monkeypatch.setattr(scheme, "decrypt_block", decrypt_block)
     return _decrypt(ctbs, sk), counts
@@ -427,14 +433,29 @@ def test_bench_policy_costs_21_pairings_and_one_leaf(bench_policy_blocks, monkey
     # one leaf (2 pairings) opens the first block to open; every other block
     # costs 2 pairings (chain: unlock element and mask key; gate: link and
     # mask key, its value read from the gate below) and block 1 by the root
-    # costs 1, so 21 on 10 blocks
+    # costs 1, so 21 on 10 blocks; each quotient of two pairings shares one
+    # final exponentiation, so 11
     msg, ctbs, keys = bench_policy_blocks
     arrival = ctbs if order == "in-order" else ctbs[::-1]
     out, counts = _counting_decrypt(monkeypatch, arrival, keys[key])
     assert out == msg
     unlocks = ({RootUnlock: 1, GateUnlock: 0, ChainUnlock: 9} if order == "in-order"
                else {RootUnlock: 1, GateUnlock: 8, ChainUnlock: 1})
-    assert counts == {"pair": 21, "leaf": 1, **unlocks}
+    assert counts == {"terms": 21, "final_exp": 11, "leaf": 1, **unlocks}
+
+
+def test_secret_key_d_and_d_hat_keep_their_lines(bench_policy_blocks):
+    # a decoded key's d and d_hat are fixed bases that stay unvalidated
+    # until their first pairing, and then keep their Miller-loop lines; the
+    # attribute components, each paired at most once a message, keep none
+    msg, ctbs, keys = bench_policy_blocks
+    sk = wire.decode_secret_key(wire.encode_secret_key(keys["spread"]))
+    assert sk == keys["spread"]
+    assert sk.d._line_table is sk.d_hat._line_table is alg._NOT_BUILT
+    assert sk.d._point is sk.d_hat._point is alg._UNCHECKED
+    assert _decrypt(ctbs, sk) == msg
+    assert len(sk.d._line_table) == len(sk.d_hat._line_table) == len(alg._NAF_ORDER_MSB)
+    assert all(c._line_table is None for pair in sk.components.values() for c in pair)
 
 
 def test_bench_policy_validates_26_points(bench_policy_blocks, monkeypatch):

@@ -147,6 +147,26 @@ def test_corrupt_points_the_key_never_reads_still_decrypt(three_blocks, reverse)
     assert _decrypt(decoded, sk, reverse) == msg
 
 
+@pytest.mark.parametrize("point", ["leaf", "encap"])
+def test_block_whose_point_fails_is_dropped_so_a_resent_copy_decrypts(three_blocks, point):
+    # a corrupt leaf a component in block 2 fails while the root value is
+    # evaluated, a corrupt encapsulation while block 2 opens by the chain;
+    # either way the genuine block 2 sent again is taken in, not ignored as
+    # a repeat, and block 3 then opens by the chain
+    msg, ctbs, sk = three_blocks
+    element = _leaf_components(ctbs[1], "a")[0] if point == "leaf" else ctbs[1].encap
+    blob_2 = _corrupt(wire.encode_ctb(ctbs[1], "m"), element)
+    state = scheme.DecryptionState(sk)
+    state.add_block(ctbs[0])
+    with pytest.raises(DecodeError, match="curve|subgroup"):
+        state.add_block(wire.decode_ctb(blob_2)[0])
+    assert 2 not in state.pending_blocks and 2 not in state.data_blocks
+    state.add_block(ctbs[1])
+    assert sorted(state.data_blocks) == [1, 2]
+    state.add_block(ctbs[2])
+    assert scheme.assemble_message(state, sk) == msg
+
+
 def _key_file_cases(suite, three_blocks):
     """(encoded file, element to corrupt, decode, first use) per decoded point kind."""
     pk, mk, _ = suite
@@ -154,10 +174,11 @@ def _key_file_cases(suite, three_blocks):
     v = scheme.make_challenge(scheme.data_verification(msg, mk), mk, random.Random(94))
     pk_file, mk_file = wire.encode_public_key(pk), wire.encode_master_key(mk)
     sk_file, v_file = wire.encode_secret_key(sk), wire.encode_verification_tuple(v)
-    # the public key's g and h become fixed bases, which reads them at once
+    # the public key's g and h, and the secret key's d and d_hat, become
+    # fixed bases, which leaves them unvalidated until their first use
     return [
-        (pk_file, pk.g, wire.decode_public_key, None),
-        (pk_file, pk.h, wire.decode_public_key, None),
+        (pk_file, pk.g, wire.decode_public_key, lambda bad: bad.g ** 2),
+        (pk_file, pk.h, wire.decode_public_key, lambda bad: bad.h ** 2),
         (mk_file, mk.g_alpha, wire.decode_master_key,
          lambda bad: scheme.keygen(pk, bad, {"a"}, random.Random(95))),
         *((sk_file, element, wire.decode_secret_key, lambda bad: _decrypt(ctbs, bad))
@@ -169,21 +190,18 @@ def _key_file_cases(suite, three_blocks):
 
 def test_corrupt_key_file_point_fails_on_first_use(suite, three_blocks):
     for data, element, decode, use in _key_file_cases(suite, three_blocks):
-        bad = _corrupt(data, element)
-        if use is None:
-            with pytest.raises(DecodeError, match="curve|subgroup"):
-                decode(bad)
-            continue
-        decoded = decode(bad)
+        decoded = decode(_corrupt(data, element))
         with pytest.raises(DecodeError, match="curve|subgroup"):
             use(decoded)
 
 
 def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_blocks,
                                                                   monkeypatch):
-    # every point handed to the Miller loop, point addition, a comb table
-    # build or a comb exponentiation is a prime-order subgroup point, also
-    # while corrupt blocks and key files are being decrypted and checked
+    # every point whose Miller-loop lines are recorded, every point a
+    # product of pairings evaluates them at, and every point handed to point
+    # addition, a comb table build or a comb exponentiation is a prime-order
+    # subgroup point, also while corrupt blocks and key files are being
+    # decrypted and checked
     seen = set()
 
     def watch(name, points):
@@ -194,7 +212,8 @@ def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_bl
             return real(*args)
         monkeypatch.setattr(algebra, name, wrapper)
 
-    watch("_miller", lambda p, q: (p, q))
+    watch("_lines", lambda p: (p,))
+    watch("_miller_product", lambda terms: [q for _, q, _ in terms])
     watch("_affine_add", lambda p1, p2: (p1, p2))
     watch("_build_comb", lambda point, teeth: (point,))
     watch("_comb_pow", lambda table, k: (table[1],))
@@ -206,10 +225,8 @@ def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_bl
         _decrypt([wire.decode_ctb(blob)[0] for blob in blobs], sk)
     for data, element, decode, use in _key_file_cases(suite, three_blocks):
         with pytest.raises(DecodeError):
-            decoded = decode(_corrupt(data, element))
-            use(decoded)
-        if use is not None:
-            use(decode(data))
+            use(decode(_corrupt(data, element)))
+        use(decode(data))
     assert _decrypt([wire.decode_ctb(wire.encode_ctb(ctb, "m"))[0] for ctb in ctbs], sk) == msg
     assert len(seen) > 20
     order_naf = algebra._naf_msb(algebra.ORDER)

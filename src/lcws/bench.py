@@ -8,7 +8,6 @@ exact pipeline recurrences, and medians over repeated runs are reported.
 
 from __future__ import annotations
 
-import csv
 import gc
 import json
 import os
@@ -93,14 +92,6 @@ class BenchReport:
         return [row.size, row.enc_seq, row.enc_pipe, row.enc_delta,
                 row.dec_seq, row.dec_pipe, row.dec_delta,
                 row.max_block_enc, row.min_block_tx]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self._FIELDS)
-            for row in self.rows:
-                w.writerow([f"{v:.9f}" if isinstance(v, float) else v
-                            for v in self._values(row)])
 
     def write_json(self, path) -> None:
         """The rows, the sweep shape, and the machine and commit they ran on."""

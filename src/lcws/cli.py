@@ -20,7 +20,7 @@ from . import pipeline as pipeline_mod
 from . import scheme, wire
 from .errors import DecodeError, PolicyNotSatisfiedError, PolicySyntaxError, StoreNotFoundError
 from .policy import parse_policy
-from .store import BlobStore, make_object_id
+from .store import BlobStore, check_message_id, make_object_id
 
 EXIT_POLICY = 2
 EXIT_IO = 3
@@ -60,6 +60,13 @@ def _parse_sizes(ctx, param, value):
     if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise click.BadParameter("sizes must be at least one byte and strictly increasing")
     return sizes
+
+
+def _check_message_id(ctx, param, value):
+    try:
+        return None if value is None else check_message_id(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
 def _derive_message_id(message: bytes) -> str:
@@ -114,7 +121,7 @@ def ta_keygen(pk_path, mk_path, attrs, out_path, seed):
 @main.command("ta-challenge")
 @click.option("--mk", "mk_path", type=click.Path(exists=True, path_type=Path), required=True)
 @click.option("--store", "store_dir", type=click.Path(path_type=Path), required=True)
-@click.option("--message-id", required=True)
+@click.option("--message-id", required=True, callback=_check_message_id)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 @click.option("--seed", type=int, default=None)
 @_exit_codes
@@ -136,7 +143,8 @@ def ta_challenge(mk_path, store_dir, message_id, out_path, seed):
 @click.option("--enc-ctx", "ctx_path", type=click.Path(exists=True, path_type=Path), required=True)
 @click.option("--policy", required=True, help="Access policy text.")
 @click.option("--store", "store_dir", type=click.Path(path_type=Path), required=True)
-@click.option("--message-id", default=None, help="Defaults to a digest of the plaintext.")
+@click.option("--message-id", default=None, callback=_check_message_id,
+              help="Defaults to a digest of the plaintext.")
 @click.option("--seed", type=int, default=None)
 @_exit_codes
 def do_encrypt(message_file, pk_path, ctx_path, policy, store_dir, message_id, seed):
@@ -165,7 +173,7 @@ def do_encrypt(message_file, pk_path, ctx_path, policy, store_dir, message_id, s
 @main.command("dr-decrypt")
 @click.option("--sk", "sk_path", type=click.Path(exists=True, path_type=Path), required=True)
 @click.option("--store", "store_dir", type=click.Path(path_type=Path), required=True)
-@click.option("--message-id", required=True)
+@click.option("--message-id", required=True, callback=_check_message_id)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 @click.option("--bandwidth", type=click.FloatRange(min=0, min_open=True), default=None,
               help="Bytes/s; when set, each download also crosses a simulated link.")
@@ -225,11 +233,10 @@ def dr_verify(message_file, v_path):
               help="Simulated link latency, seconds.")
 @click.option("--runs", type=click.IntRange(min=1), default=5)
 @click.option("--seed", type=int, default=None)
-@click.option("--out-csv", type=click.Path(path_type=Path), required=True)
-@click.option("--json", "json_path", type=click.Path(path_type=Path), default=None,
-              help="Also write the rows with nproc, the Python version and the commit.")
+@click.option("--json", "json_path", type=click.Path(path_type=Path), required=True,
+              help="Report: the rows with nproc, the Python version and the commit.")
 @_exit_codes
-def bench(sizes, levels, leaves, bandwidth, latency, runs, seed, out_csv, json_path):
+def bench(sizes, levels, leaves, bandwidth, latency, runs, seed, json_path):
     """Sweep message sizes and compare sequential vs pipelined totals."""
     try:
         bench_mod.synthetic_policy(levels, leaves)
@@ -237,9 +244,7 @@ def bench(sizes, levels, leaves, bandwidth, latency, runs, seed, out_csv, json_p
         raise click.BadParameter(str(exc), param_hint="'--levels' / '--leaves'") from None
     link = pipeline_mod.LinkModel(bandwidth=bandwidth, latency=latency)
     report = bench_mod.run_bench(sizes, levels, leaves, link, runs=runs, seed=seed)
-    report.write_csv(out_csv)
-    if json_path is not None:
-        report.write_json(json_path)
+    report.write_json(json_path)
     for row in report.rows:
         click.echo(
             f"size={row.size} enc-tx: seq={row.enc_seq:.3f}s pipe={row.enc_pipe:.3f}s "

@@ -19,11 +19,6 @@ class PolicyNotSatisfiedError(Exception):
     first data block (and hence the message) cannot be recovered."""
 
 
-class EncryptionStateError(RuntimeError):
-    """Internal bookkeeping broke during block encryption, e.g. a gate
-    was reached before its parent produced a share for it."""
-
-
 class StoreNotFoundError(KeyError):
     """Requested object id is not present in the store."""
 

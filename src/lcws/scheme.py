@@ -11,7 +11,7 @@ chain without touching deeper levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
                     Tuple, Union)
 
@@ -34,8 +34,8 @@ from .algebra import (
     random_nonzero_scalar,
     xor_bytes,
 )
-from .errors import DecodeError, EncryptionStateError, PolicyNotSatisfiedError
-from .policy import AccessTree, LevelPartition, LevelSlice, NodeDescriptor, lagrange_coeff, partition_levels
+from .errors import DecodeError, PolicyNotSatisfiedError
+from .policy import AccessTree, LevelSlice, NodeDescriptor, lagrange_coeff, partition_levels
 
 _DEFAULT_RNG = secrets.SystemRandom()
 
@@ -103,14 +103,6 @@ class VerificationTuple:
     v2: G0Element                # g^t
 
 
-@dataclass
-class KeygenTrace:
-    """Secret randomness retained for test fixtures only."""
-
-    r: Optional[Scalar] = None
-    blinding: Dict[str, Scalar] = field(default_factory=dict)
-
-
 def setup(rng=None) -> Tuple[PublicKey, MasterKey]:
     """Sample the master secrets and publish the public parameters."""
     rng = _rng_or_default(rng)
@@ -128,8 +120,7 @@ def encryption_context(mk: MasterKey) -> EncryptionContext:
     return EncryptionContext(suite=SUITE_ID, q=mk.q, k=mk.k)
 
 
-def keygen(pk: PublicKey, mk: MasterKey, attrs: Iterable[str], rng=None,
-           trace: Optional[KeygenTrace] = None) -> SecretKey:
+def keygen(pk: PublicKey, mk: MasterKey, attrs: Iterable[str], rng=None) -> SecretKey:
     """Issue a key for an attribute set; fresh blinding prevents collusion."""
     attrs = frozenset(attrs)
     if not attrs:
@@ -147,22 +138,12 @@ def keygen(pk: PublicKey, mk: MasterKey, attrs: Iterable[str], rng=None,
             g_r * hash_to_g0(TAG_ATTRIBUTE, attr.encode()) ** r_j,
             pk.g ** r_j,
         )
-        if trace is not None:
-            trace.blinding[attr] = r_j
-    if trace is not None:
-        trace.r = r
     return SecretKey(d=d, d_hat=d_hat, components=components, attrs=attrs)
 
 
 # ---------------------------------------------------------------------------
 # message partition and chaining
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DataBlock:
-    index: int                   # 1-based
-    payload: bytes
-
 
 def _segment_message(message: bytes, n: int) -> List[bytes]:
     """Equal-length segments, the last zero-padded."""
@@ -185,7 +166,7 @@ def _chain_segment(segments: List[bytes], i: int) -> bytes:
     return xor_bytes(segments[i - 2], segments[i - 1])
 
 
-def partition_message(message: bytes, n: int) -> List[DataBlock]:
+def partition_message(message: bytes, n: int) -> List[bytes]:
     """Split into n equal segments (last zero-padded) and XOR-chain them.
 
     Block 1 is the first segment in the clear; every later block is the
@@ -193,7 +174,7 @@ def partition_message(message: bytes, n: int) -> List[DataBlock]:
     carry no recoverable plaintext.
     """
     segments = _segment_message(message, n)
-    return [DataBlock(i, _chain_segment(segments, i)) for i in range(1, n + 1)]
+    return [_chain_segment(segments, i) for i in range(1, n + 1)]
 
 
 def unchain_blocks(payloads: Iterable[bytes], total_len: int) -> bytes:
@@ -246,56 +227,45 @@ class CiphertextBlock:
 
 
 @dataclass
-class EncryptionTrace:
-    """Per-message secrets retained for test fixtures only."""
-
-    level_secrets: Dict[int, Scalar] = field(default_factory=dict)
-    node_shares: Dict[int, Scalar] = field(default_factory=dict)
-
-
-@dataclass
 class EncryptState:
-    """Mutable hand-off between consecutive block encryptions.
+    """The owner's side of one message between block encryptions.
 
-    Carries the chain scalar, the current and next level secrets, and the
-    polynomial shares owed to nodes of the level about to be processed.
-    The state for level i+1 is complete before block i is released, which
-    is what lets encryption overlap transmission.
+    Holds the chain scalar, the commitment, the unchained segments and the
+    level slices, the secret of the level about to be sealed, and the
+    polynomial shares owed to that level's nodes.  The state for level
+    i+1 is complete before block i is released, which is what lets
+    encryption overlap transmission.
     """
 
     q: Scalar
-    block_count: int
+    commitment: G0Element
     total_len: int
-    block_len: int
+    segments: List[bytes]
+    levels: Tuple[LevelSlice, ...]
     level_secret: Scalar
     pending_shares: Dict[int, Scalar]
-    commitment: G0Element
-    next_index: int = 1
-    trace: Optional[EncryptionTrace] = None
+    index: int = 1               # of the next block to seal
 
 
 def begin_encryption(message: bytes, tree: AccessTree, ctx: EncryptionContext,
-                     rng=None, trace: Optional[EncryptionTrace] = None
-                     ) -> Tuple[EncryptState, List[bytes], LevelPartition]:
+                     rng=None) -> EncryptState:
     """Segment the message by tree depth and seed the encryption state.
 
-    Segments are returned unchained; the XOR chaining happens per block
-    during encryption so that each block's cost stays with that block."""
+    Segments are kept unchained; each block XORs its own two segments in
+    its own `encrypt_block` call, so each block's cost stays with it."""
     rng = _rng_or_default(rng)
     segments = _segment_message(message, tree.depth)
-    partition = partition_levels(tree)
+    levels = partition_levels(tree).levels
     s1 = random_nonzero_scalar(rng)
-    state = EncryptState(
+    return EncryptState(
         q=ctx.q,
-        block_count=tree.depth,
+        commitment=data_verification(message, ctx),
         total_len=len(message),
-        block_len=len(segments[0]),
+        segments=segments,
+        levels=levels,
         level_secret=s1,
         pending_shares={tree.root.node_id: s1},
-        commitment=data_verification(message, ctx),
-        trace=trace,
     )
-    return state, segments, partition
 
 
 def _poly_shares(share: Scalar, threshold: int, children: Tuple, rng) -> Dict[int, Scalar]:
@@ -312,63 +282,50 @@ def _poly_shares(share: Scalar, threshold: int, children: Tuple, rng) -> Dict[in
     return out
 
 
-def encrypt_block(db: DataBlock, level_slice: LevelSlice, pk: PublicKey,
-                  state: EncryptState, rng=None) -> CiphertextBlock:
-    """Seal one data block under one tree level.
+def encrypt_block(state: EncryptState, pk: PublicKey, rng=None) -> CiphertextBlock:
+    """Seal the next data block under its tree level and move the state on.
 
-    Gates of the slice spend their pending share on a fresh polynomial and
-    queue shares for their children; leaves of the slice spend theirs on
+    Gates of the level spend their pending share on a fresh polynomial and
+    queue shares for their children; leaves of the level spend theirs on
     the published component pair.  Every gate except the root also gets a
     link element that lifts its recovered value to the level secret.
     """
     rng = _rng_or_default(rng)
-    i = db.index
-    if i != state.next_index:
-        raise EncryptionStateError(f"expected block {state.next_index}, got {i}")
+    i = state.index
+    level_slice = state.levels[i - 1]
+    block_count = len(state.levels)
+    block_len = len(state.segments[0])
     s_i = state.level_secret
-    if state.trace is not None:
-        state.trace.level_secrets[i] = s_i
 
     gate_links: Dict[int, G0Element] = {}
     for gate in level_slice.interior_nodes:
-        try:
-            share = state.pending_shares.pop(gate.node_id)
-        except KeyError:
-            raise EncryptionStateError(f"no pending share for gate {gate.node_id}") from None
+        share = state.pending_shares.pop(gate.node_id)
         state.pending_shares.update(_poly_shares(share, gate.threshold, gate.children, rng))
-        if state.trace is not None:
-            state.trace.node_shares[gate.node_id] = share
         if i >= 2:
             gate_links[gate.node_id] = pk.g ** ((s_i - share) / state.q)
 
     leaf_components: Dict[int, Tuple[G0Element, G0Element]] = {}
     for leaf in level_slice.leaf_nodes:
-        try:
-            share = state.pending_shares.pop(leaf.node_id)
-        except KeyError:
-            raise EncryptionStateError(f"no pending share for leaf {leaf.node_id}") from None
+        share = state.pending_shares.pop(leaf.node_id)
         leaf_components[leaf.node_id] = (
             pk.g ** share,
             hash_to_g0(TAG_ATTRIBUTE, leaf.attribute.encode()) ** share,
         )
-        if state.trace is not None:
-            state.trace.node_shares[leaf.node_id] = share
 
-    if i < state.block_count:
-        s_next = random_nonzero_scalar(rng)
-        next_unlock = pk.g ** (s_next / state.q)
+    if i < block_count:
+        state.level_secret = random_nonzero_scalar(rng)
+        next_unlock = pk.g ** (state.level_secret / state.q)
     else:
-        s_next = None
         next_unlock = G0Element.identity()
 
-    mask = kdf_mask(pk.egg_alpha ** s_i, state.block_len + G0_BYTES)
-    masked = xor_bytes(db.payload + next_unlock.serialize(), mask)
-
-    ctb = CiphertextBlock(
+    mask = kdf_mask(pk.egg_alpha ** s_i, block_len + G0_BYTES)
+    masked = xor_bytes(_chain_segment(state.segments, i) + next_unlock.serialize(), mask)
+    state.index = i + 1
+    return CiphertextBlock(
         index=i,
-        block_count=state.block_count,
+        block_count=block_count,
         total_len=state.total_len,
-        block_len=state.block_len,
+        block_len=block_len,
         suite=pk.suite,
         descriptor=level_slice.descriptor,
         masked_payload=masked,
@@ -377,22 +334,16 @@ def encrypt_block(db: DataBlock, level_slice: LevelSlice, pk: PublicKey,
         leaf_components=leaf_components,
         commitment=state.commitment if i == 1 else None,
     )
-    if s_next is not None:
-        state.level_secret = s_next
-    state.next_index = i + 1
-    return ctb
 
 
 def encrypt_message(message: bytes, tree: AccessTree, pk: PublicKey,
-                    ctx: EncryptionContext, rng=None,
-                    trace: Optional[EncryptionTrace] = None) -> Iterator[CiphertextBlock]:
+                    ctx: EncryptionContext, rng=None) -> Iterator[CiphertextBlock]:
     """Stream ciphertext blocks in index order; each is final as soon as it
     is yielded, so transmission may start immediately."""
     rng = _rng_or_default(rng)
-    state, segments, partition = begin_encryption(message, tree, ctx, rng, trace)
-    for i, level_slice in enumerate(partition.levels, start=1):
-        db = DataBlock(i, _chain_segment(segments, i))
-        yield encrypt_block(db, level_slice, pk, state, rng)
+    state = begin_encryption(message, tree, ctx, rng)
+    for _ in state.levels:
+        yield encrypt_block(state, pk, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +401,14 @@ Unlock = Union[RootUnlock, GateUnlock, ChainUnlock]
 
 
 def decrypt_block(ctb: CiphertextBlock, sk: SecretKey, unlock: Unlock
-                  ) -> Tuple[DataBlock, Optional[G0Element]]:
+                  ) -> Tuple[bytes, Optional[G0Element]]:
     """Open one ciphertext block with any available unlock.
 
     All three unlock paths reconstruct the same blinded level secret; the
     keystream key is then the quotient of the encapsulation pairing by
     that value, one product of pairings for a gate or chain unlock.
-    Returns the data block and the next block's chain unlock element (None
-    on the last block, whose slot holds the identity sentinel)."""
+    Returns the chained payload and the next block's chain unlock element
+    (None on the last block, whose slot holds the identity sentinel)."""
     if isinstance(unlock, RootUnlock):
         if ctb.index != 1:
             raise ValueError("root unlock only applies to block 1")
@@ -473,9 +424,7 @@ def decrypt_block(ctb: CiphertextBlock, sk: SecretKey, unlock: Unlock
     plain = xor_bytes(ctb.masked_payload, kdf_mask(mask_key, len(ctb.masked_payload)))
     payload, sec_bytes = plain[: ctb.block_len], plain[ctb.block_len:]
     next_element = G0Element.deserialize(sec_bytes)
-    if next_element.is_identity():
-        return DataBlock(ctb.index, payload), None
-    return DataBlock(ctb.index, payload), next_element
+    return payload, None if next_element.is_identity() else next_element
 
 
 class _OpenedBlock(NamedTuple):
@@ -499,7 +448,7 @@ class DecryptionState:
         self.sk = sk
         self.block_count: Optional[int] = None
         self.total_len: Optional[int] = None
-        self.data_blocks: Dict[int, DataBlock] = {}
+        self.data_blocks: Dict[int, bytes] = {}
         self.chain_elements: Dict[int, G0Element] = {}
         self.node_values: Dict[int, GTElement] = {}
         self.commitment: Optional[G0Element] = None
@@ -548,11 +497,11 @@ class DecryptionState:
             unlock = self._unlock_for(pending)
             if unlock is not None:
                 try:
-                    db, next_element = decrypt_block(pending, self.sk, unlock)
+                    payload, next_element = decrypt_block(pending, self.sk, unlock)
                 except DecodeError:
                     del self._blocks[idx]
                     raise
-                self.data_blocks[idx] = db
+                self.data_blocks[idx] = payload
                 self._blocks[idx] = _OpenedBlock(idx, pending.descriptor, pending.leaf_components)
                 if next_element is not None:
                     self.chain_elements[idx + 1] = next_element
@@ -628,7 +577,7 @@ def assemble_message(state: DecryptionState, sk: SecretKey) -> bytes:
         closed = min(state.pending_blocks)
         raise PolicyNotSatisfiedError(
             f"attributes do not satisfy the access policy: block {closed} stays closed")
-    payloads = [state.data_blocks[i].payload for i in range(1, state.block_count + 1)]
+    payloads = [state.data_blocks[i] for i in range(1, state.block_count + 1)]
     return unchain_blocks(payloads, state.total_len)
 
 

@@ -15,7 +15,15 @@ from typing import List
 
 from .errors import StoreNotFoundError
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def check_message_id(message_id: str) -> str:
+    """The id itself when it can name a message folder in the store; a
+    ValueError otherwise."""
+    if not _ID_RE.fullmatch(message_id):
+        raise ValueError(f"bad message id {message_id!r}")
+    return message_id
 
 
 def make_object_id(message_id: str, index: int) -> str:
@@ -29,9 +37,9 @@ class BlobStore:
 
     def _path(self, object_id: str) -> Path:
         message_id, _, index = object_id.partition("/")
-        if not _ID_RE.match(message_id) or not index.isdigit():
+        if not index.isdigit():
             raise ValueError(f"bad object id {object_id!r}")
-        return self.root / message_id / f"{index}.ctb"
+        return self.root / check_message_id(message_id) / f"{index}.ctb"
 
     def put(self, object_id: str, data: bytes) -> None:
         path = self._path(object_id)
@@ -58,7 +66,7 @@ class BlobStore:
 
     def list(self, message_id: str) -> List[str]:
         """Object ids for one message, in block-index order."""
-        folder = self.root / message_id
+        folder = self.root / check_message_id(message_id)
         if not folder.is_dir():
             raise StoreNotFoundError(message_id)
         ids = [

@@ -1,11 +1,60 @@
-"""Shared generators for randomized policy/key trials."""
+"""Shared generators for randomized policy/key trials, and a recorder of
+the secrets keygen and encryption draw."""
 
 from __future__ import annotations
 
+import contextlib
 import random
-from typing import Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
+from lcws import scheme
+from lcws.algebra import Scalar
 from lcws.policy import AccessNode, AccessTree, satisfies
+
+
+class Drawn:
+    """Secrets drawn inside one `recording()` block."""
+
+    def __init__(self):
+        self.scalars: List[Scalar] = []       # from random_nonzero_scalar, in draw order
+        self.shares: Dict[int, Scalar] = {}   # node id -> share, from _poly_shares
+
+    @property
+    def r(self) -> Scalar:
+        """A key's blinding exponent: keygen's first draw."""
+        return self.scalars[0]
+
+    def level_secrets(self) -> Dict[int, Scalar]:
+        """Block index -> level secret: encryption draws one per block, in order."""
+        return dict(enumerate(self.scalars, start=1))
+
+    def node_shares(self, tree: AccessTree) -> Dict[int, Scalar]:
+        """Node id -> share; the root's share is the first level secret."""
+        return {tree.root.node_id: self.scalars[0], **self.shares}
+
+
+@contextlib.contextmanager
+def recording() -> Iterator[Drawn]:
+    """Wrap the scheme's two sources of secrets for the length of the block:
+    `random_nonzero_scalar` (keygen's r and attribute blinding, encryption's
+    level secrets) and `_poly_shares` (every node share below the root)."""
+    drawn = Drawn()
+    real_scalar, real_shares = scheme.random_nonzero_scalar, scheme._poly_shares
+
+    def random_nonzero_scalar(rng):
+        drawn.scalars.append(real_scalar(rng))
+        return drawn.scalars[-1]
+
+    def poly_shares(share, threshold, children, rng):
+        out = real_shares(share, threshold, children, rng)
+        drawn.shares.update(out)
+        return out
+
+    scheme.random_nonzero_scalar, scheme._poly_shares = random_nonzero_scalar, poly_shares
+    try:
+        yield drawn
+    finally:
+        scheme.random_nonzero_scalar, scheme._poly_shares = real_scalar, real_shares
 
 
 def random_policy(rng: random.Random, max_depth: int = 6, max_leaves: int = 40) -> str:

@@ -20,9 +20,7 @@ from lcws.policy import parse_policy, satisfies
 from lcws.scheme import (
     ChainUnlock,
     DecryptionState,
-    EncryptionTrace,
     GateUnlock,
-    KeygenTrace,
     RootUnlock,
     assemble_message,
     decrypt_block,
@@ -30,7 +28,7 @@ from lcws.scheme import (
     decrypt_leaf,
 )
 
-from helpers import random_policy, satisfying_attrs, unsatisfying_attrs
+from helpers import random_policy, recording, satisfying_attrs, unsatisfying_attrs
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -119,7 +117,7 @@ def test_c3_partial_decryption(suite):
         assemble_message(state, sk)
     # the recovered block is the XOR of two segments, not plaintext
     segments = scheme.partition_message(message, 3)
-    assert state.data_blocks[2].payload == segments[1].payload
+    assert state.data_blocks[2] == segments[1]
     return "block 2 open via gate link, block 1 sealed, assembly denied"
 
 
@@ -233,12 +231,12 @@ _ORACLE_TREES = [
 ]
 
 
-def _check_closed_forms(tree, ctbs, sk, pk, ctx, ktrace, etrace, attrs):
+def _check_closed_forms(tree, ctbs, sk, pk, ctx, key_drawn, enc_drawn, attrs):
     """Walk the decryption bottom-up, asserting every intermediate against
     its closed-form exponent."""
-    r = ktrace.r
-    shares = etrace.node_shares
-    secrets = etrace.level_secrets
+    r = key_drawn.r
+    shares = enc_drawn.node_shares(tree)
+    secrets = enc_drawn.level_secrets()
     n = len(ctbs)
     node_values = {}
 
@@ -306,8 +304,7 @@ def _check_closed_forms(tree, ctbs, sk, pk, ctx, ktrace, etrace, attrs):
                 assert blinded == blinded_expected, "blinded level secret"
                 assert alg.pair(ctb.encap, sk.d) / blinded == mask_expected, \
                     "mask key quotient"
-            db, nxt = decrypt_block(ctb, sk, unlocks[0])
-            opened[i] = db
+            opened[i], nxt = decrypt_block(ctb, sk, unlocks[0])
             if nxt is not None:
                 assert nxt == pk.g ** (secrets[i + 1] / ctx.q), "chain element"
                 chain[i + 1] = nxt
@@ -324,8 +321,8 @@ def test_c8_oracle_equivalence(suite):
         assert len(tree) <= 7
         leaves = sorted(tree.leaf_attributes())
         message = rng.randbytes(200)
-        etrace = EncryptionTrace()
-        ctbs = list(scheme.encrypt_message(message, tree, pk, ctx, rng, etrace))
+        with recording() as enc_drawn:
+            ctbs = list(scheme.encrypt_message(message, tree, pk, ctx, rng))
         for k in range(len(leaves) + 1):
             for combo in itertools.combinations(leaves, k):
                 attrs = set(combo)
@@ -334,13 +331,13 @@ def test_c8_oracle_equivalence(suite):
                 if not attrs:
                     assert not expected
                     continue
-                ktrace = KeygenTrace()
-                sk = scheme.keygen(pk, mk, attrs, rng, ktrace)
+                with recording() as key_drawn:
+                    sk = scheme.keygen(pk, mk, attrs, rng)
                 if expected:
                     opened = _check_closed_forms(
-                        tree, ctbs, sk, pk, ctx, ktrace, etrace, attrs)
+                        tree, ctbs, sk, pk, ctx, key_drawn, enc_drawn, attrs)
                     assert sorted(opened) == list(range(1, len(ctbs) + 1))
-                    payloads = [opened[i].payload for i in sorted(opened)]
+                    payloads = [opened[i] for i in sorted(opened)]
                     assert scheme.unchain_blocks(payloads, len(message)) == message
                 else:
                     state = DecryptionState(sk)

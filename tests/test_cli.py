@@ -1,4 +1,3 @@
-import csv
 import json
 import platform
 import random
@@ -215,26 +214,27 @@ def test_decrypt_through_simulated_link(runner, tmp_path):
     assert out.read_bytes() == msg.read_bytes()
 
 
+_BENCH_FIELDS = ["size_bytes", "enc_tx_sequential_s", "enc_tx_pipelined_s", "enc_tx_delta_s",
+                 "tx_dec_sequential_s", "tx_dec_pipelined_s", "tx_dec_delta_s",
+                 "max_block_enc_s", "min_block_tx_s"]
+
+
 def test_bench_command_writes_reports(runner, tmp_path):
-    out_csv = tmp_path / "bench.csv"
     out_json = tmp_path / "bench.json"
     res = runner.invoke(main, [
         "bench", "--sizes", "0.0625,0.125", "--levels", "3", "--leaves", "4",
         "--bandwidth", "2097152", "--latency", "0.05", "--runs", "1",
-        "--seed", "8", "--out-csv", str(out_csv), "--json", str(out_json),
+        "--seed", "8", "--json", str(out_json),
     ])
     assert res.exit_code == 0, res.output
-    with open(out_csv) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "size_bytes"
-    assert len(rows) == 3
     report = json.loads(out_json.read_text())
     assert (report["levels"], report["leaves"], report["runs"]) == (3, 4, 1)
     assert report["nproc"] >= 1 and report["python"] == platform.python_version()
     assert "commit" in report
-    assert [list(row) for row in report["rows"]] == [rows[0]] * 2
-    for row, csv_row in zip(report["rows"], rows[1:]):
-        assert list(row.values()) == pytest.approx([float(v) for v in csv_row], abs=1e-9)
+    assert [list(row) for row in report["rows"]] == [_BENCH_FIELDS] * 2
+    assert [row["size_bytes"] for row in report["rows"]] == [65536, 131072]
+    for row in report["rows"]:
+        assert all(isinstance(row[name], float) for name in _BENCH_FIELDS[1:])
 
 
 @pytest.fixture()
@@ -315,8 +315,39 @@ def test_out_of_range_option_is_usage_error(runner, tmp_path, four_block_message
     if command == "dr-decrypt":
         res = _dr_decrypt(runner, sk, store, mid, out, bad_args)
     else:
-        res = runner.invoke(main, [*_BENCH_ARGS, "--out-csv", str(out), *bad_args])
+        res = runner.invoke(main, [*_BENCH_ARGS, "--json", str(out), *bad_args])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert "Invalid value" in res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("message_id", ["a b", "", "x/../m1"])
+@pytest.mark.parametrize("command", ["ta-challenge", "do-encrypt", "dr-decrypt"])
+def test_bad_message_id_is_usage_error(runner, tmp_path, command, message_id):
+    # the store holds messages x and m1, so "x/../m1" names a real folder;
+    # a bad id is refused before any key file is read or block encrypted
+    keys = _setup_keys(runner, tmp_path)
+    sk = tmp_path / "sk.lcws"
+    assert _keygen(runner, keys, "a", sk).exit_code == 0
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"message")
+    store = tmp_path / "store"
+    encrypt = ["do-encrypt", str(msg), "--pk", str(keys / "pk.lcws"),
+               "--enc-ctx", str(keys / "enc-ctx.lcws"), "--policy", "(a OR b)",
+               "--store", str(store), "--seed", "10"]
+    for mid in ("x", "m1"):
+        assert runner.invoke(main, [*encrypt, "--message-id", mid]).exit_code == 0
+    before = sorted(store.rglob("*"))
+    out = tmp_path / "out"
+    args = {
+        "ta-challenge": ["ta-challenge", "--mk", str(keys / "mk.lcws"), "--store", str(store),
+                         "--out", str(out), "--seed", "11"],
+        "do-encrypt": encrypt,
+        "dr-decrypt": ["dr-decrypt", "--sk", str(sk), "--store", str(store), "--out", str(out)],
+    }[command]
+    res = runner.invoke(main, [*args, "--message-id", message_id])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Invalid value" in res.output and "bad message id" in res.output
+    assert not out.exists() and sorted(store.rglob("*")) == before

@@ -41,6 +41,9 @@ def test_bad_object_id_rejected(tmp_path):
         store.put("../evil/00001", b"x")
     with pytest.raises(ValueError):
         store.put("m1/not-a-number", b"x")
+    store.put("m1/00001", b"x")
+    with pytest.raises(ValueError):
+        store.list("x/../m1")
 
 
 def test_no_temp_files_left(tmp_path):

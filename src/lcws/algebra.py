@@ -79,7 +79,6 @@ def _naf_msb(k: int) -> list:
 
 
 _NAF_ORDER_MSB = _naf_msb(ORDER)
-_NAF_COFACTOR_MSB = _naf_msb(COFACTOR)
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +219,6 @@ def _affine_add(p1, p2):
     return (x3, (lam * (x1 - x3) - y1) % _Q)
 
 
-def _affine_mul_naf(p, naf_digits_msb):
-    if p is None:
-        return None
-    neg = _affine_neg(p)
-    acc = (p[0], p[1], 1)
-    for d in naf_digits_msb:
-        acc = _jac_double(acc)
-        if d == 1:
-            acc = _jac_add_affine(acc, p)
-        elif d == -1:
-            acc = _jac_add_affine(acc, neg)
-    return _jac_to_affine(acc)
-
-
 # Subgroup membership from x alone.  ORDER = 2^159 + 2^107 + 1, so [ORDER]P
 # is the sum of A = [2^159]P, B = [2^107]P and P.  Three points sum to the
 # identity for some choice of signs exactly when Semaev's third summation
@@ -272,6 +257,54 @@ def _in_prime_subgroup(x: int) -> bool:
     prod = (ua * ub - wa * wb) % _Q
     norm = (ua * ub + wa * wb) % _Q
     return (diff * diff % _Q * x * x - 2 * total * norm % _Q * x + prod * prod) % _Q == 0
+
+
+# Cofactor clearing.  y^2 = x^3 + x is the Montgomery curve B y^2 = x^3 +
+# A x^2 + x with A = 0 and B = 1, so [COFACTOR]P comes from Montgomery's
+# x-only ladder, whose two registers always differ by P: each step is one
+# differential addition and one of `_x_double`'s doublings.  y of
+# Q = [k]P then follows from P, x(Q) and x(Q + P) (Okeya and Sakurai,
+# CHES 2001):
+#   y(Q) = ((x x_Q + 1)(x + x_Q) - (x - x_Q)^2 x_{Q+P}) / (2y).
+# The differential addition breaks down only when the difference P has
+# x = 0, the point of order 2, which then ends in (0 : 0) and so reads as
+# the identity, as [COFACTOR]P is.  [COFACTOR + 1]P is never the identity
+# (COFACTOR + 1 shares no factor with q + 1), so x_{Q+P} is finite.
+
+_COFACTOR_BITS = tuple(bit == "1" for bit in bin(COFACTOR)[3:])
+
+
+def _clear_cofactor(p) -> Optional[Tuple[int, int]]:
+    """[COFACTOR]P for a curve point P, or None for the identity."""
+    x, y = p
+    u0, w0 = x, 1                            # R0 = P
+    u1, w1 = _x_double(x, 1, 1)              # R1 = 2P
+    swapped = False
+    for bit in _COFACTOR_BITS:
+        # bit 0: R1 <- R0 + R1, R0 <- 2 R0; bit 1: the same with R0 and R1
+        # exchanged, done lazily by swapping only where the bit changes
+        if bit != swapped:
+            u0, w0, u1, w1 = u1, w1, u0, w0
+            swapped = bit
+        s = u0 + w0
+        t = u0 - w0
+        da = (u1 - w1) * s % _Q
+        cb = (u1 + w1) * t % _Q
+        u1 = (da + cb) * (da + cb) % _Q
+        w1 = (da - cb) * (da - cb) % _Q * x % _Q
+        s = s * s % _Q
+        t = t * t % _Q
+        u0, w0 = 2 * s * t % _Q, (s - t) * (s + t) % _Q
+    if swapped:
+        u0, w0, u1, w1 = u1, w1, u0, w0
+    if w0 == 0:
+        return None
+    # x_Q = u0 / w0 and x_{Q+P} = u1 / w1, over the common denominator
+    # 2y w0^2 w1, inverted once
+    n = ((x * u0 + w0) * (x * w0 + u0) % _Q * w1 - (x * w0 - u0) ** 2 % _Q * u1) % _Q
+    d = 2 * y * w0 % _Q * w1 % _Q
+    inv = pow(d * w0, -1, _Q)
+    return (u0 * d % _Q * inv % _Q, n * inv % _Q)
 
 
 # Fixed-base comb exponentiation (Lim and Lee, CRYPTO '94).  An exponent
@@ -382,19 +415,28 @@ def _fq2_inv(u):
     return (a * n % _Q, (_Q - b) * n % _Q)
 
 
-def _fq2_pow_naf(u, naf_digits_after_leading):
-    """Unitary exponentiation (the inverse is the conjugate, so norm-1
-    inputs only); digit list excludes the leading 1 and the accumulator
-    starts at the base, matching `_affine_mul_naf`."""
-    inv = _fq2_conj(u)
-    acc = u
-    for d in naf_digits_after_leading:
-        acc = _fq2_sqr(acc)
-        if d == 1:
-            acc = _fq2_mul(acc, u)
-        elif d == -1:
-            acc = _fq2_mul(acc, inv)
-    return acc
+_HALF = (_Q + 1) // 2
+
+
+def _unitary_pow(u, k: int):
+    """u^k for u of norm 1 and k >= 0, by a Lucas ladder (as in Scott and
+    Barreto, "Compressed Pairings", CRYPTO 2004).  Since u^-1 = conj(u),
+    V_k = u^k + u^-k = 2 Re(u^k) lies in F_q, and the ladder keeps
+    (V_k, V_k+1) through V_2k = V_k^2 - 2 and V_2k+1 = V_k V_k+1 - V_1, at
+    two reductions a bit.  With u^k = c + d*i, c = V_k / 2 and
+    V_k+1 = 2(a c - b d) give d = (a V_k - V_k+1) / (2b)."""
+    a, b = u
+    if b == 0:
+        # u = +-1
+        return _FQ2_ONE if a == 1 or not k & 1 else u
+    v1 = 2 * a % _Q
+    v, w = 2, v1
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            v, w = (v * w - v1) % _Q, (w * w - 2) % _Q
+        else:
+            v, w = (v * v - 2) % _Q, (v * w - v1) % _Q
+    return (v * _HALF % _Q, (a * v - w) * pow(2 * b, -1, _Q) % _Q)
 
 
 # The same comb in the target group: the public key's egg_alpha keeps an
@@ -514,7 +556,7 @@ def _final_exponentiation(f):
     # f^((q^2-1)/ORDER) = (conj(f)/f)^COFACTOR; the first factor lands in
     # the norm-1 subgroup where conjugation inverts.
     g = _fq2_mul(_fq2_conj(f), _fq2_inv(f))
-    return _fq2_pow_naf(g, _NAF_COFACTOR_MSB)
+    return _unitary_pow(g, COFACTOR)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +725,7 @@ class GTElement:
             return GTElement(_FQ2_ONE)
         table = self._table
         if table is None:
-            return GTElement(_fq2_pow_naf(self._v, _naf_msb(e)))
+            return GTElement(_unitary_pow(self._v, e))
         if table is _NOT_BUILT:
             table = self._table = _build_fq2_comb(self._v)
         return GTElement(_fq2_comb_pow(table, e))
@@ -722,7 +764,7 @@ class GTElement:
         v = (a, b)
         if (a * a + b * b) % _Q != 1:
             raise DecodeError("element not in the unit-norm subgroup")
-        if _fq2_pow_naf(v, _NAF_ORDER_MSB) != _FQ2_ONE:
+        if _unitary_pow(v, ORDER) != _FQ2_ONE:
             raise DecodeError("element not in the pairing target subgroup")
         return cls(v)
 
@@ -767,8 +809,33 @@ def pair_ratio(a: G0Element, b: G0Element, c: G0Element, d: G0Element) -> GTElem
 # hashing and key derivation
 # ---------------------------------------------------------------------------
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for odd n > 0; for a prime n it is 0 on
+    multiples of n, 1 on the other squares and -1 on non-squares."""
+    a %= n
+    t = 1
+    while a:
+        z = (a & -a).bit_length() - 1
+        a >>= z
+        if z & 1 and n & 7 in (3, 5):
+            t = -t
+        if a & n & 3 == 3:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
+_MAX_TAG_BYTES = 255
+
+
 def _hash_to_curve(domain_tag: bytes, msg: bytes) -> Tuple[int, int]:
-    """Deterministic try-and-increment map onto the prime-order subgroup."""
+    """Deterministic try-and-increment map onto the prime-order subgroup:
+    the first counter whose x is on the curve gives P = (x, y) with y even,
+    and the result is [COFACTOR]P unless that is the identity.  A Jacobi
+    symbol, about a tenth of the cost of a square root, skips the counters
+    whose x is not on the curve."""
+    if len(domain_tag) > _MAX_TAG_BYTES:
+        raise ValueError(f"domain tag is {len(domain_tag)} bytes; the limit is {_MAX_TAG_BYTES}")
     framed = hashlib.sha512(_H2C_PREFIX + len(domain_tag).to_bytes(1, "big") + domain_tag)
     framed.update(msg)
     for counter in range(256):
@@ -777,12 +844,12 @@ def _hash_to_curve(domain_tag: bytes, msg: bytes) -> Tuple[int, int]:
         digest = attempt.digest()
         x = int.from_bytes(digest, "big") % _Q
         rhs = (x * x * x + x) % _Q
-        y = pow(rhs, _SQRT_EXP, _Q)
-        if y * y % _Q != rhs:
+        if _jacobi(rhs, _Q) < 0:
             continue
+        y = pow(rhs, _SQRT_EXP, _Q)
         if y & 1:
             y = _Q - y
-        cleared = _affine_mul_naf((x, y), _NAF_COFACTOR_MSB)
+        cleared = _clear_cofactor((x, y))
         if cleared is not None:
             return cleared
     raise RuntimeError("hash-to-group failed to find a curve point")  # pragma: no cover

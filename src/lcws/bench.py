@@ -3,7 +3,8 @@
 Per-block encryption and decryption durations are wall-clock measured on
 real ciphertext blocks; transmission durations come from the link model
 priced on the actual wire sizes.  Totals are then evaluated through the
-exact pipeline recurrences, and medians over repeated runs are reported.
+exact pipeline recurrences, and medians over repeated runs are reported,
+next to the median times of the primitives that dominate a block.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import pipeline, scheme, wire
+from . import algebra, pipeline, scheme, wire
 from .pipeline import LinkModel, StageTimes
 from .policy import AccessTree, parse_policy
 from .scheme import DecryptionState, EncryptionContext, PublicKey, SecretKey
@@ -78,6 +79,7 @@ class BenchReport:
     leaves: int
     runs: int
     rows: Tuple[BenchRow, ...]
+    primitives: Dict[str, float]     # name -> median milliseconds per call
 
     def __post_init__(self):
         sizes = [r.size for r in self.rows]
@@ -104,6 +106,8 @@ class BenchReport:
             "python": "%d.%d.%d" % sys.version_info[:3],
             "commit": _commit(),
             "rows": [dict(zip(self._FIELDS, self._values(row))) for row in self.rows],
+            "primitives": {name: {"median": ms, "unit": "ms"}
+                           for name, ms in self.primitives.items()},
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
@@ -165,6 +169,44 @@ def measure_stage_times(message: bytes, tree: AccessTree, pk: PublicKey,
     return StageTimes(enc_times, tx_times, dec_times)
 
 
+_PRIMITIVE_CALLS = 15
+
+
+def measure_primitives(rng: random.Random) -> Dict[str, float]:
+    """Median milliseconds per call, each call on a fresh input, of an
+    attribute hash that misses the cache, a final exponentiation, a power
+    of a target-group element without a table, and the validation of a
+    decoded source-group point."""
+    q = algebra.FIELD_PRIME
+    calls = _PRIMITIVE_CALLS
+    g = algebra.generator()
+    gt = algebra.pair(g, g ** algebra.random_nonzero_scalar(rng))
+    cases = {
+        "hash_to_g0_uncached": (
+            lambda name: algebra._hash_to_curve(algebra.TAG_ATTRIBUTE, name),
+            [b"bench:primitive:%d" % rng.getrandbits(64) for _ in range(calls)]),
+        "final_exponentiation": (
+            algebra._final_exponentiation,
+            [(rng.randrange(1, q), rng.randrange(1, q)) for _ in range(calls)]),
+        "gt_pow": (
+            lambda k: gt ** k,
+            [algebra.random_nonzero_scalar(rng) for _ in range(calls)]),
+        "g0_validate": (
+            lambda data: algebra.G0Element.deserialize(data).validate(),
+            [(g ** algebra.random_nonzero_scalar(rng)).serialize() for _ in range(calls)]),
+    }
+    clock = time.perf_counter
+    out = {}
+    for name, (call, inputs) in cases.items():
+        times = []
+        for arg in inputs:
+            t0 = clock()
+            call(arg)
+            times.append(clock() - t0)
+        out[name] = 1000 * _median(times)
+    return out
+
+
 def run_bench(sizes: Sequence[int], levels: int, leaves: int, link: LinkModel,
               runs: int = 5, seed: Optional[int] = None, warmup: bool = True) -> BenchReport:
     """Sweep message sizes over the synthetic policy with its spread key;
@@ -214,4 +256,5 @@ def run_bench(sizes: Sequence[int], levels: int, leaves: int, link: LinkModel,
             max_block_enc=max(med.enc),
             min_block_tx=min(med.tx),
         ))
-    return BenchReport(levels=levels, leaves=leaves, runs=runs, rows=tuple(rows))
+    return BenchReport(levels=levels, leaves=leaves, runs=runs, rows=tuple(rows),
+                       primitives=measure_primitives(rng))

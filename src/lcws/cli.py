@@ -234,7 +234,8 @@ def dr_verify(message_file, v_path):
 @click.option("--runs", type=click.IntRange(min=1), default=5)
 @click.option("--seed", type=int, default=None)
 @click.option("--json", "json_path", type=click.Path(path_type=Path), required=True,
-              help="Report: the rows with nproc, the Python version and the commit.")
+              help="Report: the rows, the primitive timings, nproc, the Python version"
+                   " and the commit.")
 @_exit_codes
 def bench(sizes, levels, leaves, bandwidth, latency, runs, seed, json_path):
     """Sweep message sizes and compare sequential vs pipelined totals."""
@@ -251,6 +252,8 @@ def bench(sizes, levels, leaves, bandwidth, latency, runs, seed, json_path):
             f"delta={row.enc_delta:.3f}s | tx-dec: seq={row.dec_seq:.3f}s "
             f"pipe={row.dec_pipe:.3f}s delta={row.dec_delta:.3f}s"
         )
+    click.echo("primitives (median): " + " ".join(
+        f"{name}={ms:.2f}ms" for name, ms in report.primitives.items()))
 
 
 if __name__ == "__main__":

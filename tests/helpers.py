@@ -1,5 +1,6 @@
-"""Shared generators for randomized policy/key trials, and a recorder of
-the secrets keygen and encryption draw."""
+"""Shared generators for randomized policy/key trials, a recorder of the
+secrets keygen and encryption draw, and the plain NAF exponentiations that
+tests compare the package's ladders and combs against."""
 
 from __future__ import annotations
 
@@ -7,9 +8,39 @@ import contextlib
 import random
 from typing import Dict, Iterator, List, Set, Tuple
 
-from lcws import scheme
+from lcws import algebra, scheme
 from lcws.algebra import Scalar
 from lcws.policy import AccessNode, AccessTree, satisfies
+
+
+def affine_mul_naf(p, naf_digits_msb):
+    """[k]P by NAF double-and-add in Jacobian coordinates, from the NAF
+    digits of k >= 1 without the leading 1; None is the identity."""
+    if p is None:
+        return None
+    neg = algebra._affine_neg(p)
+    acc = (p[0], p[1], 1)
+    for d in naf_digits_msb:
+        acc = algebra._jac_double(acc)
+        if d == 1:
+            acc = algebra._jac_add_affine(acc, p)
+        elif d == -1:
+            acc = algebra._jac_add_affine(acc, neg)
+    return algebra._jac_to_affine(acc)
+
+
+def fq2_pow_naf(u, naf_digits_msb):
+    """u^k for u of norm 1 in F_q^2 (whose inverse is its conjugate) by NAF
+    square-and-multiply, with the digits as for `affine_mul_naf`."""
+    inv = algebra._fq2_conj(u)
+    acc = u
+    for d in naf_digits_msb:
+        acc = algebra._fq2_sqr(acc)
+        if d == 1:
+            acc = algebra._fq2_mul(acc, u)
+        elif d == -1:
+            acc = algebra._fq2_mul(acc, inv)
+    return acc
 
 
 class Drawn:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import gcd
 
@@ -6,6 +7,8 @@ import pytest
 from lcws import algebra as alg
 from lcws.algebra import G0Element, GTElement, Scalar
 from lcws.errors import DecodeError
+
+from helpers import affine_mul_naf, fq2_pow_naf
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -174,7 +177,7 @@ def _mul(p, k):
     """Plain double-and-add [k]P for k >= 1; None is the identity."""
     if k == 1:
         return p
-    return alg._affine_mul_naf(p, alg._naf_msb(k))
+    return affine_mul_naf(p, alg._naf_msb(k))
 
 
 def _oracle_in_subgroup(p):
@@ -361,6 +364,84 @@ def test_lines_recorded_once_per_fixed_base_and_never_kept_on_a_plain_one(monkey
     assert plain._line_table is None
     # the generator is one fixed base, so its lines are shared process-wide
     assert len(G._line_table) == len(alg._NAF_ORDER_MSB)
+
+
+# ---------------------------------------------------------------------------
+# hash to G0 and the unitary powers against the NAF oracles
+# ---------------------------------------------------------------------------
+
+_NAF_COFACTOR = alg._naf_msb(alg.COFACTOR)
+
+
+def _oracle_hash_to_curve(tag, msg):
+    """Try-and-increment with a square root per counter and [COFACTOR]P by NAF."""
+    q = alg.FIELD_PRIME
+    for counter in range(256):
+        framed = alg._H2C_PREFIX + bytes([len(tag)]) + tag + msg + bytes([counter])
+        x = int.from_bytes(hashlib.sha512(framed).digest(), "big") % q
+        rhs = (x * x * x + x) % q
+        y = pow(rhs, alg._SQRT_EXP, q)
+        if y * y % q != rhs:
+            continue
+        cleared = affine_mul_naf((x, q - y if y & 1 else y), _NAF_COFACTOR)
+        if cleared is not None:
+            return cleared
+    raise AssertionError("no counter gave a point")
+
+
+def test_hash_to_curve_matches_the_naf_oracle():
+    rng = random.Random(61)
+    tags = (alg.TAG_ATTRIBUTE, alg.TAG_MESSAGE, b"", bytes(range(255)))
+    for i in range(200):
+        tag, msg = tags[i % 4], rng.randbytes(rng.randrange(64))
+        assert alg._hash_to_curve(tag, msg) == _oracle_hash_to_curve(tag, msg), (tag, msg)
+    assert G._p == _oracle_hash_to_curve(alg._TAG_GENERATOR, alg.SUITE_ID.encode("ascii"))
+
+
+def test_hash_rejects_a_domain_tag_over_255_bytes():
+    with pytest.raises(ValueError, match="limit is 255"):
+        alg.hash_to_g0(b"t" * 256, b"m")
+    assert not alg.hash_to_g0(b"t" * 255, b"m").is_identity()
+
+
+def test_cofactor_ladder_matches_the_naf_oracle_on_points_of_every_order():
+    rng = random.Random(62)
+    subgroup = [(G ** alg.random_nonzero_scalar(rng))._p for _ in range(4)]
+    small = [_point_of_order(d, rng) for d in _SMALL_ORDERS]
+    mixed = [alg._affine_add(s, t) for s, t in zip(subgroup * 3, small)]
+    cases = small + mixed + subgroup + [_random_curve_point(rng) for _ in range(10)]
+    for point in cases + [alg._affine_neg(p) for p in cases]:
+        assert alg._clear_cofactor(point) == affine_mul_naf(point, _NAF_COFACTOR), point
+    # [COFACTOR]P is the identity exactly on the points of small order
+    assert all(alg._clear_cofactor(p) is None for p in small)
+    assert not any(alg._clear_cofactor(p) is None for p in mixed + subgroup)
+
+
+def test_unitary_pow_matches_the_naf_oracle():
+    rng = random.Random(63)
+    q = alg.FIELD_PRIME
+    units = [(1, 0), (q - 1, 0), (0, 1), (0, q - 1), E_GG._v]
+    for _ in range(6):
+        f = (rng.randrange(1, q), rng.randrange(1, q))
+        units.append(alg._fq2_mul(alg._fq2_conj(f), alg._fq2_inv(f)))
+    for u in units:
+        assert (u[0] * u[0] + u[1] * u[1]) % q == 1
+        for k in (0, 1, 2, 3, alg.ORDER - 1, alg.ORDER, alg.COFACTOR, rng.randrange(alg.ORDER)):
+            expected = alg._FQ2_ONE if k == 0 else fq2_pow_naf(u, alg._naf_msb(k))
+            assert alg._unitary_pow(u, k) == expected, (u, k)
+
+
+def test_jacobi_agrees_with_euler_criterion():
+    rng = random.Random(64)
+    for n in (3, 5, 7, 11, 13, 17, 19, 23, 10007, alg.FIELD_PRIME):
+        values = [0, n, 1, n - 1, -1, 2 * n + 3] + [rng.randrange(n) for _ in range(100)]
+        values += [v * v for v in values]
+        symbols = set()
+        for a in values:
+            euler = pow(a, (n - 1) // 2, n)
+            symbols.add(alg._jacobi(a, n))
+            assert alg._jacobi(a, n) == (-1 if euler == n - 1 else euler), (a, n)
+        assert symbols == {-1, 0, 1}
 
 
 # ---------------------------------------------------------------------------

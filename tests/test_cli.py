@@ -235,6 +235,10 @@ def test_bench_command_writes_reports(runner, tmp_path):
     assert [row["size_bytes"] for row in report["rows"]] == [65536, 131072]
     for row in report["rows"]:
         assert all(isinstance(row[name], float) for name in _BENCH_FIELDS[1:])
+    primitives = report["primitives"]
+    assert sorted(primitives) == ["final_exponentiation", "g0_validate", "gt_pow",
+                                  "hash_to_g0_uncached"]
+    assert all(p["unit"] == "ms" and p["median"] > 0 for p in primitives.values())
 
 
 @pytest.fixture()

@@ -9,7 +9,7 @@ from lcws.algebra import SUITE_ID
 from lcws.errors import DecodeError
 from lcws.policy import parse_policy
 
-from helpers import random_policy
+from helpers import affine_mul_naf, random_policy
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +231,7 @@ def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_bl
     assert len(seen) > 20
     order_naf = algebra._naf_msb(algebra.ORDER)
     for point in seen:
-        assert algebra._affine_mul_naf(point, order_naf) is None, point
+        assert affine_mul_naf(point, order_naf) is None, point
 
 
 def test_ctb_rejects_non_text_fields(corpus):

@@ -259,28 +259,27 @@ def _in_prime_subgroup(x: int) -> bool:
     return (diff * diff % _Q * x * x - 2 * total * norm % _Q * x + prod * prod) % _Q == 0
 
 
-# Cofactor clearing.  y^2 = x^3 + x is the Montgomery curve B y^2 = x^3 +
-# A x^2 + x with A = 0 and B = 1, so [COFACTOR]P comes from Montgomery's
-# x-only ladder, whose two registers always differ by P: each step is one
-# differential addition and one of `_x_double`'s doublings.  y of
-# Q = [k]P then follows from P, x(Q) and x(Q + P) (Okeya and Sakurai,
-# CHES 2001):
+# Scalar multiplication of a one-use base.  y^2 = x^3 + x is the Montgomery
+# curve B y^2 = x^3 + A x^2 + x with A = 0 and B = 1, so [k]P comes from
+# Montgomery's x-only ladder, whose two registers always differ by P: each
+# step is one differential addition and one of `_x_double`'s doublings, and
+# no table is built.  y of Q = [k]P then follows from P, x(Q) and x(Q + P)
+# (Okeya and Sakurai, CHES 2001):
 #   y(Q) = ((x x_Q + 1)(x + x_Q) - (x - x_Q)^2 x_{Q+P}) / (2y).
-# The differential addition breaks down only when the difference P has
-# x = 0, the point of order 2, which then ends in (0 : 0) and so reads as
-# the identity, as [COFACTOR]P is.  [COFACTOR + 1]P is never the identity
-# (COFACTOR + 1 shares no factor with q + 1), so x_{Q+P} is finite.
+# Where Q + P is the identity, x_{Q+P} is infinite and Q = -P.  The
+# differential addition breaks down only when the difference P is (0, 0),
+# the point of order 2, which is therefore handled apart.  The cofactor
+# clearing of `_hash_to_curve` is one caller.
 
-_COFACTOR_BITS = tuple(bit == "1" for bit in bin(COFACTOR)[3:])
-
-
-def _clear_cofactor(p) -> Optional[Tuple[int, int]]:
-    """[COFACTOR]P for a curve point P, or None for the identity."""
+def _ladder(p, k: int) -> Optional[Tuple[int, int]]:
+    """[k]P for a curve point P and k >= 1, or None for the identity."""
     x, y = p
+    if y == 0:
+        return None if k % 2 == 0 else p
     u0, w0 = x, 1                            # R0 = P
     u1, w1 = _x_double(x, 1, 1)              # R1 = 2P
-    swapped = False
-    for bit in _COFACTOR_BITS:
+    swapped = 0
+    for bit in map(int, bin(k)[3:]):
         # bit 0: R1 <- R0 + R1, R0 <- 2 R0; bit 1: the same with R0 and R1
         # exchanged, done lazily by swapping only where the bit changes
         if bit != swapped:
@@ -299,6 +298,8 @@ def _clear_cofactor(p) -> Optional[Tuple[int, int]]:
         u0, w0, u1, w1 = u1, w1, u0, w0
     if w0 == 0:
         return None
+    if w1 == 0:
+        return (x, _Q - y)
     # x_Q = u0 / w0 and x_{Q+P} = u1 / w1, over the common denominator
     # 2y w0^2 w1, inverted once
     n = ((x * u0 + w0) * (x * w0 + u0) % _Q * w1 - (x * w0 - u0) ** 2 % _Q * u1) % _Q
@@ -646,6 +647,15 @@ class G0Element:
             table = self._table = _build_comb(p, _WIDE_TEETH)
         return G0Element(_comb_pow(table, e))
 
+    def pow_one_use(self, k) -> "G0Element":
+        """The same element as `self ** k`, by the x-only ladder, for a base
+        that is raised only once: no comb table is built or cached."""
+        p = self._p
+        e = _exponent(k)
+        if p is None or e == 0:
+            return G0Element(None)
+        return G0Element(_ladder(p, e))
+
     def inverse(self) -> "G0Element":
         return G0Element(_affine_neg(self._p))
 
@@ -773,6 +783,17 @@ class GTElement:
         return cls(_FQ2_ONE)
 
 
+def _lines_of(u: G0Element, p):
+    """The Miller-loop lines of u, whose validated point is p: kept on a
+    fixed base from its first pairing on, recorded afresh on any other."""
+    lines = u._line_table
+    if lines is None:
+        return _lines(p)
+    if lines is _NOT_BUILT:
+        lines = u._line_table = _lines(p)
+    return lines
+
+
 def _pairing_product(pairs) -> GTElement:
     """The product of pair(u, v), or of its inverse where `inverted`, over
     (u, v, inverted) triples, with one final exponentiation.  The pairing
@@ -784,12 +805,7 @@ def _pairing_product(pairs) -> GTElement:
             continue
         if u._line_table is None and v._line_table is not None:
             u, p, q = v, q, p
-        lines = u._line_table
-        if lines is None:
-            lines = _lines(p)
-        elif lines is _NOT_BUILT:
-            lines = u._line_table = _lines(p)
-        terms.append((lines, q, inverted))
+        terms.append((_lines_of(u, p), q, inverted))
     if not terms:
         return GTElement.one()
     return GTElement(_miller_product(terms))
@@ -828,12 +844,11 @@ def _jacobi(a: int, n: int) -> int:
 _MAX_TAG_BYTES = 255
 
 
-def _hash_to_curve(domain_tag: bytes, msg: bytes) -> Tuple[int, int]:
-    """Deterministic try-and-increment map onto the prime-order subgroup:
-    the first counter whose x is on the curve gives P = (x, y) with y even,
-    and the result is [COFACTOR]P unless that is the identity.  A Jacobi
-    symbol, about a tenth of the cost of a square root, skips the counters
-    whose x is not on the curve."""
+def _curve_points(domain_tag: bytes, msg: bytes):
+    """Deterministic try-and-increment: the point P = (x, y), y even, of each
+    counter in turn whose x is on the curve.  A Jacobi symbol, about a tenth
+    of the cost of a square root, skips the counters whose x is not; past
+    the last counter it raises `RuntimeError`."""
     if len(domain_tag) > _MAX_TAG_BYTES:
         raise ValueError(f"domain tag is {len(domain_tag)} bytes; the limit is {_MAX_TAG_BYTES}")
     framed = hashlib.sha512(_H2C_PREFIX + len(domain_tag).to_bytes(1, "big") + domain_tag)
@@ -847,12 +862,17 @@ def _hash_to_curve(domain_tag: bytes, msg: bytes) -> Tuple[int, int]:
         if _jacobi(rhs, _Q) < 0:
             continue
         y = pow(rhs, _SQRT_EXP, _Q)
-        if y & 1:
-            y = _Q - y
-        cleared = _clear_cofactor((x, y))
+        yield (x, _Q - y if y & 1 else y)
+    raise RuntimeError("hash-to-group failed to find a curve point")  # pragma: no cover
+
+
+def _hash_to_curve(domain_tag: bytes, msg: bytes) -> Tuple[int, int]:
+    """The map onto the prime-order subgroup: [COFACTOR]P for the first of
+    `_curve_points` where that is not the identity."""
+    for p in _curve_points(domain_tag, msg):
+        cleared = _ladder(p, COFACTOR)
         if cleared is not None:
             return cleared
-    raise RuntimeError("hash-to-group failed to find a curve point")  # pragma: no cover
 
 
 # Attribute and generator hashes recur across keys and blocks, so they are
@@ -882,6 +902,35 @@ def generator() -> G0Element:
     """The fixed public generator of the source group: always the same
     element, so every exponentiation of it shares one wide comb table."""
     return _GENERATOR
+
+
+# The verifier's check pair(H(m), v2) = pair(v1, g), without clearing the
+# cofactor h.  H(m) = [h]R for the first point R of `_curve_points`, and the
+# reduced Tate pairing is bilinear in its second argument over all of
+# E(F_q^2) (Galbraith, Paterson and Smart, "Pairings for cryptographers",
+# 2008), so with v2 of order ORDER as the Miller point,
+# pair(v2, [h]R) = pair(v2, R)^h.  With g = [h]G' for G' = [h^-1 mod ORDER]g,
+# the check is the h-th power of pair(v2, R) = pair(v1, G'), and h is prime
+# to ORDER, so the two hold together.  They differ only for a message whose
+# R has [h]R = O, a chance of 1/ORDER (about 2^-160): `hash_to_g0` moves on
+# to the next counter there, while this check pairs with that R.  G' keeps
+# its lines from the first check on and never gets a comb table.
+_G_PRIME = G0Element(_ladder(_GENERATOR._p, pow(COFACTOR, -1, ORDER)))
+_G_PRIME._line_table = _NOT_BUILT
+
+
+def check_message_pairing(msg: bytes, v1: G0Element, v2: G0Element) -> bool:
+    """Whether pair(hash_to_g0(TAG_MESSAGE, msg), v2) == pair(v1, generator()),
+    up to the 2^-160 case above, with one final exponentiation.  v1 and v2
+    are validated first, so a corrupt one raises `DecodeError`."""
+    p, q = v2._p, v1._p
+    terms = []
+    if p is not None:
+        r = next(_curve_points(TAG_MESSAGE, bytes(msg)))
+        terms.append((_lines_of(v2, p), r, False))
+    if q is not None:
+        terms.append((_lines_of(_G_PRIME, _G_PRIME._p), q, True))
+    return not terms or _miller_product(terms) == _FQ2_ONE
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

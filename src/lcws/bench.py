@@ -170,17 +170,30 @@ def measure_stage_times(message: bytes, tree: AccessTree, pk: PublicKey,
 
 
 _PRIMITIVE_CALLS = 15
+_VERIFY_MESSAGE_BYTES = 16 * 1024
 
 
 def measure_primitives(rng: random.Random) -> Dict[str, float]:
     """Median milliseconds per call, each call on a fresh input, of an
     attribute hash that misses the cache, a final exponentiation, a power
-    of a target-group element without a table, and the validation of a
-    decoded source-group point."""
+    of a target-group element without a table, the validation of a decoded
+    source-group point, the check of a 16 KiB message against its
+    verification tuple, the recording of one point's Miller-loop lines, and
+    a one-use source-group power by the ladder."""
     q = algebra.FIELD_PRIME
     calls = _PRIMITIVE_CALLS
     g = algebra.generator()
     gt = algebra.pair(g, g ** algebra.random_nonzero_scalar(rng))
+
+    def subgroup_point():
+        return g ** algebra.random_nonzero_scalar(rng)
+
+    def verification_case():
+        message = rng.randbytes(_VERIFY_MESSAGE_BYTES)
+        t = algebra.random_nonzero_scalar(rng)
+        h = algebra.hash_to_g0(algebra.TAG_MESSAGE, message)
+        return message, scheme.VerificationTuple(v1=h.pow_one_use(t), v2=g ** t)
+
     cases = {
         "hash_to_g0_uncached": (
             lambda name: algebra._hash_to_curve(algebra.TAG_ATTRIBUTE, name),
@@ -193,7 +206,16 @@ def measure_primitives(rng: random.Random) -> Dict[str, float]:
             [algebra.random_nonzero_scalar(rng) for _ in range(calls)]),
         "g0_validate": (
             lambda data: algebra.G0Element.deserialize(data).validate(),
-            [(g ** algebra.random_nonzero_scalar(rng)).serialize() for _ in range(calls)]),
+            [subgroup_point().serialize() for _ in range(calls)]),
+        "verify_message": (
+            lambda case: scheme.verify_message(*case),
+            [verification_case() for _ in range(calls)]),
+        "lines": (
+            algebra._lines,
+            [subgroup_point()._p for _ in range(calls)]),
+        "g0_pow_one_use": (
+            lambda case: case[0].pow_one_use(case[1]),
+            [(subgroup_point(), algebra.random_nonzero_scalar(rng)) for _ in range(calls)]),
     }
     clock = time.perf_counter
     out = {}

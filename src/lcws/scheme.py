@@ -26,6 +26,7 @@ from .algebra import (
     Scalar,
     TAG_ATTRIBUTE,
     TAG_MESSAGE,
+    check_message_pairing,
     generator,
     hash_to_g0,
     kdf_mask,
@@ -190,7 +191,7 @@ def unchain_blocks(payloads: Iterable[bytes], total_len: int) -> bytes:
 def data_verification(message: bytes, keys) -> G0Element:
     """Commitment to the plaintext, bound by the authority's challenge
     scalar; `keys` is anything carrying that scalar as `.k`."""
-    return hash_to_g0(TAG_MESSAGE, message) ** keys.k
+    return hash_to_g0(TAG_MESSAGE, message).pow_one_use(keys.k)
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +592,13 @@ def make_challenge(commitment: G0Element, mk: MasterKey, rng=None) -> Verificati
     rng = _rng_or_default(rng)
     t = random_nonzero_scalar(rng)
     return VerificationTuple(
-        v1=commitment ** (t / mk.k),
+        v1=commitment.pow_one_use(t / mk.k),
         v2=generator() ** t,
     )
 
 
 def verify_message(message: bytes, v: VerificationTuple) -> bool:
-    """Pairing check that the decrypted plaintext matches the committed one."""
-    return pair_ratio(hash_to_g0(TAG_MESSAGE, message), v.v2, v.v1, generator()).is_identity()
+    """Pairing check that the decrypted plaintext matches the committed one:
+    pair(H(m), v2) == pair(v1, g), evaluated without clearing H(m)'s
+    cofactor (see `algebra.check_message_pairing`)."""
+    return check_message_pairing(message, v.v1, v.v2)

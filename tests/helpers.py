@@ -1,6 +1,7 @@
 """Shared generators for randomized policy/key trials, a recorder of the
-secrets keygen and encryption draw, and the plain NAF exponentiations that
-tests compare the package's ladders and combs against."""
+secrets keygen and encryption draw, the plain NAF exponentiations that
+tests compare the package's ladders and combs against, and the verifier's
+check as the scheme defines it."""
 
 from __future__ import annotations
 
@@ -41,6 +42,14 @@ def fq2_pow_naf(u, naf_digits_msb):
         elif d == -1:
             acc = algebra._fq2_mul(acc, inv)
     return acc
+
+
+def verify_message_reference(message: bytes, v: scheme.VerificationTuple) -> bool:
+    """pair(H(m), v2) = pair(v1, g) with the cofactor-cleared H(m) of
+    `hash_to_g0`: the check `scheme.verify_message` evaluates without
+    clearing the cofactor."""
+    h = algebra.hash_to_g0(algebra.TAG_MESSAGE, message)
+    return algebra.pair_ratio(h, v.v2, v.v1, algebra.generator()).is_identity()
 
 
 class Drawn:

@@ -411,10 +411,46 @@ def test_cofactor_ladder_matches_the_naf_oracle_on_points_of_every_order():
     mixed = [alg._affine_add(s, t) for s, t in zip(subgroup * 3, small)]
     cases = small + mixed + subgroup + [_random_curve_point(rng) for _ in range(10)]
     for point in cases + [alg._affine_neg(p) for p in cases]:
-        assert alg._clear_cofactor(point) == affine_mul_naf(point, _NAF_COFACTOR), point
+        assert alg._ladder(point, alg.COFACTOR) == affine_mul_naf(point, _NAF_COFACTOR), point
     # [COFACTOR]P is the identity exactly on the points of small order
-    assert all(alg._clear_cofactor(p) is None for p in small)
-    assert not any(alg._clear_cofactor(p) is None for p in mixed + subgroup)
+    assert all(alg._ladder(p, alg.COFACTOR) is None for p in small)
+    assert not any(alg._ladder(p, alg.COFACTOR) is None for p in mixed + subgroup)
+
+
+def test_ladder_matches_the_naf_oracle_on_one_use_exponents():
+    rng = random.Random(65)
+    subgroup = [(G ** alg.random_nonzero_scalar(rng))._p for _ in range(3)]
+    points = subgroup + [_random_curve_point(rng) for _ in range(3)]
+    small = [_point_of_order(d, rng) for d in _SMALL_ORDERS]
+    exponents = (1, 2, 3, alg.ORDER - 2, alg.ORDER - 1, rng.getrandbits(160) | 1 << 159,
+                 alg.COFACTOR)
+    for point in points + small:
+        for k in exponents:
+            assert alg._ladder(point, k) == _mul(point, k), (point, k)
+    # k = ORDER - 1 takes the branch where [k + 1]P is the identity: -P
+    assert all(alg._ladder(p, alg.ORDER - 1) == alg._affine_neg(p) for p in subgroup)
+    assert alg._ladder(small[0], 3) == small[0] and alg._ladder(small[0], 2) is None
+
+
+def test_one_use_power_equals_the_comb_power_and_builds_no_table(monkeypatch):
+    rng = random.Random(66)
+    bases = [G ** alg.random_nonzero_scalar(rng) for _ in range(3)]
+    expected = [[base ** k for k in _exponents(67)] for base in bases]
+    monkeypatch.setattr(alg, "_build_comb", None)
+    for base, powers in zip(bases, expected):
+        one_use = [base.pow_one_use(k) for k in _exponents(67)]
+        assert [p.serialize() for p in one_use] == [p.serialize() for p in powers]
+    assert G0Element.identity().pow_one_use(5).is_identity()
+    corrupt = bytearray(G.serialize())
+    corrupt[-1] ^= 1
+    with pytest.raises(DecodeError):
+        G0Element.deserialize(bytes(corrupt)).pow_one_use(5)
+
+
+def test_verifier_base_is_the_generator_over_the_cofactor():
+    g_prime = alg._G_PRIME
+    assert G0Element(g_prime._p) ** alg.COFACTOR == G
+    assert g_prime._table is None
 
 
 def test_unitary_pow_matches_the_naf_oracle():

@@ -236,8 +236,9 @@ def test_bench_command_writes_reports(runner, tmp_path):
     for row in report["rows"]:
         assert all(isinstance(row[name], float) for name in _BENCH_FIELDS[1:])
     primitives = report["primitives"]
-    assert sorted(primitives) == ["final_exponentiation", "g0_validate", "gt_pow",
-                                  "hash_to_g0_uncached"]
+    assert sorted(primitives) == ["final_exponentiation", "g0_pow_one_use", "g0_validate",
+                                  "gt_pow", "hash_to_g0_uncached", "lines",
+                                  "verify_message"]
     assert all(p["unit"] == "ms" and p["median"] > 0 for p in primitives.values())
 
 

@@ -25,7 +25,8 @@ from lcws.scheme import (
     verify_message,
 )
 
-from helpers import random_policy, recording, satisfying_attrs, unsatisfying_attrs
+from helpers import (random_policy, recording, satisfying_attrs, unsatisfying_attrs,
+                     verify_message_reference)
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -675,6 +676,40 @@ def test_verify_honest_and_tampered(suite):
     flipped = bytearray(msg)
     flipped[0] ^= 1
     assert not verify_message(bytes(flipped), v)
+
+
+def test_verify_matches_the_cleared_hash_reference(suite):
+    # genuine, one-bit-flipped and truncated messages under five challenge
+    # tuples, every message under every other tuple, and tuples with v1, v2
+    # or both the identity
+    _, mk, _ = suite
+    rng = random.Random(26)
+    messages, tuples = [], []
+    for _ in range(5):
+        msg = rng.randbytes(rng.randrange(2, 200))
+        v = make_challenge(scheme.data_verification(msg, mk), mk, rng)
+        candidates = [msg]
+        for _ in range(20):
+            flipped = bytearray(msg)
+            bit = rng.randrange(8 * len(msg))
+            flipped[bit // 8] ^= 1 << bit % 8
+            candidates.append(bytes(flipped))
+        candidates += [msg[:rng.randrange(len(msg))] for _ in range(19)]
+        verdicts = [verify_message(m, v) for m in candidates]
+        assert verdicts == [verify_message_reference(m, v) for m in candidates]
+        assert verdicts == [True] + [False] * 39
+        messages.append(msg)
+        tuples.append(v)
+    for i, v in enumerate(tuples):
+        for j, msg in enumerate(messages):
+            assert verify_message(msg, v) == verify_message_reference(msg, v) == (i == j)
+    identity = G0Element.identity()
+    v = tuples[0]
+    for forged, expected in ((scheme.VerificationTuple(v1=identity, v2=v.v2), False),
+                             (scheme.VerificationTuple(v1=v.v1, v2=identity), False),
+                             (scheme.VerificationTuple(v1=identity, v2=identity), True)):
+        for msg in messages:
+            assert verify_message(msg, forged) == verify_message_reference(msg, forged) == expected
 
 
 def test_verify_wrong_challenge_exponent(suite):

@@ -195,14 +195,33 @@ def test_corrupt_key_file_point_fails_on_first_use(suite, three_blocks):
             use(decoded)
 
 
+def _message_curve_point(msg):
+    """The point R whose [COFACTOR]R is H(msg): the first counter's curve
+    point, y even, recomputed from the hash's framing with hashlib alone."""
+    q = algebra.FIELD_PRIME
+    for counter in range(256):
+        framed = b"lcws-h2c-v1" + bytes([2]) + b"Hv" + msg + bytes([counter])
+        x = int.from_bytes(hashlib.sha512(framed).digest(), "big") % q
+        rhs = (x * x * x + x) % q
+        y = pow(rhs, (q + 1) // 4, q)
+        if y * y % q == rhs:
+            return (x, q - y if y & 1 else y)
+    raise AssertionError("no counter gave a point")
+
+
 def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_blocks,
                                                                   monkeypatch):
     # every point whose Miller-loop lines are recorded, every point a
     # product of pairings evaluates them at, and every point handed to point
-    # addition, a comb table build or a comb exponentiation is a prime-order
-    # subgroup point, also while corrupt blocks and key files are being
-    # decrypted and checked
+    # addition, a comb table build, a comb exponentiation or a one-use
+    # ladder power is a prime-order subgroup point, also while corrupt blocks
+    # and key files are being decrypted and checked.  The one exception is
+    # the verifier's own R, the message hash before its cofactor is cleared,
+    # at which it evaluates v2's lines by design
+    msg, ctbs, sk = three_blocks
+    r_point = _message_curve_point(msg)
     seen = set()
+    at_r = []
 
     def watch(name, points):
         real = getattr(algebra, name)
@@ -212,13 +231,19 @@ def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_bl
             return real(*args)
         monkeypatch.setattr(algebra, name, wrapper)
 
+    def evaluation_points(terms):
+        points = [q for _, q, _ in terms]
+        at_r.extend(p for p in points if p == r_point)
+        return [p for p in points if p != r_point]
+
     watch("_lines", lambda p: (p,))
-    watch("_miller_product", lambda terms: [q for _, q, _ in terms])
+    watch("_miller_product", evaluation_points)
     watch("_affine_add", lambda p1, p2: (p1, p2))
     watch("_build_comb", lambda point, teeth: (point,))
     watch("_comb_pow", lambda table, k: (table[1],))
+    # every ladder power but a hash's cofactor clearing
+    watch("_ladder", lambda p, k: (p,) if k != algebra.COFACTOR else ())
     algebra._comb_table.cache_clear()
-    msg, ctbs, sk = three_blocks
     blobs = [wire.encode_ctb(ctb, "m") for ctb in ctbs]
     blobs[1] = _corrupt(blobs[1], _leaf_components(ctbs[1], "a")[0])
     with pytest.raises(DecodeError):
@@ -232,6 +257,8 @@ def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_bl
     order_naf = algebra._naf_msb(algebra.ORDER)
     for point in seen:
         assert affine_mul_naf(point, order_naf) is None, point
+    # the exemption was used, and for a point outside the subgroup
+    assert at_r and affine_mul_naf(r_point, order_naf) is not None
 
 
 def test_ctb_rejects_non_text_fields(corpus):

@@ -278,8 +278,8 @@ def _ladder(p, k: int) -> Optional[Tuple[int, int]]:
         return None if k % 2 == 0 else p
     u0, w0 = x, 1                            # R0 = P
     u1, w1 = _x_double(x, 1, 1)              # R1 = 2P
-    swapped = 0
-    for bit in map(int, bin(k)[3:]):
+    swapped = "0"
+    for bit in bin(k)[3:]:
         # bit 0: R1 <- R0 + R1, R0 <- 2 R0; bit 1: the same with R0 and R1
         # exchanged, done lazily by swapping only where the bit changes
         if bit != swapped:
@@ -294,7 +294,7 @@ def _ladder(p, k: int) -> Optional[Tuple[int, int]]:
         s = s * s % _Q
         t = t * t % _Q
         u0, w0 = 2 * s * t % _Q, (s - t) * (s + t) % _Q
-    if swapped:
+    if swapped == "1":
         u0, w0, u1, w1 = u1, w1, u0, w0
     if w0 == 0:
         return None

@@ -11,7 +11,9 @@ Everything here is a pure function of its inputs; elements are immutable
 and hashable (one made by `fixed_base()` also keeps the exponentiation
 table and the Miller-loop lines it builds on first use, and a decoded
 source-group element keeps its coordinates once its first use has
-validated them).
+validated them).  A source-group power takes its method from the base:
+a fixed base uses its own wide comb, an attribute hash the shared narrow
+comb of its point, and any other base the x-only ladder.
 """
 
 from __future__ import annotations
@@ -259,17 +261,17 @@ def _in_prime_subgroup(x: int) -> bool:
     return (diff * diff % _Q * x * x - 2 * total * norm % _Q * x + prod * prod) % _Q == 0
 
 
-# Scalar multiplication of a one-use base.  y^2 = x^3 + x is the Montgomery
-# curve B y^2 = x^3 + A x^2 + x with A = 0 and B = 1, so [k]P comes from
-# Montgomery's x-only ladder, whose two registers always differ by P: each
-# step is one differential addition and one of `_x_double`'s doublings, and
-# no table is built.  y of Q = [k]P then follows from P, x(Q) and x(Q + P)
+# Scalar multiplication of a base without a comb table.  y^2 = x^3 + x is
+# the Montgomery curve B y^2 = x^3 + A x^2 + x with A = 0 and B = 1, so [k]P
+# comes from Montgomery's x-only ladder, whose two registers always differ
+# by P: each step is one differential addition and one of `_x_double`'s
+# doublings, and no table is built.  y of Q = [k]P then follows from P, x(Q) and x(Q + P)
 # (Okeya and Sakurai, CHES 2001):
 #   y(Q) = ((x x_Q + 1)(x + x_Q) - (x - x_Q)^2 x_{Q+P}) / (2y).
 # Where Q + P is the identity, x_{Q+P} is infinite and Q = -P.  The
 # differential addition breaks down only when the difference P is (0, 0),
-# the point of order 2, which is therefore handled apart.  The cofactor
-# clearing of `_hash_to_curve` is one caller.
+# the point of order 2, which is therefore handled apart.  Powers of plain
+# elements and the cofactor clearing of `_hash_to_curve` both use it.
 
 def _ladder(p, k: int) -> Optional[Tuple[int, int]]:
     """[k]P for a curve point P and k >= 1, or None for the identity."""
@@ -314,8 +316,9 @@ def _ladder(p, k: int) -> Optional[Tuple[int, int]]:
 # set in b, so one exponentiation costs span - 1 doublings and at most span
 # additions.  The generator and the public key's g and h each keep a wide
 # 8 x 20 table (255 points, about 61 KB) from their first exponentiation
-# on; every other base shares the 4 x 40 tables (15 points) of the
-# `_comb_table` LRU, whose build costs about one plain exponentiation.
+# on; attribute hashes, which recur across keys and blocks, share the
+# 4 x 40 tables (15 points) of the `_comb_table` LRU, whose build costs
+# about one ladder power.
 
 _COMB_BITS = ORDER.bit_length()          # 160
 _COMB_TEETH = 4
@@ -569,6 +572,10 @@ def _final_exponentiation(f):
 # threads may both build a table; either copy is kept.
 _NOT_BUILT = object()
 
+# The `_table` of an attribute hash: its powers use its point's entry in the
+# shared `_comb_table` LRU.
+_SHARED = object()
+
 # The `_point` of a decoded element whose first use has not yet validated it.
 _UNCHECKED = object()
 
@@ -625,7 +632,7 @@ class G0Element:
         own wide 8 x 20 comb table on its first exponentiation and the lines
         of its Miller loop on its first pairing, and keeps both.  A decoded
         element stays unvalidated until its first use."""
-        if self._table is not None:
+        if self._table is not None and self._table is not _SHARED:
             return self
         out = G0Element(self._point)
         out._raw = self._raw
@@ -642,19 +649,12 @@ class G0Element:
             return G0Element(None)
         table = self._table
         if table is None:
+            return G0Element(_ladder(p, e))
+        if table is _SHARED:
             table = _comb_table(p)
         elif table is _NOT_BUILT:
             table = self._table = _build_comb(p, _WIDE_TEETH)
         return G0Element(_comb_pow(table, e))
-
-    def pow_one_use(self, k) -> "G0Element":
-        """The same element as `self ** k`, by the x-only ladder, for a base
-        that is raised only once: no comb table is built or cached."""
-        p = self._p
-        e = _exponent(k)
-        if p is None or e == 0:
-            return G0Element(None)
-        return G0Element(_ladder(p, e))
 
     def inverse(self) -> "G0Element":
         return G0Element(_affine_neg(self._p))
@@ -783,21 +783,12 @@ class GTElement:
         return cls(_FQ2_ONE)
 
 
-def _lines_of(u: G0Element, p):
-    """The Miller-loop lines of u, whose validated point is p: kept on a
-    fixed base from its first pairing on, recorded afresh on any other."""
-    lines = u._line_table
-    if lines is None:
-        return _lines(p)
-    if lines is _NOT_BUILT:
-        lines = u._line_table = _lines(p)
-    return lines
-
-
 def _pairing_product(pairs) -> GTElement:
     """The product of pair(u, v), or of its inverse where `inverted`, over
     (u, v, inverted) triples, with one final exponentiation.  The pairing
-    is symmetric, so a fixed base on either side is the Miller point."""
+    is symmetric, so a fixed base on either side is the Miller point; it
+    keeps its lines from its first pairing on, and any other Miller point
+    records them afresh."""
     terms = []
     for u, v, inverted in pairs:
         p, q = u._p, v._p                    # both validated, even beside the identity
@@ -805,7 +796,12 @@ def _pairing_product(pairs) -> GTElement:
             continue
         if u._line_table is None and v._line_table is not None:
             u, p, q = v, q, p
-        terms.append((_lines_of(u, p), q, inverted))
+        lines = u._line_table
+        if lines is None:
+            lines = _lines(p)
+        elif lines is _NOT_BUILT:
+            lines = u._line_table = _lines(p)
+        terms.append((lines, q, inverted))
     if not terms:
         return GTElement.one()
     return GTElement(_miller_product(terms))
@@ -875,17 +871,21 @@ def _hash_to_curve(domain_tag: bytes, msg: bytes) -> Tuple[int, int]:
             return cleared
 
 
-# Attribute and generator hashes recur across keys and blocks, so they are
-# cached.  Message hashes are not: an entry keyed by a whole plaintext would
-# pin up to 4096 recent messages in memory.
+# Attribute hashes recur across keys and blocks, so their points are cached
+# and their powers share the `_comb_table` LRU.  Message hashes are not
+# cached: an entry keyed by a whole plaintext would pin up to 4096 recent
+# messages in memory.
 _hash_to_point = lru_cache(maxsize=4096)(_hash_to_curve)
 
 
 def hash_to_g0(domain_tag: bytes, msg: bytes) -> G0Element:
     """Hash bytes into the source group under a domain separation tag."""
     domain_tag = bytes(domain_tag)
-    to_point = _hash_to_curve if domain_tag == TAG_MESSAGE else _hash_to_point
-    return G0Element(to_point(domain_tag, bytes(msg)))
+    if domain_tag == TAG_MESSAGE:
+        return G0Element(_hash_to_curve(domain_tag, bytes(msg)))
+    out = G0Element(_hash_to_point(domain_tag, bytes(msg)))
+    out._table = _SHARED
+    return out
 
 
 def kdf_mask(k_gt: GTElement, out_len: int) -> bytes:
@@ -913,7 +913,9 @@ def generator() -> G0Element:
 # the check is the h-th power of pair(v2, R) = pair(v1, G'), and h is prime
 # to ORDER, so the two hold together.  They differ only for a message whose
 # R has [h]R = O, a chance of 1/ORDER (about 2^-160): `hash_to_g0` moves on
-# to the next counter there, while this check pairs with that R.  G' keeps
+# to the next counter there, while this check pairs with that R.  R lies
+# outside the prime-order subgroup, so it must never be the Miller point;
+# it keeps no lines, so `_pairing_product` never swaps it there.  G' keeps
 # its lines from the first check on and never gets a comb table.
 _G_PRIME = G0Element(_ladder(_GENERATOR._p, pow(COFACTOR, -1, ORDER)))
 _G_PRIME._line_table = _NOT_BUILT
@@ -921,16 +923,10 @@ _G_PRIME._line_table = _NOT_BUILT
 
 def check_message_pairing(msg: bytes, v1: G0Element, v2: G0Element) -> bool:
     """Whether pair(hash_to_g0(TAG_MESSAGE, msg), v2) == pair(v1, generator()),
-    up to the 2^-160 case above, with one final exponentiation.  v1 and v2
-    are validated first, so a corrupt one raises `DecodeError`."""
-    p, q = v2._p, v1._p
-    terms = []
-    if p is not None:
-        r = next(_curve_points(TAG_MESSAGE, bytes(msg)))
-        terms.append((_lines_of(v2, p), r, False))
-    if q is not None:
-        terms.append((_lines_of(_G_PRIME, _G_PRIME._p), q, True))
-    return not terms or _miller_product(terms) == _FQ2_ONE
+    up to the 2^-160 case above, with one final exponentiation.  A corrupt
+    v1 or v2 raises `DecodeError`."""
+    r = G0Element(next(_curve_points(TAG_MESSAGE, bytes(msg))))
+    return _pairing_product(((v2, r, False), (v1, _G_PRIME, True))).is_identity()
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

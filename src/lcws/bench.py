@@ -4,7 +4,8 @@ Per-block encryption and decryption durations are wall-clock measured on
 real ciphertext blocks; transmission durations come from the link model
 priced on the actual wire sizes.  Totals are then evaluated through the
 exact pipeline recurrences, and medians over repeated runs are reported,
-next to the median times of the primitives that dominate a block.
+next to the quartiles of the times of the primitives that dominate a
+block.
 """
 
 from __future__ import annotations
@@ -79,21 +80,19 @@ class BenchReport:
     leaves: int
     runs: int
     rows: Tuple[BenchRow, ...]
-    primitives: Dict[str, float]     # name -> median milliseconds per call
+    primitives: Dict[str, Tuple[float, float, float]]  # name -> quartiles, ms per call
 
     def __post_init__(self):
         sizes = [r.size for r in self.rows]
         if sizes != sorted(set(sizes)):
             raise ValueError("sizes must be strictly increasing")
 
-    _FIELDS = ["size_bytes", "enc_tx_sequential_s", "enc_tx_pipelined_s",
-               "enc_tx_delta_s", "tx_dec_sequential_s", "tx_dec_pipelined_s",
-               "tx_dec_delta_s", "max_block_enc_s", "min_block_tx_s"]
-
-    def _values(self, row: BenchRow):
-        return [row.size, row.enc_seq, row.enc_pipe, row.enc_delta,
-                row.dec_seq, row.dec_pipe, row.dec_delta,
-                row.max_block_enc, row.min_block_tx]
+    # (JSON key, BenchRow attribute) of each row field, in the order written
+    _FIELDS = (("size_bytes", "size"), ("enc_tx_sequential_s", "enc_seq"),
+               ("enc_tx_pipelined_s", "enc_pipe"), ("enc_tx_delta_s", "enc_delta"),
+               ("tx_dec_sequential_s", "dec_seq"), ("tx_dec_pipelined_s", "dec_pipe"),
+               ("tx_dec_delta_s", "dec_delta"), ("max_block_enc_s", "max_block_enc"),
+               ("min_block_tx_s", "min_block_tx"))
 
     def write_json(self, path) -> None:
         """The rows, the sweep shape, and the machine and commit they ran on."""
@@ -105,9 +104,10 @@ class BenchReport:
                      else os.cpu_count(),
             "python": "%d.%d.%d" % sys.version_info[:3],
             "commit": _commit(),
-            "rows": [dict(zip(self._FIELDS, self._values(row))) for row in self.rows],
-            "primitives": {name: {"median": ms, "unit": "ms"}
-                           for name, ms in self.primitives.items()},
+            "rows": [{key: getattr(row, attr) for key, attr in self._FIELDS}
+                     for row in self.rows],
+            "primitives": {name: {"q1": q1, "median": median, "q3": q3, "unit": "ms"}
+                           for name, (q1, median, q3) in self.primitives.items()},
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
@@ -173,13 +173,14 @@ _PRIMITIVE_CALLS = 15
 _VERIFY_MESSAGE_BYTES = 16 * 1024
 
 
-def measure_primitives(rng: random.Random) -> Dict[str, float]:
-    """Median milliseconds per call, each call on a fresh input, of an
-    attribute hash that misses the cache, a final exponentiation, a power
-    of a target-group element without a table, the validation of a decoded
-    source-group point, the check of a 16 KiB message against its
-    verification tuple, the recording of one point's Miller-loop lines, and
-    a one-use source-group power by the ladder."""
+def measure_primitives(rng: random.Random) -> Dict[str, Tuple[float, float, float]]:
+    """First quartile, median and third quartile of the milliseconds per
+    call, each call on a fresh input, of an attribute hash that misses the
+    cache, a final exponentiation, a power of a target-group element
+    without a table, the validation of a decoded source-group point, the
+    check of a 16 KiB message against its verification tuple, the
+    recording of one point's Miller-loop lines, and a power of a plain
+    source-group point, which takes the ladder."""
     q = algebra.FIELD_PRIME
     calls = _PRIMITIVE_CALLS
     g = algebra.generator()
@@ -192,7 +193,7 @@ def measure_primitives(rng: random.Random) -> Dict[str, float]:
         message = rng.randbytes(_VERIFY_MESSAGE_BYTES)
         t = algebra.random_nonzero_scalar(rng)
         h = algebra.hash_to_g0(algebra.TAG_MESSAGE, message)
-        return message, scheme.VerificationTuple(v1=h.pow_one_use(t), v2=g ** t)
+        return message, scheme.VerificationTuple(v1=h ** t, v2=g ** t)
 
     cases = {
         "hash_to_g0_uncached": (
@@ -214,7 +215,7 @@ def measure_primitives(rng: random.Random) -> Dict[str, float]:
             algebra._lines,
             [subgroup_point()._p for _ in range(calls)]),
         "g0_pow_one_use": (
-            lambda case: case[0].pow_one_use(case[1]),
+            lambda case: case[0] ** case[1],
             [(subgroup_point(), algebra.random_nonzero_scalar(rng)) for _ in range(calls)]),
     }
     clock = time.perf_counter
@@ -225,7 +226,7 @@ def measure_primitives(rng: random.Random) -> Dict[str, float]:
             t0 = clock()
             call(arg)
             times.append(clock() - t0)
-        out[name] = 1000 * _median(times)
+        out[name] = tuple(1000 * t for t in statistics.quantiles(times, n=4))
     return out
 
 

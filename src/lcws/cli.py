@@ -253,7 +253,7 @@ def bench(sizes, levels, leaves, bandwidth, latency, runs, seed, json_path):
             f"pipe={row.dec_pipe:.3f}s delta={row.dec_delta:.3f}s"
         )
     click.echo("primitives (median): " + " ".join(
-        f"{name}={ms:.2f}ms" for name, ms in report.primitives.items()))
+        f"{name}={median:.2f}ms" for name, (_, median, _) in report.primitives.items()))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ import secrets
 from .algebra import (
     G0_BYTES,
     ORDER,
-    SUITE_ID,
     G0Element,
     GTElement,
     Scalar,
@@ -51,7 +50,6 @@ def _rng_or_default(rng):
 
 @dataclass(frozen=True)
 class PublicKey:
-    suite: str
     g: G0Element
     h: G0Element                 # g^beta
     egg_alpha: GTElement         # pair(g, g)^alpha
@@ -76,7 +74,6 @@ class EncryptionContext:
     """Owner-side provisioning handed out by the authority: the scalars a
     data owner needs to build ciphertext chains and commitments."""
 
-    suite: str
     q: Scalar
     k: Scalar
 
@@ -112,13 +109,13 @@ def setup(rng=None) -> Tuple[PublicKey, MasterKey]:
     beta = random_nonzero_scalar(rng)
     q = random_nonzero_scalar(rng)
     k = random_nonzero_scalar(rng)
-    pk = PublicKey(suite=SUITE_ID, g=g, h=g ** beta, egg_alpha=pair(g, g) ** alpha)
+    pk = PublicKey(g=g, h=g ** beta, egg_alpha=pair(g, g) ** alpha)
     mk = MasterKey(beta=beta, g_alpha=g ** alpha, q=q, k=k)
     return pk, mk
 
 
 def encryption_context(mk: MasterKey) -> EncryptionContext:
-    return EncryptionContext(suite=SUITE_ID, q=mk.q, k=mk.k)
+    return EncryptionContext(q=mk.q, k=mk.k)
 
 
 def keygen(pk: PublicKey, mk: MasterKey, attrs: Iterable[str], rng=None) -> SecretKey:
@@ -191,7 +188,7 @@ def unchain_blocks(payloads: Iterable[bytes], total_len: int) -> bytes:
 def data_verification(message: bytes, keys) -> G0Element:
     """Commitment to the plaintext, bound by the authority's challenge
     scalar; `keys` is anything carrying that scalar as `.k`."""
-    return hash_to_g0(TAG_MESSAGE, message).pow_one_use(keys.k)
+    return hash_to_g0(TAG_MESSAGE, message) ** keys.k
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +203,6 @@ class CiphertextBlock:
     block_count: int
     total_len: int
     block_len: int
-    suite: str
     descriptor: Tuple[NodeDescriptor, ...]
     masked_payload: bytes        # (data block || next unlock element) xor keystream
     encap: G0Element             # h^(level secret)
@@ -327,7 +323,6 @@ def encrypt_block(state: EncryptState, pk: PublicKey, rng=None) -> CiphertextBlo
         block_count=block_count,
         total_len=state.total_len,
         block_len=block_len,
-        suite=pk.suite,
         descriptor=level_slice.descriptor,
         masked_payload=masked,
         encap=pk.h ** s_i,
@@ -592,7 +587,7 @@ def make_challenge(commitment: G0Element, mk: MasterKey, rng=None) -> Verificati
     rng = _rng_or_default(rng)
     t = random_nonzero_scalar(rng)
     return VerificationTuple(
-        v1=commitment.pow_one_use(t / mk.k),
+        v1=commitment ** (t / mk.k),
         v2=generator() ** t,
     )
 

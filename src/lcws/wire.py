@@ -130,7 +130,7 @@ def encode_ctb(ctb: CiphertextBlock, message_id: str) -> bytes:
     parts = [
         CTB_MAGIC,
         struct.pack(">H", WIRE_VERSION),
-        _section(ctb.suite.encode("ascii")),
+        _section(SUITE_ID.encode("ascii")),
         _section(message_id.encode("ascii")),
         struct.pack(">IIB", ctb.index, ctb.block_count, flags),
         _section(struct.pack(">QI", ctb.total_len, ctb.block_len)),
@@ -204,7 +204,6 @@ def decode_ctb(data: bytes) -> Tuple[CiphertextBlock, str]:
             block_count=block_count,
             total_len=total_len,
             block_len=block_len,
-            suite=suite,
             descriptor=descriptor,
             masked_payload=masked_payload,
             encap=encap,
@@ -253,7 +252,7 @@ def decode_public_key(data: bytes) -> PublicKey:
     h = G0Element.deserialize(r.take(G0_BYTES))
     egg_alpha = GTElement.deserialize(r.take(GT_BYTES))
     r.done()
-    return PublicKey(suite=SUITE_ID, g=g, h=h, egg_alpha=egg_alpha)
+    return PublicKey(g=g, h=h, egg_alpha=egg_alpha)
 
 
 def encode_master_key(mk: MasterKey) -> bytes:
@@ -303,7 +302,7 @@ def decode_encryption_context(data: bytes) -> EncryptionContext:
     q = Scalar.deserialize(r.take(SCALAR_BYTES))
     k = Scalar.deserialize(r.take(SCALAR_BYTES))
     r.done()
-    return EncryptionContext(suite=SUITE_ID, q=q, k=k)
+    return EncryptionContext(q=q, k=k)
 
 
 def encode_verification_tuple(v: VerificationTuple) -> bytes:

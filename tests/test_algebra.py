@@ -433,18 +433,23 @@ def test_ladder_matches_the_naf_oracle_on_one_use_exponents():
 
 
 def test_one_use_power_equals_the_comb_power_and_builds_no_table(monkeypatch):
+    # a plain element, neither a fixed base nor an attribute hash, is raised
+    # by the ladder; the generator's wide comb gives the same powers
     rng = random.Random(66)
-    bases = [G ** alg.random_nonzero_scalar(rng) for _ in range(3)]
-    expected = [[base ** k for k in _exponents(67)] for base in bases]
+    logs = [alg.random_nonzero_scalar(rng) for _ in range(3)]
+    bases = [G ** a for a in logs]
+    expected = [[G ** (a.value * alg._exponent(k)) for k in _exponents(67)] for a in logs]
     monkeypatch.setattr(alg, "_build_comb", None)
+    monkeypatch.setattr(alg, "_comb_table", None)
     for base, powers in zip(bases, expected):
-        one_use = [base.pow_one_use(k) for k in _exponents(67)]
+        one_use = [base ** k for k in _exponents(67)]
         assert [p.serialize() for p in one_use] == [p.serialize() for p in powers]
-    assert G0Element.identity().pow_one_use(5).is_identity()
+    assert all(base._table is None for base in bases)
+    assert G0Element.identity() ** 5 == G0Element.identity()
     corrupt = bytearray(G.serialize())
     corrupt[-1] ^= 1
     with pytest.raises(DecodeError):
-        G0Element.deserialize(bytes(corrupt)).pow_one_use(5)
+        G0Element.deserialize(bytes(corrupt)) ** 5
 
 
 def test_verifier_base_is_the_generator_over_the_cofactor():
@@ -528,13 +533,21 @@ def test_wide_gt_comb_matches_generic_path(suite):
 
 
 def test_cold_narrow_comb_matches_oracle():
+    # an attribute hash takes one miss of the shared LRU, then hits; a
+    # plain element on the same point takes the ladder and leaves it alone
     rng = random.Random(43)
     for _ in range(3):
-        point = (G ** alg.random_nonzero_scalar(rng))._p
+        attribute = alg.hash_to_g0(alg.TAG_ATTRIBUTE, b"cold comb %d" % rng.getrandbits(64))
+        point = attribute._p
         misses = alg._comb_table.cache_info().misses
         for k in _exponents(44):
-            assert (G0Element(point) ** k)._p == _oracle_pow(point, k)
+            assert (attribute ** k)._p == _oracle_pow(point, k)
         assert alg._comb_table.cache_info().misses == misses + 1
+        plain = G0Element(point)
+        info = alg._comb_table.cache_info()
+        for k in _exponents(44):
+            assert (plain ** k)._p == _oracle_pow(point, k)
+        assert alg._comb_table.cache_info() == info
     # every entry of both widths is the sum of its row bases [2^(span*j)]P
     for teeth, entries in ((4, range(1, 16)), (8, (1, 2, 128, 3, 0x81, 0xA5, 0xFF))):
         table = alg._build_comb(point, teeth)
@@ -553,6 +566,12 @@ def test_fixed_base_is_equal_and_idempotent():
     # the generator is one fixed base, so setup's g and every challenge's
     # generator() ** t share its table
     assert alg.generator() is G and G.fixed_base() is G and G._table is not None
+    # an attribute hash shares the narrow LRU tables; its fixed base is a
+    # new element with a wide table of its own
+    attribute = alg.hash_to_g0(alg.TAG_ATTRIBUTE, b"fixed base of an attribute")
+    wide = attribute.fixed_base()
+    assert wide is not attribute and wide == attribute and wide.fixed_base() is wide
+    assert wide ** 5 == attribute ** 5 and len(wide._table) == 256
     egg = E_GG.fixed_base()
     assert egg == E_GG and egg.fixed_base() is egg
     assert G0Element.identity().fixed_base() ** 5 == G0Element.identity()

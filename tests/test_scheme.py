@@ -84,6 +84,25 @@ def test_keygen_fresh_blinding_across_keys(suite):
     assert sk1.d != sk2.d
 
 
+def test_keygen_builds_one_narrow_table_per_new_attribute_and_none_for_d(suite, monkeypatch):
+    # attribute hashes recur across keys and blocks, so each new one builds
+    # its shared 4 x 40 table; d's base (g_alpha g^r) is used once and takes
+    # the ladder, and so do the commitment's and the challenge's bases
+    pk, mk, ctx = suite
+    pk.g ** 1                                # the generator's wide table exists
+    built = []
+    build_comb = alg._build_comb
+    monkeypatch.setattr(alg, "_build_comb",
+                        lambda point, teeth: built.append(teeth) or build_comb(point, teeth))
+    rng = random.Random(4)
+    attrs = {"keygen-tables:%d:%d" % (i, rng.getrandbits(64)) for i in range(5)}
+    scheme.keygen(pk, mk, attrs, rng)
+    assert built == [4] * 5
+    built.clear()
+    make_challenge(scheme.data_verification(b"committed message", ctx), mk, rng)
+    assert built == []
+
+
 def test_keygen_empty_attrs_rejected(suite):
     pk, mk, _ = suite
     with pytest.raises(ValueError):

@@ -57,10 +57,6 @@ def synthetic_policy(levels: int, leaves: int) -> Tuple[str, List[str]]:
     return text, spread_key
 
 
-def _median(values: Sequence[float]) -> float:
-    return statistics.median(values)
-
-
 @dataclass(frozen=True)
 class BenchRow:
     size: int
@@ -231,7 +227,7 @@ def measure_primitives(rng: random.Random) -> Dict[str, Tuple[float, float, floa
 
 
 def run_bench(sizes: Sequence[int], levels: int, leaves: int, link: LinkModel,
-              runs: int = 5, seed: Optional[int] = None, warmup: bool = True) -> BenchReport:
+              runs: int = 5, seed: Optional[int] = None) -> BenchReport:
     """Sweep message sizes over the synthetic policy with its spread key;
     report median sequential and pipelined totals for both protocol sides."""
     rng = random.Random(seed)
@@ -243,9 +239,8 @@ def run_bench(sizes: Sequence[int], levels: int, leaves: int, link: LinkModel,
 
     messages = {size: random.Random(rng.randrange(2 ** 32)).randbytes(size)
                 for size in sizes}
-    if warmup:
-        # warm hash and comb caches and the allocator at full buffer size
-        measure_stage_times(messages[max(sizes)], tree, pk, ctx, sk, link, rng)
+    # warm hash and comb caches and the allocator at full buffer size
+    measure_stage_times(messages[max(sizes)], tree, pk, ctx, sk, link, rng)
 
     # run-major order: each run sweeps every size back to back, so bursts of
     # machine noise land on all sizes of a run rather than skewing one size
@@ -262,9 +257,9 @@ def run_bench(sizes: Sequence[int], levels: int, leaves: int, link: LinkModel,
         # scheduler spike hitting one block of one run cannot skew the totals
         n = samples[0].n
         med = StageTimes(
-            [_median([t.enc[i] for t in samples]) for i in range(n)],
-            [_median([t.tx[i] for t in samples]) for i in range(n)],
-            [_median([t.dec[i] for t in samples]) for i in range(n)],
+            [statistics.median([t.enc[i] for t in samples]) for i in range(n)],
+            [statistics.median([t.tx[i] for t in samples]) for i in range(n)],
+            [statistics.median([t.dec[i] for t in samples]) for i in range(n)],
         )
         enc_sched = pipeline.pipelined_total_enc(med)
         dec_sched = pipeline.pipelined_total_dec(med)

@@ -131,7 +131,8 @@ def run_two_stage(items: Iterable, side: str, first: Callable[[int, object], obj
                   second: Callable[[int, object], object]) -> ScheduleResult:
     """Run second(i, first(i, item)) for each item, i from 1, each stage in
     its own thread and in item order, stage one at most `_HANDOFF_BLOCKS`
-    blocks ahead; rows are wall-clock seconds from the call.  If a stage
+    blocks ahead; rows are wall-clock seconds from the call, and stage one's
+    span of an item includes drawing it from `items`.  If a stage
     raises, neither stage starts another block, and the exception is
     re-raised here once both threads have ended.
     """
@@ -143,10 +144,13 @@ def run_two_stage(items: Iterable, side: str, first: Callable[[int, object], obj
 
     def stage_one():
         try:
-            for i, item in enumerate(items, 1):
-                if errors:
-                    break
+            numbered = enumerate(items, 1)
+            while not errors:
                 start = time.perf_counter() - t0
+                drawn = next(numbered, None)
+                if drawn is None:
+                    break
+                i, item = drawn
                 out = first(i, item)
                 spans.append([start, time.perf_counter() - t0])
                 handoff.put((i, out, spans[-1]))

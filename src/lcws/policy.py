@@ -310,19 +310,14 @@ class NodeDescriptor:
 class LevelSlice:
     """All nodes of one tree level plus their public topology."""
 
-    level: int
     interior_nodes: Tuple[AccessNode, ...]
     leaf_nodes: Tuple[AccessNode, ...]
     descriptor: Tuple[NodeDescriptor, ...]
 
 
-@dataclass(frozen=True)
-class LevelPartition:
-    levels: Tuple[LevelSlice, ...]
-
-
-def partition_levels(tree: AccessTree) -> LevelPartition:
-    """Group nodes by level; each slice's descriptor is self-contained."""
+def partition_levels(tree: AccessTree) -> Tuple[LevelSlice, ...]:
+    """One slice per level, root level first; each slice's descriptor is
+    self-contained."""
     by_level: Dict[int, List[AccessNode]] = {}
     for node in tree.nodes():
         by_level.setdefault(node.level, []).append(node)
@@ -342,8 +337,8 @@ def partition_levels(tree: AccessTree) -> LevelPartition:
             )
             for n in nodes
         )
-        slices.append(LevelSlice(level, gates, leaves, desc))
-    return LevelPartition(tuple(slices))
+        slices.append(LevelSlice(gates, leaves, desc))
+    return tuple(slices)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ chain without touching deeper levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
-                    Tuple, Union)
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
+                    Union)
 
 import secrets
 
@@ -82,12 +82,9 @@ class EncryptionContext:
 class SecretKey:
     d: G0Element                 # g^((alpha + r) / beta)
     d_hat: G0Element             # g^(r * q)
-    components: Mapping[str, Tuple[G0Element, G0Element]]
-    attrs: FrozenSet[str]
+    components: Mapping[str, Tuple[G0Element, G0Element]]   # keys: the attribute set
 
     def __post_init__(self):
-        if set(self.components) != set(self.attrs):
-            raise ValueError("key components must cover exactly the attribute set")
         # every block's mask key pairs d, and every block after the first
         # d_hat, so each keeps the lines of its Miller loop from its first
         # pairing on
@@ -136,43 +133,46 @@ def keygen(pk: PublicKey, mk: MasterKey, attrs: Iterable[str], rng=None) -> Secr
             g_r * hash_to_g0(TAG_ATTRIBUTE, attr.encode()) ** r_j,
             pk.g ** r_j,
         )
-    return SecretKey(d=d, d_hat=d_hat, components=components, attrs=attrs)
+    return SecretKey(d=d, d_hat=d_hat, components=components)
 
 
 # ---------------------------------------------------------------------------
 # message partition and chaining
 # ---------------------------------------------------------------------------
 
-def _segment_message(message: bytes, n: int) -> List[bytes]:
-    """Equal-length segments, the last zero-padded."""
+def _block_len(total_len: int, n: int) -> int:
+    """Length of each of the n equal segments of a total_len-byte message."""
     if n < 1:
         raise ValueError("block count must be at least 1")
-    if not message:
+    if total_len < 1:
         raise ValueError("empty message")
-    block_len = (len(message) + n - 1) // n
-    return [
-        message[i * block_len:(i + 1) * block_len].ljust(block_len, b"\x00")
-        for i in range(n)
-    ]
+    return -(-total_len // n)
 
 
-def _chain_segment(segments: List[bytes], i: int) -> bytes:
-    """Chained payload for 1-based block i: segment 1 in the clear, every
-    later block the XOR of two consecutive segments."""
-    if i == 1:
-        return segments[0]
-    return xor_bytes(segments[i - 2], segments[i - 1])
+def _chain_segment(message: bytes, n: int, i: int):
+    """Chained payload for 1-based block i of n, as bytes or a memoryview:
+    segment 1 in the clear, every later block the XOR of two consecutive
+    segments.  Segments are slices of the message, zero-padded when short:
+    not only the last can be (1 byte in 3 blocks pads segments 2 and 3)."""
+    block_len = _block_len(len(message), n)
+    view = memoryview(message)
+
+    def segment(j):
+        piece = view[(j - 1) * block_len:j * block_len]
+        return piece if len(piece) == block_len else bytes(piece).ljust(block_len, b"\x00")
+
+    return segment(1) if i == 1 else xor_bytes(segment(i - 1), segment(i))
 
 
 def partition_message(message: bytes, n: int) -> List[bytes]:
-    """Split into n equal segments (last zero-padded) and XOR-chain them.
+    """Split into n equal segments (short ones zero-padded) and XOR-chain them.
 
     Block 1 is the first segment in the clear; every later block is the
     XOR of two consecutive segments, so blocks without their predecessor
     carry no recoverable plaintext.
     """
-    segments = _segment_message(message, n)
-    return [_chain_segment(segments, i) for i in range(1, n + 1)]
+    _block_len(len(message), n)                  # n < 1 or an empty message is a ValueError
+    return [bytes(_chain_segment(message, n, i)) for i in range(1, n + 1)]
 
 
 def unchain_blocks(payloads: Iterable[bytes], total_len: int) -> bytes:
@@ -202,7 +202,6 @@ class CiphertextBlock:
     index: int
     block_count: int
     total_len: int
-    block_len: int
     descriptor: Tuple[NodeDescriptor, ...]
     masked_payload: bytes        # (data block || next unlock element) xor keystream
     encap: G0Element             # h^(level secret)
@@ -219,6 +218,10 @@ class CiphertextBlock:
             raise ValueError("masked payload length mismatch")
 
     @property
+    def block_len(self) -> int:
+        return _block_len(self.total_len, self.block_count)
+
+    @property
     def is_last(self) -> bool:
         return self.index == self.block_count
 
@@ -227,8 +230,8 @@ class CiphertextBlock:
 class EncryptState:
     """The owner's side of one message between block encryptions.
 
-    Holds the chain scalar, the commitment, the unchained segments and the
-    level slices, the secret of the level about to be sealed, and the
+    Holds the chain scalar, the commitment, the message and the level
+    slices, the secret of the level about to be sealed, and the
     polynomial shares owed to that level's nodes.  The state for level
     i+1 is complete before block i is released, which is what lets
     encryption overlap transmission.
@@ -236,8 +239,7 @@ class EncryptState:
 
     q: Scalar
     commitment: G0Element
-    total_len: int
-    segments: List[bytes]
+    message: bytes
     levels: Tuple[LevelSlice, ...]
     level_secret: Scalar
     pending_shares: Dict[int, Scalar]
@@ -246,20 +248,18 @@ class EncryptState:
 
 def begin_encryption(message: bytes, tree: AccessTree, ctx: EncryptionContext,
                      rng=None) -> EncryptState:
-    """Segment the message by tree depth and seed the encryption state.
+    """Seed the encryption state for one block per tree level.
 
-    Segments are kept unchained; each block XORs its own two segments in
-    its own `encrypt_block` call, so each block's cost stays with it."""
+    The state keeps the message itself; each `encrypt_block` call slices and
+    XORs its own two segments, so each block's cost stays with it."""
+    _block_len(len(message), tree.depth)         # an empty message is a ValueError
     rng = _rng_or_default(rng)
-    segments = _segment_message(message, tree.depth)
-    levels = partition_levels(tree).levels
     s1 = random_nonzero_scalar(rng)
     return EncryptState(
         q=ctx.q,
         commitment=data_verification(message, ctx),
-        total_len=len(message),
-        segments=segments,
-        levels=levels,
+        message=message,
+        levels=partition_levels(tree),
         level_secret=s1,
         pending_shares={tree.root.node_id: s1},
     )
@@ -291,7 +291,6 @@ def encrypt_block(state: EncryptState, pk: PublicKey, rng=None) -> CiphertextBlo
     i = state.index
     level_slice = state.levels[i - 1]
     block_count = len(state.levels)
-    block_len = len(state.segments[0])
     s_i = state.level_secret
 
     gate_links: Dict[int, G0Element] = {}
@@ -315,14 +314,13 @@ def encrypt_block(state: EncryptState, pk: PublicKey, rng=None) -> CiphertextBlo
     else:
         next_unlock = G0Element.identity()
 
-    mask = kdf_mask(pk.egg_alpha ** s_i, block_len + G0_BYTES)
-    masked = xor_bytes(_chain_segment(state.segments, i) + next_unlock.serialize(), mask)
+    plain = b"".join((_chain_segment(state.message, block_count, i), next_unlock.serialize()))
+    masked = xor_bytes(plain, kdf_mask(pk.egg_alpha ** s_i, len(plain)))
     state.index = i + 1
     return CiphertextBlock(
         index=i,
         block_count=block_count,
-        total_len=state.total_len,
-        block_len=block_len,
+        total_len=len(state.message),
         descriptor=level_slice.descriptor,
         masked_payload=masked,
         encap=pk.h ** s_i,
@@ -352,7 +350,7 @@ def decrypt_leaf(ctb: CiphertextBlock, sk: SecretKey, node_id: int) -> Optional[
     desc = next((d for d in ctb.descriptor if d.node_id == node_id and d.is_leaf), None)
     if desc is None:
         raise ValueError(f"node {node_id} is not a leaf of block {ctb.index}")
-    if desc.attribute not in sk.attrs:
+    if desc.attribute not in sk.components:
         return None
     d_j, d_j_prime = sk.components[desc.attribute]
     c_hat, c_hat_prime = ctb.leaf_components[node_id]
@@ -525,7 +523,7 @@ class DecryptionState:
             for d in sorted(ctb.descriptor, key=lambda d: not d.is_leaf):
                 if d.node_id in self.node_values:
                     plan[d.node_id] = (0, j, d, ())
-                elif (d.is_leaf and d.attribute in self.sk.attrs
+                elif (d.is_leaf and d.attribute in self.sk.components
                       and d.node_id in ctb.leaf_components):
                     plan[d.node_id] = (1, j, d, ())
                 elif not d.is_leaf:

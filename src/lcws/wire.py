@@ -1,8 +1,9 @@
 """Bit-exact wire formats for ciphertext blocks and key files.
 
 All integers are big-endian; every variable-length section carries a
-4-byte length prefix.  Maps are serialized sorted by node id, making the
-encoding canonical: parse followed by serialize is byte identity.
+4-byte length prefix.  Maps are sorted by node id or attribute, and a
+block's header states the block length its total length and block count
+give; decoding rejects anything else, so parse then serialize is identity.
 
 Decoding checks structure; a source-group point is checked for its prefix,
 length, canonical identity and x < q here, and is proven to lie in the
@@ -13,7 +14,7 @@ once), so a point no decryption reads costs no square root or subgroup check.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .algebra import G0_BYTES, GT_BYTES, SCALAR_BYTES, SUITE_ID, G0Element, GTElement, Scalar
 from .errors import DecodeError
@@ -82,6 +83,14 @@ def _text(raw: bytes, encoding: str) -> str:
         return raw.decode(encoding)
     except UnicodeDecodeError:
         raise DecodeError(f"text is not valid {encoding}") from None
+
+
+def _canonical_map(entries) -> dict:
+    """A map from its (key, value) entries as read, keys strictly increasing."""
+    keys = [key for key, _ in entries]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise DecodeError("map keys not strictly increasing")
+    return dict(entries)
 
 
 def _encode_descriptor(descriptor: Tuple[NodeDescriptor, ...]) -> bytes:
@@ -182,18 +191,15 @@ def decode_ctb(data: bytes) -> Tuple[CiphertextBlock, str]:
         commitment = G0Element.deserialize(r.section())
         commitment.validate()
     deltas = _Reader(r.section())
-    gate_links: Dict[int, G0Element] = {}
-    for _ in range(deltas.u32()):
-        nid = deltas.u32()
-        gate_links[nid] = G0Element.deserialize(deltas.take(G0_BYTES))
+    gate_links = _canonical_map([
+        (deltas.u32(), G0Element.deserialize(deltas.take(G0_BYTES)))
+        for _ in range(deltas.u32())])
     deltas.done()
     leaves = _Reader(r.section())
-    leaf_components: Dict[int, Tuple[G0Element, G0Element]] = {}
-    for _ in range(leaves.u32()):
-        nid = leaves.u32()
-        a = G0Element.deserialize(leaves.take(G0_BYTES))
-        b = G0Element.deserialize(leaves.take(G0_BYTES))
-        leaf_components[nid] = (a, b)
+    leaf_components = _canonical_map([
+        (leaves.u32(), (G0Element.deserialize(leaves.take(G0_BYTES)),
+                        G0Element.deserialize(leaves.take(G0_BYTES))))
+        for _ in range(leaves.u32())])
     leaves.done()
     r.done()
     if bool(flags & FLAG_SENTINEL) != (index == block_count):
@@ -203,7 +209,6 @@ def decode_ctb(data: bytes) -> Tuple[CiphertextBlock, str]:
             index=index,
             block_count=block_count,
             total_len=total_len,
-            block_len=block_len,
             descriptor=descriptor,
             masked_payload=masked_payload,
             encap=encap,
@@ -213,6 +218,8 @@ def decode_ctb(data: bytes) -> Tuple[CiphertextBlock, str]:
         )
     except ValueError as exc:
         raise DecodeError(str(exc)) from None
+    if block_len != ctb.block_len:
+        raise DecodeError(f"header block length {block_len}, not {ctb.block_len}")
     return ctb, message_id
 
 
@@ -283,14 +290,12 @@ def decode_secret_key(data: bytes) -> SecretKey:
     r = _Reader(_key_unframe(data, _KIND_SK))
     d = G0Element.deserialize(r.take(G0_BYTES))
     d_hat = G0Element.deserialize(r.take(G0_BYTES))
-    components = {}
-    for _ in range(r.u32()):
-        attr = _text(r.take(r.u16()), "utf-8")
-        a = G0Element.deserialize(r.take(G0_BYTES))
-        b = G0Element.deserialize(r.take(G0_BYTES))
-        components[attr] = (a, b)
+    components = _canonical_map([
+        (_text(r.take(r.u16()), "utf-8"), (G0Element.deserialize(r.take(G0_BYTES)),
+                                           G0Element.deserialize(r.take(G0_BYTES))))
+        for _ in range(r.u32())])
     r.done()
-    return SecretKey(d=d, d_hat=d_hat, components=components, attrs=frozenset(components))
+    return SecretKey(d=d, d_hat=d_hat, components=components)
 
 
 def encode_encryption_context(ctx: EncryptionContext) -> bytes:

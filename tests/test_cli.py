@@ -1,12 +1,16 @@
 import json
 import platform
 import random
+import struct
 
 import pytest
 from click.testing import CliRunner
 
-from lcws import scheme, wire
+from lcws import algebra, scheme, wire
 from lcws.cli import main
+from lcws.errors import DecodeError
+
+from helpers import recording
 
 
 @pytest.fixture()
@@ -290,6 +294,44 @@ def test_missing_block_is_io_error(runner, tmp_path, four_block_message, link_ar
     res = _dr_decrypt(runner, sk, store, mid, out, link_args)
     assert res.exit_code == 3, res.output
     assert f"{mid}/00003" in res.stderr
+    assert not out.exists()
+
+
+def test_block_longer_than_its_header_allows_is_format_error(runner, tmp_path):
+    # 20 bytes in 2 blocks make 10-byte blocks; block 2 is re-masked under its
+    # level secret with a 20-byte payload and a header block length of 20
+    keys = _setup_keys(runner, tmp_path)
+    sk = tmp_path / "sk.lcws"
+    assert _keygen(runner, keys, "a", sk).exit_code == 0
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(bytes(range(20)))
+    store = tmp_path / "store"
+    with recording() as drawn:
+        res = runner.invoke(main, [
+            "do-encrypt", str(msg), "--pk", str(keys / "pk.lcws"),
+            "--enc-ctx", str(keys / "enc-ctx.lcws"), "--policy", "(a OR b)",
+            "--store", str(store), "--seed", "6",
+        ])
+    assert res.exit_code == 0, res.output
+    mid = res.output.strip().splitlines()[0]
+    block = store / mid / "00002.ctb"
+    data = block.read_bytes()
+    ctb, _ = wire.decode_ctb(data)
+    assert (ctb.total_len, ctb.block_count, ctb.block_len) == (20, 2, 10)
+    pk = wire.decode_public_key((keys / "pk.lcws").read_bytes())
+    plain = bytes(range(100, 120)) + algebra.G0Element.identity().serialize()
+    mask = algebra.kdf_mask(pk.egg_alpha ** drawn.level_secrets()[2], len(plain))
+    forged = data.replace(struct.pack(">IQI", 12, 20, 10), struct.pack(">IQI", 12, 20, 20))
+    forged = forged.replace(struct.pack(">I", len(ctb.masked_payload)) + ctb.masked_payload,
+                            struct.pack(">I", len(plain)) + algebra.xor_bytes(plain, mask))
+    assert len(forged) == len(data) + 10
+    with pytest.raises(DecodeError):
+        wire.decode_ctb(forged)
+    block.write_bytes(forged)
+    out = tmp_path / "o.bin"
+    res = _dr_decrypt(runner, sk, store, mid, out, [])
+    assert res.exit_code == 4, res.output
+    assert "malformed input" in res.stderr
     assert not out.exists()
 
 

@@ -242,11 +242,24 @@ def test_run_pipeline_decrypt_side():
     assert res.total_pipelined < res.total_sequential
 
 
+def test_run_two_stage_times_a_generator_as_stage_one():
+    def items():
+        for i in range(4):
+            time.sleep(0.05)                       # the item is made as it is drawn
+            yield i
+
+    res = pl.run_two_stage(items(), pl.ENC, lambda index, item: item,
+                           lambda index, item: None)
+    assert [r.block for r in res.rows] == [1, 2, 3, 4]
+    assert all(r.enc_end - r.enc_start >= 0.05 for r in res.rows)
+    assert res.total_sequential >= 0.2
+
+
 def test_single_block_policy_has_zero_delta():
     from lcws import bench as bench_mod
     link = LinkModel(bandwidth=2.0e6, latency=0.05)
     report = bench_mod.run_bench([4096], levels=1, leaves=1, link=link,
-                                 runs=1, seed=4, warmup=False)
+                                 runs=1, seed=4)
     row = report.rows[0]
     assert row.enc_delta == 0.0
     assert row.dec_delta == 0.0

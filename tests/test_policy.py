@@ -124,18 +124,18 @@ def test_satisfaction_monotonicity_random_trees():
 
 def test_partition_wrapped_tree_single_slice():
     tree = parse_policy("a")
-    part = partition_levels(tree)
-    assert len(part.levels) == 1
-    only = part.levels[0]
+    levels = partition_levels(tree)
+    assert len(levels) == 1
+    only = levels[0]
     assert [n.node_id for n in only.interior_nodes] == [tree.root.node_id]
     assert [n.attribute for n in only.leaf_nodes] == ["a"]
 
 
 def test_partition_hand_labeled_depths():
     tree = parse_policy("(a AND (b OR c))")
-    part = partition_levels(tree)
-    assert len(part.levels) == 3
-    s1, s2, s3 = part.levels
+    levels = partition_levels(tree)
+    assert len(levels) == 3
+    s1, s2, s3 = levels
     assert [n.node_id for n in s1.interior_nodes] == [tree.root.node_id]
     assert s1.leaf_nodes == ()
     assert [n.attribute for n in s2.leaf_nodes] == ["a"]
@@ -147,23 +147,23 @@ def test_partition_hand_labeled_depths():
 def test_partition_ten_level_hundred_leaf_tree():
     text, _ = synthetic_policy(10, 100)
     tree = parse_policy(text)
-    part = partition_levels(tree)
-    assert len(part.levels) == 10
-    assert sum(len(s.leaf_nodes) for s in part.levels) == 100
+    levels = partition_levels(tree)
+    assert len(levels) == 10
+    assert sum(len(s.leaf_nodes) for s in levels) == 100
 
 
 def test_partition_complete_and_disjoint():
     rng = random.Random(77)
     for _ in range(25):
         tree = parse_policy(random_policy(rng, max_depth=5, max_leaves=20))
-        part = partition_levels(tree)
+        levels = partition_levels(tree)
         seen = []
-        for s in part.levels:
+        for s in levels:
             seen.extend(n.node_id for n in s.interior_nodes)
             seen.extend(n.node_id for n in s.leaf_nodes)
         assert sorted(seen) == sorted(n.node_id for n in tree.nodes())
         # descriptors alone rebuild parent/threshold/attribute structure
-        for s in part.levels:
+        for s in levels:
             for d in s.descriptor:
                 node = tree.node(d.node_id)
                 assert d.index == node.index
@@ -183,9 +183,9 @@ def test_parse_format_parse_fixpoint():
         again = parse_policy(printed)
         assert format_policy(again) == printed
         assert [(ades.node_id, ades.parent_id, ades.index, ades.attribute, ades.threshold)
-                for s in partition_levels(tree).levels for ades in s.descriptor] == \
+                for s in partition_levels(tree) for ades in s.descriptor] == \
                [(bdes.node_id, bdes.parent_id, bdes.index, bdes.attribute, bdes.threshold)
-                for s in partition_levels(again).levels for bdes in s.descriptor]
+                for s in partition_levels(again) for bdes in s.descriptor]
 
 
 def test_explicit_one_of_one_gate_is_not_wrapped():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,26 @@ def test_encrypt_unmask_with_fixture_exponents(suite):
         assert element.is_identity() == ctb.is_last
 
 
+def test_owner_keeps_no_copy_of_the_message(suite):
+    # the state holds the message itself and each block slices its own two
+    # segments, so encryption allocates well under one message's size
+    pk, _, ctx = suite
+    rng = random.Random(7)
+    tree = parse_policy(bench.synthetic_policy(10, 100)[0])
+    for _ in scheme.encrypt_message(b"warm the comb and hash tables", tree, pk, ctx, rng):
+        pass
+    size = 1 << 20
+    message = rng.randbytes(size)
+    tracemalloc.start()
+    try:
+        for _ in scheme.encrypt_message(message, tree, pk, ctx, rng):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * size
+
+
 # ---------------------------------------------------------------------------
 # leaf / interior / block decryption
 # ---------------------------------------------------------------------------
@@ -250,7 +271,6 @@ def test_decrypt_leaf_independent_of_attribute_blinding(suite):
         d=sk.d,
         d_hat=sk.d_hat,
         components={"a": (pk.g ** r * h_att ** r_j, pk.g ** r_j)},
-        attrs=frozenset({"a"}),
     )
     _, ctbs = _encrypt_all(b"payload!", "(a AND b)", pk, ctx, rng)
     nid = sorted(ctbs[1].leaf_components)[0]

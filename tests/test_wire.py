@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import struct
 
 import pytest
 
@@ -299,6 +300,50 @@ def test_ctb_rejects_bad_descriptors(corpus):
         data = wire.encode_ctb(dataclasses.replace(ctb, descriptor=tuple(descriptor)), "m")
         with pytest.raises(DecodeError):
             wire.decode_ctb(data)
+
+
+def test_ctb_rejects_header_block_length_its_total_length_does_not_give(corpus):
+    ctb = next(c for c in corpus if c.block_count > 1)
+    header = struct.pack(">IQI", 12, ctb.total_len, ctb.block_len)
+    data = wire.encode_ctb(ctb, "m")
+    for block_len in (ctb.block_len - 1, ctb.block_len + 1):
+        wrong = struct.pack(">IQI", 12, ctb.total_len, block_len)
+        with pytest.raises(DecodeError, match="block length"):
+            wire.decode_ctb(_replaced(data, header, wrong))
+
+
+def _map_body(entries):
+    """A block's gate-link or leaf-component section: a count, then each
+    node id with its points."""
+    return struct.pack(">I", len(entries)) + b"".join(
+        struct.pack(">I", nid) + b"".join(p.serialize() for p in points)
+        for nid, points in entries)
+
+
+@pytest.mark.parametrize("field", ["gate_links", "leaf_components"])
+def test_ctb_rejects_map_entries_out_of_order_or_repeated(suite, field):
+    # the encoder sorts each map by node id, so no other order is canonical
+    pk, _, ctx = suite
+    tree = parse_policy("((a AND b) OR (c AND d))")
+    ctbs = list(scheme.encrypt_message(b"m" * 30, tree, pk, ctx, random.Random(94)))
+    ctb = next(c for c in ctbs if len(getattr(c, field)) >= 2)
+    entries = [(nid, points if field == "leaf_components" else (points,))
+               for nid, points in sorted(getattr(ctb, field).items())]
+    data = wire.encode_ctb(ctb, "m")
+    for bad in (entries[::-1], entries[:1] * len(entries)):
+        with pytest.raises(DecodeError, match="strictly increasing"):
+            wire.decode_ctb(_replaced(data, _map_body(entries), _map_body(bad)))
+
+
+def test_key_file_rejects_attributes_out_of_order_or_repeated(suite):
+    pk, mk, _ = suite
+    sk = scheme.keygen(pk, mk, {"a", "b"}, random.Random(95))
+    data = wire.encode_secret_key(sk)
+    entry = {attr: struct.pack(">H", 1) + attr.encode()
+             + b"".join(p.serialize() for p in sk.components[attr]) for attr in "ab"}
+    for bad in (entry["b"] + entry["a"], entry["a"] + entry["a"]):
+        with pytest.raises(DecodeError, match="strictly increasing"):
+            wire.decode_secret_key(_replaced(data, entry["a"] + entry["b"], bad))
 
 
 def test_key_file_rejects_non_utf8_attribute(suite):

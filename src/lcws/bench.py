@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import algebra, pipeline, scheme, wire
 from .pipeline import LinkModel, StageTimes
-from .policy import AccessTree, parse_policy
+from .policy import AccessTree, parse_policy, partition_levels
 from .scheme import DecryptionState, EncryptionContext, PublicKey, SecretKey
 
 
@@ -123,46 +123,52 @@ def _commit() -> Optional[str]:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def measure_stage_times(message: bytes, tree: AccessTree, pk: PublicKey,
+def measure_stage_times(messages: Sequence[bytes], tree: AccessTree, pk: PublicKey,
                         ctx: EncryptionContext, sk: SecretKey, link: LinkModel,
-                        rng: random.Random) -> StageTimes:
-    """One full measured pass: encrypt (timed per block), price the wire
-    bytes on the link, decrypt in arrival order (timed per block)."""
-    clock = time.perf_counter
-    enc_times: List[float] = []
-    tx_times: List[float] = []
-    dec_times: List[float] = []
-    encoded: List[bytes] = []
+                        rng: random.Random) -> List[StageTimes]:
+    """One full measured pass per message: encrypt (timed per block), price
+    the wire bytes on the link, decrypt in arrival order (timed per block).
 
-    gen = scheme.encrypt_message(message, tree, pk, ctx, rng)
+    The messages are interleaved block by block: block i of every message
+    is encrypted back to back before block i + 1 of any, and likewise for
+    decryption, so drift in machine speed lands on all messages alike and
+    their times differ by the work their sizes add.  All messages' blocks
+    are held until the pass ends."""
+    clock = time.perf_counter
+    enc_times: List[List[float]] = [[] for _ in messages]
+    tx_times: List[List[float]] = [[] for _ in messages]
+    dec_times: List[List[float]] = [[] for _ in messages]
+    encoded: List[List[bytes]] = [[] for _ in messages]
+
+    gens = [scheme.encrypt_message(message, tree, pk, ctx, rng) for message in messages]
+    blocks = len(partition_levels(tree))             # one block per level, any size
+    outs: List[Optional[bytes]] = [None] * len(messages)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        while True:
-            t0 = clock()
-            try:
-                ctb = next(gen)
-            except StopIteration:
-                break
-            data = wire.encode_ctb(ctb, "bench")
-            enc_times.append(clock() - t0)
-            tx_times.append(link.transmit_seconds(len(data)))
-            encoded.append(data)
+        for _ in range(blocks):
+            for k, gen in enumerate(gens):
+                t0 = clock()
+                data = wire.encode_ctb(next(gen), "bench")
+                enc_times[k].append(clock() - t0)
+                tx_times[k].append(link.transmit_seconds(len(data)))
+                encoded[k].append(data)
 
-        state = DecryptionState(sk)
-        for i, data in enumerate(encoded):
-            t0 = clock()
-            ctb, _ = wire.decode_ctb(data)
-            state.add_block(ctb)
-            if i == len(encoded) - 1:
-                out = scheme.assemble_message(state, sk)
-            dec_times.append(clock() - t0)
+        states = [DecryptionState(sk) for _ in messages]
+        for i in range(blocks):
+            for k, state in enumerate(states):
+                t0 = clock()
+                ctb, _ = wire.decode_ctb(encoded[k][i])
+                state.add_block(ctb)
+                if i == blocks - 1:
+                    outs[k] = scheme.assemble_message(state, sk)
+                dec_times[k].append(clock() - t0)
     finally:
         if gc_was_enabled:
             gc.enable()
-    if out != message:
+    if outs != list(messages):
         raise RuntimeError("benchmark round trip mismatch")
-    return StageTimes(enc_times, tx_times, dec_times)
+    return [StageTimes(*times) for times in zip(enc_times, tx_times, dec_times)]
 
 
 _PRIMITIVE_CALLS = 15
@@ -240,15 +246,16 @@ def run_bench(sizes: Sequence[int], levels: int, leaves: int, link: LinkModel,
     messages = {size: random.Random(rng.randrange(2 ** 32)).randbytes(size)
                 for size in sizes}
     # warm hash and comb caches and the allocator at full buffer size
-    measure_stage_times(messages[max(sizes)], tree, pk, ctx, sk, link, rng)
+    measure_stage_times([messages[max(sizes)]], tree, pk, ctx, sk, link, rng)
 
-    # run-major order: each run sweeps every size back to back, so bursts of
+    # each run measures every size, interleaved block by block, so bursts of
     # machine noise land on all sizes of a run rather than skewing one size
     by_size = {size: [] for size in sizes}
     for _ in range(runs):
-        for size in sizes:
-            by_size[size].append(
-                measure_stage_times(messages[size], tree, pk, ctx, sk, link, rng))
+        times = measure_stage_times([messages[size] for size in sizes],
+                                    tree, pk, ctx, sk, link, rng)
+        for size, sample in zip(sizes, times):
+            by_size[size].append(sample)
 
     rows = []
     for size in sizes:

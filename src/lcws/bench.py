@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import algebra, pipeline, scheme, wire
 from .pipeline import LinkModel, StageTimes
-from .policy import AccessTree, parse_policy, partition_levels
+from .policy import AccessTree, parse_policy
 from .scheme import DecryptionState, EncryptionContext, PublicKey, SecretKey
 
 
@@ -141,7 +141,7 @@ def measure_stage_times(messages: Sequence[bytes], tree: AccessTree, pk: PublicK
     encoded: List[List[bytes]] = [[] for _ in messages]
 
     gens = [scheme.encrypt_message(message, tree, pk, ctx, rng) for message in messages]
-    blocks = len(partition_levels(tree))             # one block per level, any size
+    blocks = tree.depth                              # one block per level, any size
     outs: List[Optional[bytes]] = [None] * len(messages)
     gc_was_enabled = gc.isenabled()
     gc.disable()

@@ -73,6 +73,16 @@ def _derive_message_id(message: bytes) -> str:
     return hashlib.sha256(b"lcws-message-id" + message).hexdigest()[:24]
 
 
+def _decode_stored(blob: bytes, object_id: str) -> scheme.CiphertextBlock:
+    """The block read from `object_id`, which must name the message id and
+    the index the block carries."""
+    ctb, message_id = wire.decode_ctb(blob)
+    carried = make_object_id(message_id, ctb.index)
+    if carried != object_id:
+        raise DecodeError(f"block {carried!r} stored as {object_id!r}")
+    return ctb
+
+
 @click.group()
 def main():
     """Level-partitioned CP-ABE with pipelined block transfer."""
@@ -129,7 +139,8 @@ def ta_challenge(mk_path, store_dir, message_id, out_path, seed):
     """Fetch a stored message's commitment and issue a verification tuple."""
     mk = wire.decode_master_key(mk_path.read_bytes())
     store = BlobStore(store_dir)
-    ctb, _ = wire.decode_ctb(store.get(make_object_id(message_id, 1)))
+    object_id = make_object_id(message_id, 1)
+    ctb = _decode_stored(store.get(object_id), object_id)
     if ctb.commitment is None:
         raise DecodeError("first block carries no commitment")
     v = scheme.make_challenge(ctb.commitment, mk, _rng(seed))
@@ -196,8 +207,7 @@ def dr_decrypt(sk_path, store_dir, message_id, out_path, bandwidth, latency):
         return blob if link is None else link.transmit(index, blob)
 
     def ingest(index, blob):
-        ctb, _ = wire.decode_ctb(blob)
-        state.add_block(ctb)
+        state.add_block(_decode_stored(blob, object_ids[index - 1]))
 
     pipeline_mod.run_two_stage(object_ids, pipeline_mod.DEC, download, ingest)
     held = state.data_blocks.keys() | state.pending_blocks.keys()

@@ -1,8 +1,9 @@
 """Two-stage pipeline: the latency recurrence and a threaded executor.
 
 Blocks pass through a compute stage and a transmit stage, in either order,
-one worker per stage with FIFO hand-off: stage two starts a block once it
-has finished the previous one and stage one has finished this one.
+with FIFO hand-off from stage one's worker thread to stage two in the
+caller's: stage two starts a block once it has finished the previous one
+and stage one has finished this one.
 """
 
 import functools
@@ -129,12 +130,13 @@ class LinkModel:
 
 def run_two_stage(items: Iterable, side: str, first: Callable[[int, object], object],
                   second: Callable[[int, object], object]) -> ScheduleResult:
-    """Run second(i, first(i, item)) for each item, i from 1, each stage in
-    its own thread and in item order, stage one at most `_HANDOFF_BLOCKS`
-    blocks ahead; rows are wall-clock seconds from the call, and stage one's
-    span of an item includes drawing it from `items`.  If a stage
-    raises, neither stage starts another block, and the exception is
-    re-raised here once both threads have ended.
+    """Run second(i, first(i, item)) for each item, i from 1, in item order:
+    stage one in a worker thread at most `_HANDOFF_BLOCKS` blocks ahead,
+    stage two in the caller's thread; rows are wall-clock seconds from the
+    call, and stage one's span of an item includes drawing it from `items`.
+    If a stage raises or the caller is interrupted, neither stage starts
+    another block, and the first exception is re-raised here once the
+    worker has ended.
     """
     handoff: "queue.Queue" = queue.Queue(maxsize=_HANDOFF_BLOCKS)
     done = object()
@@ -159,24 +161,22 @@ def run_two_stage(items: Iterable, side: str, first: Callable[[int, object], obj
         finally:
             handoff.put(done)
 
-    def stage_two():
-        # drains the hand-off to the end, so stage one never blocks on it
+    worker = threading.Thread(target=stage_one, name="lcws-stage1")
+    try:
+        worker.start()                 # an interrupt may land in here too
         for i, out, span in iter(handoff.get, done):
-            if errors:
-                continue
-            try:
+            if not errors:
                 start = time.perf_counter() - t0
                 second(i, out)
                 span.extend((start, time.perf_counter() - t0))
-            except BaseException as exc:
-                errors.append(exc)
-
-    threads = [threading.Thread(target=stage_one, name="lcws-stage1"),
-               threading.Thread(target=stage_two, name="lcws-stage2")]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    except BaseException as exc:
+        errors.append(exc)
+        # a started worker stops before its next block and then sends the
+        # end marker; reading up to it frees a worker blocked on the hand-off
+        while worker.is_alive() and handoff.get() is not done:
+            pass
+    if worker.is_alive():              # not so if it never started
+        worker.join()
     total = time.perf_counter() - t0
     if errors:
         raise errors[0]

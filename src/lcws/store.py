@@ -61,9 +61,6 @@ class BlobStore:
         except FileNotFoundError:
             raise StoreNotFoundError(object_id) from None
 
-    def has(self, object_id: str) -> bool:
-        return self._path(object_id).exists()
-
     def list(self, message_id: str) -> List[str]:
         """Object ids for one message, in block-index order."""
         folder = self.root / check_message_id(message_id)

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -11,3 +12,13 @@ def suite():
     rng = random.Random(0xA11CE)
     pk, mk = scheme.setup(rng)
     return pk, mk, scheme.encryption_context(mk)
+
+
+@pytest.fixture(autouse=True)
+def no_stage_thread_left():
+    """Fail a test after which a pipeline stage thread still runs."""
+    yield
+    for t in threading.enumerate():
+        if t.name.startswith("lcws-stage"):
+            t.join(1.0)
+            assert not t.is_alive(), f"{t.name} still running after the test"

@@ -1,14 +1,16 @@
 import json
 import platform
 import random
+import shutil
 import struct
 
 import pytest
 from click.testing import CliRunner
 
-from lcws import algebra, scheme, wire
+from lcws import algebra, pipeline, scheme, wire
 from lcws.cli import main
 from lcws.errors import DecodeError
+from lcws.store import BlobStore
 
 from helpers import recording
 
@@ -295,6 +297,74 @@ def test_missing_block_is_io_error(runner, tmp_path, four_block_message, link_ar
     assert res.exit_code == 3, res.output
     assert f"{mid}/00003" in res.stderr
     assert not out.exists()
+
+
+def test_block_of_another_message_is_format_error(runner, tmp_path, four_block_message):
+    sk, store, mid = four_block_message
+    shutil.copytree(store / mid, store / "other")
+    out = tmp_path / "o.bin"
+    res = _dr_decrypt(runner, sk, store, "other", out, [])
+    assert res.exit_code == 4, res.output
+    assert f"block '{mid}/00001' stored as 'other/00001'" in res.stderr
+    assert not out.exists()
+
+
+def test_challenge_for_a_block_of_another_message_is_format_error(runner, tmp_path,
+                                                                  four_block_message):
+    _, store, mid = four_block_message
+    shutil.copytree(store / mid, store / "other")
+    v = tmp_path / "v.lcws"
+    res = runner.invoke(main, [
+        "ta-challenge", "--mk", str(tmp_path / "keys" / "mk.lcws"), "--store", str(store),
+        "--message-id", "other", "--out", str(v), "--seed", "4",
+    ])
+    assert res.exit_code == 4, res.output
+    assert f"block '{mid}/00001' stored as 'other/00001'" in res.stderr
+    assert not v.exists()
+
+
+def test_block_stored_under_another_index_is_format_error(runner, tmp_path, four_block_message):
+    sk, store, mid = four_block_message
+    shutil.copyfile(store / mid / "00003.ctb", store / mid / "00002.ctb")
+    out = tmp_path / "o.bin"
+    res = _dr_decrypt(runner, sk, store, mid, out, [])
+    assert res.exit_code == 4, res.output
+    assert f"block '{mid}/00003' stored as '{mid}/00002'" in res.stderr
+    assert not out.exists()
+
+
+def test_failed_store_write_stops_encryption(runner, tmp_path, monkeypatch):
+    from lcws.bench import synthetic_policy
+    keys = _setup_keys(runner, tmp_path)
+    text, _ = synthetic_policy(10, 9)
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(bytes(200))
+    encrypted, written = [], []
+    encrypt_block, put = scheme.encrypt_block, BlobStore.put
+
+    def counting_encrypt_block(state, pk, rng=None):
+        encrypted.append(state)
+        return encrypt_block(state, pk, rng)
+
+    def failing_put(self, object_id, data):
+        written.append(object_id)
+        if len(written) == 2:
+            raise OSError("disk full")
+        put(self, object_id, data)
+
+    monkeypatch.setattr(scheme, "encrypt_block", counting_encrypt_block)
+    monkeypatch.setattr(BlobStore, "put", failing_put)
+    res = runner.invoke(main, [
+        "do-encrypt", str(msg), "--pk", str(keys / "pk.lcws"),
+        "--enc-ctx", str(keys / "enc-ctx.lcws"), "--policy", text,
+        "--store", str(tmp_path / "store"), "--message-id", "m1", "--seed", "6",
+    ])
+    assert res.exit_code == 3, res.output
+    assert "disk full" in res.stderr
+    assert written == ["m1/00001", "m1/00002"]
+    assert [p.name for p in (tmp_path / "store" / "m1").iterdir()] == ["00001.ctb"]
+    # beyond the failing block: at most a full hand-off and the block in flight
+    assert len(encrypted) <= 2 + pipeline._HANDOFF_BLOCKS + 1 < 10
 
 
 def test_block_longer_than_its_header_allows_is_format_error(runner, tmp_path):

@@ -1,5 +1,7 @@
+import faulthandler
 import heapq
 import itertools
+import signal
 import sys
 import threading
 import time
@@ -267,7 +269,7 @@ def test_single_block_policy_has_zero_delta():
 
 def _bounded(fn, timeout=20.0):
     """Call fn() in a driver thread, failing instead of hanging on a
-    deadlock; afterwards no stage thread may be left running."""
+    deadlock."""
     out = {}
 
     def call():
@@ -280,10 +282,6 @@ def _bounded(fn, timeout=20.0):
     driver.start()
     driver.join(timeout)
     assert not driver.is_alive(), "pipeline did not finish"
-    for t in threading.enumerate():
-        if t.name.startswith("lcws-stage"):
-            t.join(timeout)
-            assert not t.is_alive(), f"{t.name} still running"
     return out
 
 
@@ -371,3 +369,69 @@ def test_run_pipeline_rows_under_frequent_thread_switches():
                 assert s1 <= e1 <= s2 <= e2
     finally:
         sys.setswitchinterval(previous)
+
+
+def _stage_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("lcws-stage")]
+
+
+def test_run_two_stage_runs_stage_two_in_the_callers_thread():
+    seen = {"first": set(), "second": set(), "stage threads": set()}
+
+    def stage(name):
+        def call(index, item):
+            seen[name].add(threading.current_thread())
+            seen["stage threads"].add(tuple(t.name for t in _stage_threads()))
+            return item
+        return call
+
+    def run():
+        seen["caller"] = threading.current_thread()
+        return pl.run_two_stage(range(12), pl.DEC, stage("first"), stage("second"))
+
+    res = _bounded(run)["result"]
+    assert [r.block for r in res.rows] == list(range(1, 13))
+    assert seen["second"] == {seen["caller"]}
+    [worker] = seen["first"]
+    assert worker.name == "lcws-stage1" and not worker.is_alive()
+    assert seen["stage threads"] == {("lcws-stage1",)}
+
+
+@pytest.mark.parametrize("slow", ["first", "second"])
+@pytest.mark.parametrize("at", [1, 2, 3])
+@pytest.mark.parametrize("signaller", ["first", "second"])
+def test_interrupt_stops_both_stages(signaller, at, slow):
+    # SIGINT reaches the main thread, which runs stage two, while either
+    # stage is at block `at`; the signal is logged just before it is sent
+    assert threading.current_thread() is threading.main_thread()
+    n = 20
+    log = []
+
+    def stage(name):
+        def call(index, item):
+            log.append((name, index))
+            if name == signaller and index == at:
+                log.append(("signal", index))
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            if name == slow:
+                time.sleep(0.02)
+            return item
+        return call
+
+    faulthandler.dump_traceback_later(20, exit=True)    # a deadlock ends the run
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            pl.run_two_stage(range(n), pl.ENC, stage("first"), stage("second"))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert _stage_threads() == []
+    calls_at_return = list(log)
+    time.sleep(0.1)
+    assert log == calls_at_return, "a stage ran after run_two_stage returned"
+    after = log[log.index(("signal", at)) + 1:]
+    firsts = [i for name, i in log if name == "first"]
+    seconds = [i for name, i in log if name == "second"]
+    assert firsts == list(range(1, len(firsts) + 1)) and len(firsts) < n
+    assert seconds == list(range(1, len(seconds) + 1))
+    assert sum(name == "second" for name, _ in after) <= 1
+    assert sum(name == "first" for name, _ in after) <= pl._HANDOFF_BLOCKS + 2

@@ -53,13 +53,6 @@ def test_no_temp_files_left(tmp_path):
     assert leftovers == []
 
 
-def test_has(tmp_path):
-    store = BlobStore(tmp_path / "s")
-    assert not store.has("m/00001")
-    store.put("m/00001", b"x")
-    assert store.has("m/00001")
-
-
 def test_store_contents_alone_reveal_nothing(tmp_path, suite):
     # store bytes plus public key, opened with a key holding no policy
     # attribute, never yield a message

@@ -117,9 +117,6 @@ class Scalar:
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
 
-    def is_zero(self) -> bool:
-        return self.value == 0
-
     def serialize(self) -> bytes:
         return self.value.to_bytes(SCALAR_BYTES, "big")
 
@@ -131,10 +128,6 @@ class Scalar:
         if v >= ORDER:
             raise DecodeError("scalar out of range")
         return cls(v)
-
-
-def random_scalar(rng) -> Scalar:
-    return Scalar(rng.randrange(ORDER))
 
 
 def random_nonzero_scalar(rng) -> Scalar:

@@ -6,6 +6,7 @@ error.  All commands accept --seed for reproducible randomness.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import random
@@ -168,6 +169,12 @@ def do_encrypt(message_file, pk_path, ctx_path, policy, store_dir, message_id, s
     tree = parse_policy(policy)
     store = BlobStore(store_dir)
     mid = message_id or _derive_message_id(message)
+    # a longer message stored under this id before must not leave blocks
+    # beyond the new one's last
+    with contextlib.suppress(StoreNotFoundError):
+        for object_id in store.list(mid):
+            if int(object_id.rpartition("/")[2]) > tree.depth:
+                store.delete(object_id)
 
     def encode(index, ctb):
         return make_object_id(mid, ctb.index), wire.encode_ctb(ctb, mid)

@@ -17,9 +17,10 @@ has a single level holding both the gate and its leaf.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .algebra import ORDER, Scalar
 from .errors import PolicySyntaxError
@@ -29,70 +30,56 @@ _KEYWORDS = frozenset({"AND", "OR", "of"})
 
 
 @dataclass(frozen=True)
-class AccessNode:
-    """One node of the tree: a leaf (attribute) or a threshold gate."""
+class NodeDescriptor:
+    """One node of the tree, a leaf (attribute) or a threshold gate, as the
+    public, serializable record a ciphertext block carries."""
 
-    node_id: int
-    index: int                       # 1-based position among siblings; root is 1
-    level: int                       # root level is 1
-    attribute: Optional[str] = None
-    threshold: Optional[int] = None
-    children: Tuple["AccessNode", ...] = ()
+    node_id: int                    # preorder, root is 1
+    parent_id: int                  # 0 for the root
+    index: int                      # 1-based position among siblings; root is 1
+    attribute: Optional[str]        # None for gates
+    threshold: Optional[int]        # None for leaves
 
     @property
     def is_leaf(self) -> bool:
         return self.attribute is not None
 
-    def __post_init__(self):
-        if self.is_leaf:
-            if self.threshold is not None or self.children:
-                raise ValueError("leaf nodes carry no threshold or children")
-            if not self.attribute:
-                raise ValueError("leaf attribute must be a non-empty string")
-        else:
-            n = len(self.children)
-            if self.threshold is None or not 1 <= self.threshold <= n:
-                raise ValueError(f"gate threshold {self.threshold} out of range 1..{n}")
-            if [c.index for c in self.children] != list(range(1, n + 1)):
-                raise ValueError("child indices must be consecutive from 1")
-
 
 class AccessTree:
-    """Immutable policy tree with by-id lookups and level bookkeeping."""
+    """Immutable policy tree stored as its level partition: one tuple of
+    descriptors per level, root level first, each in node-id order."""
 
-    def __init__(self, root: AccessNode, wrapped: bool = False):
-        self.root = root
-        self.wrapped = wrapped
-        self._nodes: Dict[int, AccessNode] = {}
-        self._parent: Dict[int, int] = {}
-        for node in _walk(root):
-            if node.node_id in self._nodes:
-                raise ValueError(f"duplicate node id {node.node_id}")
-            self._nodes[node.node_id] = node
-            for child in node.children:
-                self._parent[child.node_id] = node.node_id
-        self.depth = max(n.level for n in self._nodes.values())
+    def __init__(self, levels: Iterable[Iterable[NodeDescriptor]]):
+        self.levels: Tuple[Tuple[NodeDescriptor, ...], ...] = tuple(map(tuple, levels))
+        self.depth = len(self.levels)
+        self.root = self.levels[0][0]
+        kids: Dict[int, List[NodeDescriptor]] = {}
+        for level in self.levels:
+            for node in level:
+                kids.setdefault(node.parent_id, []).append(node)
+        self._children = {parent: tuple(nodes) for parent, nodes in kids.items()}
 
-    def nodes(self) -> Iterator[AccessNode]:
-        return iter(self._nodes.values())
+    @property
+    def wrapped(self) -> bool:
+        """True for a bare-attribute policy: its 1-of-1 wrapper gate shares
+        level 1 with the leaf, and it is the only tree of depth 1."""
+        return self.depth == 1
 
-    def node(self, node_id: int) -> AccessNode:
-        return self._nodes[node_id]
-
-    def parent_id(self, node_id: int) -> Optional[int]:
-        return self._parent.get(node_id)
+    def children(self, node_id: int) -> Tuple[NodeDescriptor, ...]:
+        """A gate's children in index order; () for a leaf."""
+        return self._children.get(node_id, ())
 
     def leaf_attributes(self) -> Set[str]:
-        return {n.attribute for n in self._nodes.values() if n.is_leaf}
+        return {n.attribute for level in self.levels for n in level if n.is_leaf}
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return sum(map(len, self.levels))
 
 
-def _walk(node: AccessNode) -> Iterator[AccessNode]:
-    yield node
-    for child in node.children:
-        yield from _walk(child)
+def partition_levels(tree: AccessTree) -> Tuple[Tuple[NodeDescriptor, ...], ...]:
+    """The tree's level partition, one block's worth of nodes per level:
+    root level first, each level in node-id order."""
+    return tree.levels
 
 
 # ---------------------------------------------------------------------------
@@ -231,34 +218,36 @@ def parse_policy(text: str) -> AccessTree:
     the tree depth at 1.
     """
     shape = _Parser(text).parse()
-    counter = [0]
-
-    def build(s, index: int, level: int) -> AccessNode:
-        counter[0] += 1
-        nid = counter[0]
-        if s[0] == "leaf":
-            return AccessNode(node_id=nid, index=index, level=level, attribute=s[1])
-        _, k, kids = s
-        children = tuple(
-            build(kid, i + 1, level + 1) for i, kid in enumerate(kids)
-        )
-        return AccessNode(node_id=nid, index=index, level=level, threshold=k, children=children)
-
     if shape[0] == "leaf":
         # depth-transparent wrapper: gate and leaf both sit on level 1
-        leaf = AccessNode(node_id=2, index=1, level=1, attribute=shape[1])
-        root = AccessNode(node_id=1, index=1, level=1, threshold=1, children=(leaf,))
-        return AccessTree(root, wrapped=True)
-    return AccessTree(build(shape, 1, 1))
+        return AccessTree([[NodeDescriptor(1, 0, 1, None, 1),
+                            NodeDescriptor(2, 1, 1, shape[1], None)]])
+    levels: List[List[NodeDescriptor]] = []
+    ids = itertools.count(1)
+
+    def build(s, parent_id: int, index: int, level: int) -> None:
+        nid = next(ids)
+        if level == len(levels):
+            levels.append([])
+        if s[0] == "leaf":
+            levels[level].append(NodeDescriptor(nid, parent_id, index, s[1], None))
+            return
+        _, k, kids = s
+        levels[level].append(NodeDescriptor(nid, parent_id, index, None, k))
+        for i, kid in enumerate(kids, 1):
+            build(kid, nid, i, level + 1)
+
+    build(shape, 0, 1, 0)
+    return AccessTree(levels)
 
 
 def format_policy(tree: AccessTree) -> str:
     """Canonical text for a tree; parse(format(t)) reproduces t."""
 
-    def fmt(node: AccessNode) -> str:
+    def fmt(node: NodeDescriptor) -> str:
         if node.is_leaf:
             return node.attribute
-        kids = [fmt(c) for c in node.children]
+        kids = [fmt(c) for c in tree.children(node.node_id)]
         n = len(kids)
         if node.threshold == n and n > 1:
             return "(" + " AND ".join(kids) + ")"
@@ -267,7 +256,7 @@ def format_policy(tree: AccessTree) -> str:
         return f"({node.threshold} of (" + ", ".join(kids) + "))"
 
     if tree.wrapped:
-        return tree.root.children[0].attribute
+        return tree.children(tree.root.node_id)[0].attribute
     return fmt(tree.root)
 
 
@@ -279,66 +268,12 @@ def satisfies(tree: AccessTree, attrs: Iterable[str]) -> bool:
     """Recursive threshold evaluation at the root."""
     have = set(attrs)
 
-    def sat(node: AccessNode) -> bool:
+    def sat(node: NodeDescriptor) -> bool:
         if node.is_leaf:
             return node.attribute in have
-        return sum(1 for c in node.children if sat(c)) >= node.threshold
+        return sum(1 for c in tree.children(node.node_id) if sat(c)) >= node.threshold
 
     return sat(tree.root)
-
-
-# ---------------------------------------------------------------------------
-# level partition
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NodeDescriptor:
-    """Public, serializable description of one node inside a level slice."""
-
-    node_id: int
-    parent_id: int                  # 0 for the root
-    index: int
-    attribute: Optional[str]        # None for gates
-    threshold: Optional[int]        # None for leaves
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.attribute is not None
-
-
-@dataclass(frozen=True)
-class LevelSlice:
-    """All nodes of one tree level plus their public topology."""
-
-    interior_nodes: Tuple[AccessNode, ...]
-    leaf_nodes: Tuple[AccessNode, ...]
-    descriptor: Tuple[NodeDescriptor, ...]
-
-
-def partition_levels(tree: AccessTree) -> Tuple[LevelSlice, ...]:
-    """One slice per level, root level first; each slice's descriptor is
-    self-contained."""
-    by_level: Dict[int, List[AccessNode]] = {}
-    for node in tree.nodes():
-        by_level.setdefault(node.level, []).append(node)
-
-    slices = []
-    for level in range(1, tree.depth + 1):
-        nodes = sorted(by_level.get(level, []), key=lambda n: n.node_id)
-        gates = tuple(n for n in nodes if not n.is_leaf)
-        leaves = tuple(n for n in nodes if n.is_leaf)
-        desc = tuple(
-            NodeDescriptor(
-                node_id=n.node_id,
-                parent_id=tree.parent_id(n.node_id) or 0,
-                index=n.index,
-                attribute=n.attribute,
-                threshold=n.threshold,
-            )
-            for n in nodes
-        )
-        slices.append(LevelSlice(gates, leaves, desc))
-    return tuple(slices)
 
 
 # ---------------------------------------------------------------------------

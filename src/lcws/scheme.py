@@ -35,7 +35,7 @@ from .algebra import (
     xor_bytes,
 )
 from .errors import DecodeError, PolicyNotSatisfiedError
-from .policy import AccessTree, LevelSlice, NodeDescriptor, lagrange_coeff, partition_levels
+from .policy import AccessTree, NodeDescriptor, lagrange_coeff, partition_levels
 
 _DEFAULT_RNG = secrets.SystemRandom()
 
@@ -230,17 +230,17 @@ class CiphertextBlock:
 class EncryptState:
     """The owner's side of one message between block encryptions.
 
-    Holds the chain scalar, the commitment, the message and the level
-    slices, the secret of the level about to be sealed, and the
-    polynomial shares owed to that level's nodes.  The state for level
-    i+1 is complete before block i is released, which is what lets
-    encryption overlap transmission.
+    Holds the chain scalar, the commitment, the message and the access
+    tree, the secret of the level about to be sealed, and the polynomial
+    shares owed to that level's nodes.  The state for level i+1 is
+    complete before block i is released, which is what lets encryption
+    overlap transmission.
     """
 
     q: Scalar
     commitment: G0Element
     message: bytes
-    levels: Tuple[LevelSlice, ...]
+    tree: AccessTree
     level_secret: Scalar
     pending_shares: Dict[int, Scalar]
     index: int = 1               # of the next block to seal
@@ -259,7 +259,7 @@ def begin_encryption(message: bytes, tree: AccessTree, ctx: EncryptionContext,
         q=ctx.q,
         commitment=data_verification(message, ctx),
         message=message,
-        levels=partition_levels(tree),
+        tree=tree,
         level_secret=s1,
         pending_shares={tree.root.node_id: s1},
     )
@@ -282,31 +282,34 @@ def _poly_shares(share: Scalar, threshold: int, children: Tuple, rng) -> Dict[in
 def encrypt_block(state: EncryptState, pk: PublicKey, rng=None) -> CiphertextBlock:
     """Seal the next data block under its tree level and move the state on.
 
-    Gates of the level spend their pending share on a fresh polynomial and
-    queue shares for their children; leaves of the level spend theirs on
-    the published component pair.  Every gate except the root also gets a
-    link element that lifts its recovered value to the level secret.
+    The level's nodes are walked once in node-id order, so a parent's share
+    is always queued before it is spent.  A gate spends its pending share
+    on a fresh polynomial and queues shares for its children; a leaf
+    spends its share on the published component pair.  Every gate except
+    the root also gets a link element that lifts its recovered value to
+    the level secret.
     """
     rng = _rng_or_default(rng)
     i = state.index
-    level_slice = state.levels[i - 1]
-    block_count = len(state.levels)
+    tree = state.tree
+    level = partition_levels(tree)[i - 1]
+    block_count = tree.depth
     s_i = state.level_secret
 
     gate_links: Dict[int, G0Element] = {}
-    for gate in level_slice.interior_nodes:
-        share = state.pending_shares.pop(gate.node_id)
-        state.pending_shares.update(_poly_shares(share, gate.threshold, gate.children, rng))
-        if i >= 2:
-            gate_links[gate.node_id] = pk.g ** ((s_i - share) / state.q)
-
     leaf_components: Dict[int, Tuple[G0Element, G0Element]] = {}
-    for leaf in level_slice.leaf_nodes:
-        share = state.pending_shares.pop(leaf.node_id)
-        leaf_components[leaf.node_id] = (
-            pk.g ** share,
-            hash_to_g0(TAG_ATTRIBUTE, leaf.attribute.encode()) ** share,
-        )
+    for node in level:
+        share = state.pending_shares.pop(node.node_id)
+        if node.is_leaf:
+            leaf_components[node.node_id] = (
+                pk.g ** share,
+                hash_to_g0(TAG_ATTRIBUTE, node.attribute.encode()) ** share,
+            )
+        else:
+            state.pending_shares.update(
+                _poly_shares(share, node.threshold, tree.children(node.node_id), rng))
+            if i >= 2:
+                gate_links[node.node_id] = pk.g ** ((s_i - share) / state.q)
 
     if i < block_count:
         state.level_secret = random_nonzero_scalar(rng)
@@ -321,7 +324,7 @@ def encrypt_block(state: EncryptState, pk: PublicKey, rng=None) -> CiphertextBlo
         index=i,
         block_count=block_count,
         total_len=len(state.message),
-        descriptor=level_slice.descriptor,
+        descriptor=level,
         masked_payload=masked,
         encap=pk.h ** s_i,
         gate_links=gate_links,
@@ -336,7 +339,7 @@ def encrypt_message(message: bytes, tree: AccessTree, pk: PublicKey,
     is yielded, so transmission may start immediately."""
     rng = _rng_or_default(rng)
     state = begin_encryption(message, tree, ctx, rng)
-    for _ in state.levels:
+    for _ in range(tree.depth):
         yield encrypt_block(state, pk, rng)
 
 

@@ -61,6 +61,10 @@ class BlobStore:
         except FileNotFoundError:
             raise StoreNotFoundError(object_id) from None
 
+    def delete(self, object_id: str) -> None:
+        """Remove one object; one that is not there is no error."""
+        self._path(object_id).unlink(missing_ok=True)
+
     def list(self, message_id: str) -> List[str]:
         """Object ids for one message, in block-index order."""
         folder = self.root / check_message_id(message_id)

@@ -1,7 +1,7 @@
-"""Shared generators for randomized policy/key trials, a recorder of the
-secrets keygen and encryption draw, the plain NAF exponentiations that
-tests compare the package's ladders and combs against, and the verifier's
-check as the scheme defines it."""
+"""Shared generators for random scalars and randomized policy/key trials,
+a recorder of the secrets keygen and encryption draw, the plain NAF
+exponentiations that tests compare the package's ladders and combs
+against, and the verifier's check as the scheme defines it."""
 
 from __future__ import annotations
 
@@ -11,7 +11,16 @@ from typing import Dict, Iterator, List, Set, Tuple
 
 from lcws import algebra, scheme
 from lcws.algebra import Scalar
-from lcws.policy import AccessNode, AccessTree, satisfies
+from lcws.policy import AccessTree, NodeDescriptor, satisfies
+
+
+def random_scalar(rng) -> Scalar:
+    """A uniform scalar, zero included."""
+    return Scalar(rng.randrange(algebra.ORDER))
+
+
+def is_zero(s: Scalar) -> bool:
+    return s.value == 0
 
 
 def affine_mul_naf(p, naf_digits_msb):
@@ -132,10 +141,10 @@ def satisfying_attrs(tree: AccessTree, rng: random.Random) -> Set[str]:
     """A minimal-ish attribute set that satisfies the tree: every gate is
     met through a random choice of exactly threshold children."""
 
-    def pick(node: AccessNode) -> Set[str]:
+    def pick(node: NodeDescriptor) -> Set[str]:
         if node.is_leaf:
             return {node.attribute}
-        chosen = rng.sample(list(node.children), node.threshold)
+        chosen = rng.sample(tree.children(node.node_id), node.threshold)
         out: Set[str] = set()
         for child in chosen:
             out |= pick(child)

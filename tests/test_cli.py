@@ -333,6 +333,26 @@ def test_block_stored_under_another_index_is_format_error(runner, tmp_path, four
     assert not out.exists()
 
 
+def test_shorter_message_under_a_held_id_replaces_every_block(runner, tmp_path,
+                                                               four_block_message):
+    sk, store, mid = four_block_message
+    keys = tmp_path / "keys"
+    msg = tmp_path / "short.bin"
+    msg.write_bytes(b"two blocks " * 100)
+    for _ in range(2):                            # and again into the id it now holds
+        res = runner.invoke(main, [
+            "do-encrypt", str(msg), "--pk", str(keys / "pk.lcws"),
+            "--enc-ctx", str(keys / "enc-ctx.lcws"), "--policy", "(a AND b)",
+            "--store", str(store), "--message-id", mid, "--seed", "10",
+        ])
+        assert res.exit_code == 0, res.output
+        assert sorted(p.name for p in (store / mid).iterdir()) == ["00001.ctb", "00002.ctb"]
+        out = tmp_path / "o.bin"
+        res = _dr_decrypt(runner, sk, store, mid, out, [])
+        assert res.exit_code == 0, res.output
+        assert out.read_bytes() == msg.read_bytes()
+
+
 def test_failed_store_write_stops_encryption(runner, tmp_path, monkeypatch):
     from lcws.bench import synthetic_policy
     keys = _setup_keys(runner, tmp_path)

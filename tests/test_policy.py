@@ -27,8 +27,8 @@ def test_parse_single_attribute_wraps_to_depth_one():
     assert tree.depth == 1
     assert tree.wrapped
     assert not tree.root.is_leaf and tree.root.threshold == 1
-    leaf = tree.root.children[0]
-    assert leaf.attribute == "a" and leaf.level == 1
+    (leaf,) = tree.children(tree.root.node_id)
+    assert leaf.attribute == "a" and tree.levels == ((tree.root, leaf),)
 
 
 def test_parse_parenthesized_attribute_is_grouping():
@@ -40,25 +40,28 @@ def test_parse_and_gate():
     tree = parse_policy("(a AND b)")
     assert tree.depth == 2
     assert tree.root.threshold == 2
-    assert [c.attribute for c in tree.root.children] == ["a", "b"]
-    assert [c.level for c in tree.root.children] == [2, 2]
+    children = tree.children(tree.root.node_id)
+    assert [c.attribute for c in children] == ["a", "b"]
+    assert tree.levels[1] == children
 
 
 def test_parse_nested_threshold():
     tree = parse_policy("(2 of (a, b, (c AND d)))")
     root = tree.root
-    assert root.threshold == 2 and len(root.children) == 3
-    assert root.children[0].attribute == "a"
-    assert root.children[1].attribute == "b"
-    gate = root.children[2]
-    assert not gate.is_leaf and gate.threshold == 2 and gate.level == 2
+    children = tree.children(root.node_id)
+    assert root.threshold == 2 and len(children) == 3
+    assert children[0].attribute == "a"
+    assert children[1].attribute == "b"
+    gate = children[2]
+    assert not gate.is_leaf and gate.threshold == 2 and gate in tree.levels[1]
     assert tree.depth == 3
-    assert [c.index for c in root.children] == [1, 2, 3]
+    assert [c.index for c in children] == [1, 2, 3]
+    assert [c.parent_id for c in children] == [root.node_id] * 3
 
 
 def test_parse_or_gate_threshold_one():
     tree = parse_policy("(a OR b OR c)")
-    assert tree.root.threshold == 1 and len(tree.root.children) == 3
+    assert tree.root.threshold == 1 and len(tree.children(tree.root.node_id)) == 3
 
 
 @pytest.mark.parametrize("text,pos_at_least", [
@@ -85,7 +88,7 @@ def test_keywords_are_not_attributes():
 
 def test_duplicate_attributes_allowed():
     tree = parse_policy("(a AND a)")
-    ids = [n.node_id for n in tree.nodes()]
+    ids = [n.node_id for level in tree.levels for n in level]
     assert len(ids) == len(set(ids)) == 3
 
 
@@ -126,9 +129,9 @@ def test_partition_wrapped_tree_single_slice():
     tree = parse_policy("a")
     levels = partition_levels(tree)
     assert len(levels) == 1
-    only = levels[0]
-    assert [n.node_id for n in only.interior_nodes] == [tree.root.node_id]
-    assert [n.attribute for n in only.leaf_nodes] == ["a"]
+    gate, leaf = levels[0]
+    assert gate == tree.root and not gate.is_leaf
+    assert leaf.attribute == "a" and leaf.parent_id == gate.node_id
 
 
 def test_partition_hand_labeled_depths():
@@ -136,12 +139,11 @@ def test_partition_hand_labeled_depths():
     levels = partition_levels(tree)
     assert len(levels) == 3
     s1, s2, s3 = levels
-    assert [n.node_id for n in s1.interior_nodes] == [tree.root.node_id]
-    assert s1.leaf_nodes == ()
-    assert [n.attribute for n in s2.leaf_nodes] == ["a"]
-    assert len(s2.interior_nodes) == 1 and s2.interior_nodes[0].threshold == 1
-    assert sorted(n.attribute for n in s3.leaf_nodes) == ["b", "c"]
-    assert s3.interior_nodes == ()
+    assert s1 == (tree.root,)
+    a, gate = s2
+    assert a.attribute == "a" and not gate.is_leaf and gate.threshold == 1
+    assert [n.attribute for n in s3] == ["b", "c"]
+    assert all(n.parent_id == gate.node_id for n in s3)
 
 
 def test_partition_ten_level_hundred_leaf_tree():
@@ -149,7 +151,7 @@ def test_partition_ten_level_hundred_leaf_tree():
     tree = parse_policy(text)
     levels = partition_levels(tree)
     assert len(levels) == 10
-    assert sum(len(s.leaf_nodes) for s in levels) == 100
+    assert sum(n.is_leaf for s in levels for n in s) == 100
 
 
 def test_partition_complete_and_disjoint():
@@ -157,19 +159,26 @@ def test_partition_complete_and_disjoint():
     for _ in range(25):
         tree = parse_policy(random_policy(rng, max_depth=5, max_leaves=20))
         levels = partition_levels(tree)
-        seen = []
+        assert len(levels) == tree.depth
+        seen = [n.node_id for s in levels for n in s]
+        assert sorted(seen) == list(range(1, len(seen) + 1))      # every preorder id once
+        assert [n for s in levels for n in s if n.parent_id == 0] == [tree.root]
+        gates_above = {0}                                           # the root's parent id
         for s in levels:
-            seen.extend(n.node_id for n in s.interior_nodes)
-            seen.extend(n.node_id for n in s.leaf_nodes)
-        assert sorted(seen) == sorted(n.node_id for n in tree.nodes())
-        # descriptors alone rebuild parent/threshold/attribute structure
+            ids = [n.node_id for n in s]
+            assert ids == sorted(ids)
+            gates_here = {n.node_id for n in s if not n.is_leaf}
+            # a parent is a gate one level up; only a depth-1 tree shares a level
+            parents = gates_above | gates_here if tree.depth == 1 else gates_above
+            for n in s:
+                assert n.parent_id in parents
+                assert n.is_leaf == (n.threshold is None)
+            gates_above = gates_here
         for s in levels:
-            for d in s.descriptor:
-                node = tree.node(d.node_id)
-                assert d.index == node.index
-                assert d.attribute == node.attribute
-                assert d.threshold == node.threshold
-                assert d.parent_id == (tree.parent_id(d.node_id) or 0)
+            for gate in (n for n in s if not n.is_leaf):
+                children = tree.children(gate.node_id)
+                assert [c.index for c in children] == list(range(1, len(children) + 1))
+                assert 1 <= gate.threshold <= len(children)
 
 
 def test_parse_format_parse_fixpoint():
@@ -182,10 +191,7 @@ def test_parse_format_parse_fixpoint():
         printed = format_policy(tree)
         again = parse_policy(printed)
         assert format_policy(again) == printed
-        assert [(ades.node_id, ades.parent_id, ades.index, ades.attribute, ades.threshold)
-                for s in partition_levels(tree) for ades in s.descriptor] == \
-               [(bdes.node_id, bdes.parent_id, bdes.index, bdes.attribute, bdes.threshold)
-                for s in partition_levels(again) for bdes in s.descriptor]
+        assert partition_levels(again) == partition_levels(tree)
 
 
 def test_explicit_one_of_one_gate_is_not_wrapped():

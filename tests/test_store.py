@@ -17,6 +17,16 @@ def test_put_overwrites(tmp_path):
     assert store.get("m1/00001") == b"new"
 
 
+def test_delete(tmp_path):
+    store = BlobStore(tmp_path / "s")
+    store.put("m1/00001", b"x")
+    store.delete("m1/00001")
+    with pytest.raises(StoreNotFoundError):
+        store.get("m1/00001")
+    assert store.list("m1") == []
+    store.delete("m1/00001")                       # already gone: no error
+
+
 def test_get_unknown_raises(tmp_path):
     store = BlobStore(tmp_path / "s")
     with pytest.raises(StoreNotFoundError):

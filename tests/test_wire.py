@@ -7,6 +7,7 @@ import pytest
 
 from lcws import algebra, scheme, wire
 from lcws.algebra import SUITE_ID
+from lcws.bench import synthetic_policy
 from lcws.errors import DecodeError
 from lcws.policy import parse_policy
 
@@ -399,6 +400,28 @@ def test_key_files_golden_digest():
     for attrs in ({"a"}, {"a", "b", "room:42", "dept:ops"}):
         files.append(wire.encode_secret_key(scheme.keygen(pk, mk, attrs, rng)))
     assert hashlib.sha256(b"".join(files)).hexdigest() == KEY_FILES_DIGEST
+
+
+# sha256 of the blocks of C9's recipe (seed 2024, bytes(range(256)) * 3,
+# message id golden-0001) under two shapes C9's policy lacks: a gate and its
+# leaf on one level, and the benchmark's 10-level, 100-leaf chain; must never
+# change
+SHAPE_DIGESTS = {
+    "alpha": "abd28a868cc83304a9701e57fcdbd0b4a13662c461d5a2c0b6e628ac92ea4c51",
+    synthetic_policy(10, 100)[0]:
+        "dc9e385ebdce95fdf58d42a1e2ca56b132daba79160f0a10046f6323d6c34261",
+}
+
+
+@pytest.mark.parametrize("policy", list(SHAPE_DIGESTS), ids=["one-level", "bench"])
+def test_policy_shape_golden_digest(policy):
+    rng = random.Random(2024)
+    pk, mk = scheme.setup(rng)
+    ctx = scheme.encryption_context(mk)
+    message = bytes(range(256)) * 3
+    blobs = [wire.encode_ctb(ctb, "golden-0001")
+             for ctb in scheme.encrypt_message(message, parse_policy(policy), pk, ctx, rng)]
+    assert hashlib.sha256(b"".join(blobs)).hexdigest() == SHAPE_DIGESTS[policy]
 
 
 def test_decoded_public_key_builds_its_tables_on_first_use(suite, monkeypatch):

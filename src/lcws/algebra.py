@@ -61,8 +61,9 @@ _H2C_PREFIX = b"lcws-h2c-v1"
 _KDF_PREFIX = b"lcws-kdf-v1"
 
 
-def _naf(k: int) -> list:
-    """Non-adjacent form, least significant digit first."""
+def _naf_msb(k: int) -> list:
+    """Non-adjacent form digits of k >= 1, most significant first, without
+    the leading 1."""
     digits = []
     while k:
         if k & 1:
@@ -72,12 +73,7 @@ def _naf(k: int) -> list:
             d = 0
         digits.append(d)
         k >>= 1
-    return digits
-
-
-def _naf_msb(k: int) -> list:
-    """NAF digits of k >= 1, most significant first, without the leading 1."""
-    return list(reversed(_naf(k)))[1:]
+    return digits[-2::-1]
 
 
 _NAF_ORDER_MSB = _naf_msb(ORDER)
@@ -195,23 +191,6 @@ def _jac_to_affine(p):
     zi = pow(Z, -1, _Q)
     zi2 = zi * zi % _Q
     return (X * zi2 % _Q, Y * zi2 % _Q * zi % _Q)
-
-
-def _affine_add(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % _Q == 0:
-            return None
-        lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, _Q) % _Q
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, _Q) % _Q
-    x3 = (lam * lam - x1 - x2) % _Q
-    return (x3, (lam * (x1 - x3) - y1) % _Q)
 
 
 # Subgroup membership from x alone.  ORDER = 2^159 + 2^107 + 1, so [ORDER]P
@@ -371,14 +350,14 @@ def _comb_columns(k: int, teeth: int) -> list:
     return [int(bits[c::span], 2) for c in range(span)]
 
 
-def _comb_pow(table, k: int):
-    """[k]P from P's comb table, for 0 < k < ORDER."""
-    acc = None
+def _comb_pow(table, k: int, square, mul, acc):
+    """The comb walk of either group for 0 < k < ORDER: from `acc`, one
+    `square` per column and one `mul` by the entry of each nonzero column."""
     for b in _comb_columns(k, len(table).bit_length() - 1):
-        acc = _jac_double(acc)
+        acc = square(acc)
         if b:
-            acc = _jac_add_affine(acc, table[b])
-    return _jac_to_affine(acc)
+            acc = mul(acc, table[b])
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +431,6 @@ def _build_fq2_comb(u) -> tuple:
         row = rows[low.bit_length() - 1]
         table[b] = row if b == low else _fq2_mul(table[b ^ low], row)
     return tuple(table)
-
-
-def _fq2_comb_pow(table, k: int):
-    acc = _FQ2_ONE
-    for b in _comb_columns(k, _WIDE_TEETH):
-        acc = _fq2_sqr(acc)
-        if b:
-            acc = _fq2_mul(acc, table[b])
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +603,10 @@ class G0Element:
         return out
 
     def __mul__(self, other: "G0Element") -> "G0Element":
-        return G0Element(_affine_add(self._p, other._p))
+        p, q = self._p, other._p
+        if p is None:
+            return G0Element(q)
+        return G0Element(_jac_to_affine(_jac_add_affine((*p, 1), q)))
 
     def __pow__(self, k) -> "G0Element":
         p = self._p
@@ -647,7 +620,7 @@ class G0Element:
             table = _comb_table(p)
         elif table is _NOT_BUILT:
             table = self._table = _build_comb(p, _WIDE_TEETH)
-        return G0Element(_comb_pow(table, e))
+        return G0Element(_jac_to_affine(_comb_pow(table, e, _jac_double, _jac_add_affine, None)))
 
     def inverse(self) -> "G0Element":
         return G0Element(_affine_neg(self._p))
@@ -731,7 +704,7 @@ class GTElement:
             return GTElement(_unitary_pow(self._v, e))
         if table is _NOT_BUILT:
             table = self._table = _build_fq2_comb(self._v)
-        return GTElement(_fq2_comb_pow(table, e))
+        return GTElement(_comb_pow(table, e, _fq2_sqr, _fq2_mul, _FQ2_ONE))
 
     def inverse(self) -> "GTElement":
         # subgroup elements have norm 1, so conjugation inverts

@@ -169,11 +169,12 @@ def do_encrypt(message_file, pk_path, ctx_path, policy, store_dir, message_id, s
     tree = parse_policy(policy)
     store = BlobStore(store_dir)
     mid = message_id or _derive_message_id(message)
-    # a longer message stored under this id before must not leave blocks
-    # beyond the new one's last
+    # a message stored under this id before must leave no object but the
+    # new one's blocks
+    keep = {make_object_id(mid, i) for i in range(1, tree.depth + 1)}
     with contextlib.suppress(StoreNotFoundError):
         for object_id in store.list(mid):
-            if int(object_id.rpartition("/")[2]) > tree.depth:
+            if object_id not in keep:
                 store.delete(object_id)
 
     def encode(index, ctb):
@@ -195,18 +196,20 @@ def do_encrypt(message_file, pk_path, ctx_path, policy, store_dir, message_id, s
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 @click.option("--bandwidth", type=click.FloatRange(min=0, min_open=True), default=None,
               help="Bytes/s; when set, each download also crosses a simulated link.")
-@click.option("--latency", type=click.FloatRange(min=0), default=0.0,
-              help="Simulated link latency, seconds.")
+@click.option("--latency", type=click.FloatRange(min=0), default=None,
+              help="Simulated link latency, seconds; needs --bandwidth.")
 @_exit_codes
 def dr_decrypt(sk_path, store_dir, message_id, out_path, bandwidth, latency):
     """Download, decrypt, and reassemble a stored message, decrypting each
     block while the next ones download."""
+    if bandwidth is None and latency is not None:
+        raise click.BadParameter("a latency needs --bandwidth", param_hint="'--latency'")
     sk = wire.decode_secret_key(sk_path.read_bytes())
     store = BlobStore(store_dir)
     object_ids = store.list(message_id)
     if not object_ids:
         raise StoreNotFoundError(message_id)
-    link = None if bandwidth is None else pipeline_mod.LinkModel(bandwidth, latency)
+    link = None if bandwidth is None else pipeline_mod.LinkModel(bandwidth, latency or 0.0)
     state = scheme.DecryptionState(sk)
 
     def download(index, object_id):

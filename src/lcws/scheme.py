@@ -438,8 +438,9 @@ class DecryptionState:
     is closed, block 1 can also open by the root value and a later block by
     a gate of its level with that gate's link element.  Node values are
     computed only for such an unlock, from the held subset with the fewest
-    leaves still to pair; children sit only in the next block (block 1
-    itself for a one-level policy's leaf), so no parent id can loop."""
+    leaves still to pair.  A node's children sit in its own block under
+    higher node ids or in the next block, so a tree sealed as one block
+    opens as well as one sealed level by level, and no parent id can loop."""
 
     def __init__(self, sk: SecretKey):
         self.sk = sk
@@ -519,11 +520,13 @@ class DecryptionState:
         return RootUnlock(value) if ctb.index == 1 else GateUnlock(nid, value)
 
     def _plan(self) -> Dict[int, tuple]:
-        """(leaves to pair, block, descriptor, children) per satisfied node, deepest block first."""
+        """(leaves to pair, block, descriptor, children) per satisfied node.
+        Blocks go from the last and each by descending node id, so a child
+        in the next block or under a higher id is planned before its parent."""
         plan: Dict[int, tuple] = {}
         kids: Dict[Tuple[int, int], List[NodeDescriptor]] = {}
         for j, ctb in sorted(self._blocks.items(), reverse=True):
-            for d in sorted(ctb.descriptor, key=lambda d: not d.is_leaf):
+            for d in sorted(ctb.descriptor, key=lambda d: d.node_id, reverse=True):
                 if d.node_id in self.node_values:
                     plan[d.node_id] = (0, j, d, ())
                 elif (d.is_leaf and d.attribute in self.sk.components
@@ -535,8 +538,8 @@ class DecryptionState:
                     if len({k.index for k in chosen}) == d.threshold:
                         plan[d.node_id] = (sum(plan[k.node_id][0] for k in chosen), j, d, chosen)
                 if d.node_id in plan:
-                    parent_block = j if d.is_leaf and self.block_count == 1 else j - 1
-                    kids.setdefault((parent_block, d.parent_id), []).append(d)
+                    for parent_block in (j, j - 1):
+                        kids.setdefault((parent_block, d.parent_id), []).append(d)
         return plan
 
     def _value(self, plan: Dict[int, tuple], node_id: int) -> GTElement:

@@ -204,6 +204,12 @@ def decode_ctb(data: bytes) -> Tuple[CiphertextBlock, str]:
     r.done()
     if bool(flags & FLAG_SENTINEL) != (index == block_count):
         raise DecodeError("sentinel flag inconsistent with block index")
+    gate_ids = {d.node_id for d in descriptor if not d.is_leaf}
+    leaf_ids = {d.node_id for d in descriptor if d.is_leaf}
+    stray = (gate_links.keys() - gate_ids) | (leaf_components.keys() - leaf_ids)
+    if stray:
+        raise DecodeError(f"node {min(stray)} has a gate link or leaf component the "
+                          "block's descriptor does not give it")
     try:
         ctb = CiphertextBlock(
             index=index,

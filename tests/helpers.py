@@ -1,7 +1,8 @@
 """Shared generators for random scalars and randomized policy/key trials,
-a recorder of the secrets keygen and encryption draw, the plain NAF
-exponentiations that tests compare the package's ladders and combs
-against, and the verifier's check as the scheme defines it."""
+a recorder of the secrets keygen and encryption draw, point addition on
+points of any order, the plain NAF exponentiations that tests compare the
+package's ladders and combs against, and the verifier's check as the
+scheme defines it."""
 
 from __future__ import annotations
 
@@ -21,6 +22,14 @@ def random_scalar(rng) -> Scalar:
 
 def is_zero(s: Scalar) -> bool:
     return s.value == 0
+
+
+def affine_add(p, q):
+    """P + Q for affine curve points of any order, None the identity, by the
+    package's mixed Jacobian addition."""
+    if p is None:
+        return q
+    return algebra._jac_to_affine(algebra._jac_add_affine((*p, 1), q))
 
 
 def affine_mul_naf(p, naf_digits_msb):

@@ -8,7 +8,7 @@ from lcws import algebra as alg
 from lcws.algebra import G0Element, GTElement, Scalar
 from lcws.errors import DecodeError
 
-from helpers import affine_mul_naf, fq2_pow_naf, is_zero, random_scalar
+from helpers import affine_add, affine_mul_naf, fq2_pow_naf, is_zero, random_scalar
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -225,7 +225,7 @@ def test_subgroup_check_matches_oracle():
              + [_random_curve_point(rng) for _ in range(20)]
              + [(0, 0)]
              + small
-             + [alg._affine_add(s, t) for s, t in zip(subgroup * 2, small)])
+             + [affine_add(s, t) for s, t in zip(subgroup * 2, small)])
     for point in cases:
         assert _decodes(point) == _oracle_in_subgroup(point), point
     assert all(_decodes(p) for p in subgroup)
@@ -408,7 +408,7 @@ def test_cofactor_ladder_matches_the_naf_oracle_on_points_of_every_order():
     rng = random.Random(62)
     subgroup = [(G ** alg.random_nonzero_scalar(rng))._p for _ in range(4)]
     small = [_point_of_order(d, rng) for d in _SMALL_ORDERS]
-    mixed = [alg._affine_add(s, t) for s, t in zip(subgroup * 3, small)]
+    mixed = [affine_add(s, t) for s, t in zip(subgroup * 3, small)]
     cases = small + mixed + subgroup + [_random_curve_point(rng) for _ in range(10)]
     for point in cases + [alg._affine_neg(p) for p in cases]:
         assert alg._ladder(point, alg.COFACTOR) == affine_mul_naf(point, _NAF_COFACTOR), point

@@ -432,6 +432,7 @@ _BENCH_ARGS = ["bench", "--sizes", "0.0625", "--levels", "3", "--leaves", "4", "
 _BAD_OPTIONS = [
     ("dr-decrypt", ["--bandwidth", "0"]),
     ("dr-decrypt", ["--bandwidth", "1e7", "--latency", "-1"]),
+    ("dr-decrypt", ["--latency", "5"]),
     ("bench", ["--bandwidth", "0"]),
     ("bench", ["--latency", "-5"]),
     ("bench", ["--runs", "0"]),

@@ -10,7 +10,7 @@ from lcws import algebra as alg
 from lcws import bench, scheme, wire
 from lcws.algebra import G0Element, Scalar
 from lcws.errors import DecodeError, PolicyNotSatisfiedError
-from lcws.policy import NodeDescriptor, parse_policy
+from lcws.policy import AccessTree, NodeDescriptor, parse_policy
 from lcws.scheme import (
     ChainUnlock,
     DecryptionState,
@@ -362,6 +362,33 @@ def test_round_trip_out_of_order_arrival(suite):
     assert _decrypt(list(reversed(ctbs)), sk) == msg
 
 
+_BENCH_TEXT, _BENCH_SPREAD = bench.synthetic_policy(10, 100)
+
+
+@pytest.mark.parametrize("text, good, bad", [
+    ("(alpha AND (beta OR (2 of (gamma, delta, epsilon))))", {"alpha", "gamma", "epsilon"},
+     {"alpha", "delta"}),
+    (_BENCH_TEXT, {_BENCH_SPREAD[-1]}, {"bench:9999"}),
+    ("(a AND b)", {"a", "b"}, {"b"}),
+], ids=["c9", "bench", "and"])
+def test_one_level_partition_decrypts(suite, text, good, bad):
+    # the whole tree sealed as one block, as traditional CP-ABE seals it: a
+    # gate finds its children in its own block, under higher node ids; the
+    # bench key holds one leaf of the deepest gate, nine gates below the root
+    pk, mk, ctx = suite
+    rng = random.Random(34)
+    tree = parse_policy(text)
+    flat = AccessTree([sorted((d for level in tree.levels for d in level),
+                              key=lambda d: d.node_id)])
+    msg = rng.randbytes(300)
+    ctbs = [wire.decode_ctb(wire.encode_ctb(ctb, "m"))[0]
+            for ctb in scheme.encrypt_message(msg, flat, pk, ctx, rng)]
+    assert len(ctbs) == 1 and len(ctbs[0].descriptor) == len(tree)
+    assert _decrypt(ctbs, scheme.keygen(pk, mk, good, rng)) == msg
+    with pytest.raises(PolicyNotSatisfiedError):
+        _decrypt(ctbs, scheme.keygen(pk, mk, bad, rng))
+
+
 def test_unauthorized_key_denied(suite):
     pk, mk, ctx = suite
     rng = random.Random(17)
@@ -595,9 +622,9 @@ def _root_parents_itself(ctbs):
                          ids=["gate-chain-3000", "gates-parent-each-other", "root-parents-itself"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
 def test_hostile_parent_ids_end_in_typed_errors(suite, forge, reverse):
-    # the evaluator looks up children only in the next block, so no parent
-    # id can make it loop or recurse; every key either opens the message or
-    # ends in a typed error
+    # the evaluator counts a child only in the next block or under a higher
+    # id in its own, so no parent id can make it loop or recurse; every key
+    # either opens the message or ends in a typed error
     pk, mk, ctx = suite
     rng = random.Random(31)
     msg = rng.randbytes(400)

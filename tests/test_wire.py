@@ -240,9 +240,12 @@ def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_bl
 
     watch("_lines", lambda p: (p,))
     watch("_miller_product", evaluation_points)
-    watch("_affine_add", lambda p1, p2: (p1, p2))
+    # a mixed addition's affine operand, and a product's left factor: the
+    # Jacobian operand with Z = 1
+    watch("_jac_add_affine", lambda p, a: (a, p[:2] if p is not None and p[2] == 1 else None))
     watch("_build_comb", lambda point, teeth: (point,))
-    watch("_comb_pow", lambda table, k: (table[1],))
+    # the source group's comb walks start from the identity, None
+    watch("_comb_pow", lambda table, k, square, mul, acc: (table[1],) if acc is None else ())
     # every ladder power but a hash's cofactor clearing
     watch("_ladder", lambda p, k: (p,) if k != algebra.COFACTOR else ())
     algebra._comb_table.cache_clear()
@@ -255,6 +258,7 @@ def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_bl
             use(decode(_corrupt(data, element)))
         use(decode(data))
     assert _decrypt([wire.decode_ctb(wire.encode_ctb(ctb, "m"))[0] for ctb in ctbs], sk) == msg
+    monkeypatch.undo()                      # the oracle below adds points too
     assert len(seen) > 20
     order_naf = algebra._naf_msb(algebra.ORDER)
     for point in seen:
@@ -334,6 +338,26 @@ def test_ctb_rejects_map_entries_out_of_order_or_repeated(suite, field):
     for bad in (entries[::-1], entries[:1] * len(entries)):
         with pytest.raises(DecodeError, match="strictly increasing"):
             wire.decode_ctb(_replaced(data, _map_body(entries), _map_body(bad)))
+
+
+def test_ctb_rejects_links_and_components_of_nodes_not_its_own(suite):
+    # block 2 of this policy holds leaf 2 and gate 3: a gate link may name
+    # only gate 3 and a leaf component only leaf 2; a subset of those decodes
+    pk, _, ctx = suite
+    tree = parse_policy("(a AND (b OR (c AND d)))")
+    ctb = list(scheme.encrypt_message(b"m" * 40, tree, pk, ctx, random.Random(95)))[1]
+    assert [(d.node_id, d.is_leaf) for d in ctb.descriptor] == [(2, True), (3, False)]
+    (link,), (component,) = ctb.gate_links.values(), ctb.leaf_components.values()
+    for gate_links, leaf_components in (({3: link, 99: link}, {2: component}),
+                                        ({2: link, 3: link}, {2: component}),
+                                        ({3: link}, {2: component, 3: component}),
+                                        ({3: link}, {2: component, 99: component})):
+        forged = dataclasses.replace(ctb, gate_links=gate_links, leaf_components=leaf_components)
+        with pytest.raises(DecodeError, match="descriptor does not give it"):
+            wire.decode_ctb(wire.encode_ctb(forged, "m"))
+    for gate_links, leaf_components in (({}, {2: component}), ({3: link}, {}), ({}, {})):
+        subset = dataclasses.replace(ctb, gate_links=gate_links, leaf_components=leaf_components)
+        assert wire.decode_ctb(wire.encode_ctb(subset, "m"))[0] == subset
 
 
 def test_key_file_rejects_attributes_out_of_order_or_repeated(suite):

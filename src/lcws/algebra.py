@@ -290,7 +290,8 @@ def _ladder(p, k: int) -> Optional[Tuple[int, int]]:
 # 8 x 20 table (255 points, about 61 KB) from their first exponentiation
 # on; attribute hashes, which recur across keys and blocks, share the
 # 4 x 40 tables (15 points) of the `_comb_table` LRU, whose build costs
-# about one ladder power.
+# about one ladder power.  The same comb serves the target group, where the
+# public key's egg_alpha keeps an 8 x 20 table of products of its rows.
 
 _COMB_BITS = ORDER.bit_length()          # 160
 _COMB_TEETH = 4
@@ -316,24 +317,34 @@ def _batch_to_affine(points):
     return out
 
 
+def _comb_rows(base, teeth: int, square) -> list:
+    """The comb's row bases base^(2^(span*j)), j < teeth, of either group,
+    by repeated squaring (doubling in the source group)."""
+    span = _COMB_BITS // teeth
+    rows = [base]
+    for _ in range(teeth - 1):
+        for _ in range(span):
+            base = square(base)
+        rows.append(base)
+    return rows
+
+
+def _comb_entries(rows, mul, one) -> list:
+    """Entry b is the product of the rows over the bits set in b: entry
+    (b xor low) times the row of b's lowest set bit; entry 0 is `one`."""
+    entries = [one] * (1 << len(rows))
+    for b in range(1, len(entries)):
+        low = b & -b
+        entries[b] = mul(entries[b ^ low], rows[low.bit_length() - 1])
+    return entries
+
+
 def _build_comb(point, teeth: int) -> tuple:
     """Affine comb table of a subgroup point; entry 0 (the identity) is None.
     Rows come from doubling and entries from mixed additions in Jacobian
     coordinates, each set made affine with a single inversion."""
-    span = _COMB_BITS // teeth
-    acc = (point[0], point[1], 1)
-    rows = [acc]
-    for _ in range(teeth - 1):
-        for _ in range(span):
-            acc = _jac_double(acc)
-        rows.append(acc)
-    rows = _batch_to_affine(rows)
-    entries = [None] * (1 << teeth)
-    for b in range(1, 1 << teeth):
-        low = b & -b
-        row = rows[low.bit_length() - 1]
-        entries[b] = (row[0], row[1], 1) if b == low else _jac_add_affine(entries[b ^ low], row)
-    return (None, *_batch_to_affine(entries[1:]))
+    rows = _batch_to_affine(_comb_rows((point[0], point[1], 1), teeth, _jac_double))
+    return (None, *_batch_to_affine(_comb_entries(rows, _jac_add_affine, None)[1:]))
 
 
 @lru_cache(maxsize=512)
@@ -413,24 +424,6 @@ def _unitary_pow(u, k: int):
         else:
             v, w = (v * v - 2) % _Q, (v * w - v1) % _Q
     return (v * _HALF % _Q, (a * v - w) * pow(2 * b, -1, _Q) % _Q)
-
-
-# The same comb in the target group: the public key's egg_alpha keeps an
-# 8 x 20 table of 255 products of its row powers u^(2^(20j)).
-
-def _build_fq2_comb(u) -> tuple:
-    span = _COMB_BITS // _WIDE_TEETH
-    rows = [u]
-    for _ in range(_WIDE_TEETH - 1):
-        for _ in range(span):
-            u = _fq2_sqr(u)
-        rows.append(u)
-    table = [_FQ2_ONE] * (1 << _WIDE_TEETH)
-    for b in range(1, 1 << _WIDE_TEETH):
-        low = b & -b
-        row = rows[low.bit_length() - 1]
-        table[b] = row if b == low else _fq2_mul(table[b ^ low], row)
-    return tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +696,8 @@ class GTElement:
         if table is None:
             return GTElement(_unitary_pow(self._v, e))
         if table is _NOT_BUILT:
-            table = self._table = _build_fq2_comb(self._v)
+            table = self._table = _comb_entries(
+                _comb_rows(self._v, _WIDE_TEETH, _fq2_sqr), _fq2_mul, _FQ2_ONE)
         return GTElement(_comb_pow(table, e, _fq2_sqr, _fq2_mul, _FQ2_ONE))
 
     def inverse(self) -> "GTElement":

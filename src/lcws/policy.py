@@ -25,7 +25,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from .algebra import ORDER, Scalar
 from .errors import PolicySyntaxError
 
-_ATTR_RE = re.compile(r"[A-Za-z0-9_:-]+")
+# punctuation, a word (keyword, integer or attribute), or any other
+# non-space character, which is an error
+_TOKEN_RE = re.compile(r"([(),])|([A-Za-z0-9_:-]+)|(\S)")
 _KEYWORDS = frozenset({"AND", "OR", "of"})
 
 
@@ -62,8 +64,8 @@ class AccessTree:
     @property
     def wrapped(self) -> bool:
         """True for a bare-attribute policy: its 1-of-1 wrapper gate shares
-        level 1 with the leaf, and it is the only tree of depth 1."""
-        return self.depth == 1
+        level 1 with the leaf, and it is the only one-level tree of two nodes."""
+        return self.depth == 1 and len(self) == 2
 
     def children(self, node_id: int) -> Tuple[NodeDescriptor, ...]:
         """A gate's children in index order; () for a leaf."""
@@ -86,127 +88,82 @@ def partition_levels(tree: AccessTree) -> Tuple[Tuple[NodeDescriptor, ...], ...]
 # parsing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Token:
-    kind: str       # 'attr' | 'int' | 'lparen' | 'rparen' | 'comma' | 'kw'
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """(kind, text, position) tuples closed by one end token at len(text).
+    A kind is the punctuation itself, 'kw', 'int', 'attr' or 'end of input'."""
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token("rparen", c, i))
-            i += 1
-        elif c == ",":
-            tokens.append(_Token("comma", c, i))
-            i += 1
-        else:
-            m = _ATTR_RE.match(text, i)
-            if not m:
-                raise PolicySyntaxError(f"unexpected character {c!r}", i)
-            word = m.group(0)
-            if word in _KEYWORDS:
-                tokens.append(_Token("kw", word, i))
-            elif word.isdigit():
-                tokens.append(_Token("int", word, i))
-            else:
-                tokens.append(_Token("attr", word, i))
-            i = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        punct, word, other = m.groups()
+        if other:
+            raise PolicySyntaxError(f"unexpected character {other!r}", m.start())
+        kind = punct or ("kw" if word in _KEYWORDS else "int" if word.isdigit() else "attr")
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end of input", "", len(text)))
     return tokens
+
+
+def _expected(what: str, token: Tuple[str, str, int]) -> PolicySyntaxError:
+    kind, text, pos = token
+    return PolicySyntaxError(f"expected {what}, found {repr(text) if text else kind}", pos)
 
 
 class _Parser:
     """Recursive descent over the token list; builds an untyped shape first."""
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise PolicySyntaxError(f"expected {kind}, found end of input", len(self.text))
-        if tok.kind != kind:
-            raise PolicySyntaxError(f"expected {kind}, found {tok.text!r}", tok.pos)
+    def take(self, kind: str, text: Optional[str] = None) -> Tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        if tok[0] != kind or text not in (None, tok[1]):
+            raise _expected(repr(text or kind), tok)
         self.i += 1
         return tok
 
     def parse(self):
         shape = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise PolicySyntaxError(f"trailing input {tok.text!r}", tok.pos)
+        self.take("end of input")
         return shape
 
     def expr(self):
-        tok = self.peek()
-        if tok is None:
-            raise PolicySyntaxError("expected expression, found end of input", len(self.text))
-        if tok.kind == "attr":
-            self.i += 1
-            return ("leaf", tok.text)
-        if tok.kind == "lparen":
-            self.i += 1
-            shape = self.inner(tok.pos)
-            self.take("rparen")
+        tok = self.tokens[self.i]
+        self.i += 1
+        if tok[0] == "attr":
+            return ("leaf", tok[1])
+        if tok[0] == "(":
+            shape = self.inner()
+            self.take(")")
             return shape
-        raise PolicySyntaxError(f"expected attribute or '(', found {tok.text!r}", tok.pos)
+        raise _expected("attribute or '('", tok)
 
-    def inner(self, open_pos: int):
-        tok = self.peek()
-        if tok is not None and tok.kind == "int":
+    def inner(self):
+        if self.tokens[self.i][0] == "int":
             return self.threshold_gate()
-        first = self.expr()
-        tok = self.peek()
-        if tok is None or tok.kind == "rparen":
-            return first                      # plain grouping
-        if tok.kind != "kw" or tok.text not in ("AND", "OR"):
-            raise PolicySyntaxError(f"expected AND, OR or ')', found {tok.text!r}", tok.pos)
-        op = tok.text
-        children = [first]
-        while True:
-            nxt = self.peek()
-            if nxt is None or nxt.kind == "rparen":
-                break
-            if nxt.kind != "kw" or nxt.text != op:
-                raise PolicySyntaxError(
-                    f"cannot mix gate kinds, expected {op!r}, found {nxt.text!r}", nxt.pos
-                )
-            self.i += 1
+        children = [self.expr()]
+        tok = self.tokens[self.i]
+        if tok[0] == ")":
+            return children[0]                # plain grouping
+        op = tok[1]
+        if op not in ("AND", "OR"):
+            raise _expected("AND, OR or ')'", tok)
+        while self.tokens[self.i][0] != ")":
+            self.take("kw", op)
             children.append(self.expr())
-        k = len(children) if op == "AND" else 1
-        return ("gate", k, children)
+        return ("gate", len(children) if op == "AND" else 1, children)
 
     def threshold_gate(self):
-        tok = self.take("int")
-        k = int(tok.text)
-        kw = self.take("kw")
-        if kw.text != "of":
-            raise PolicySyntaxError(f"expected 'of', found {kw.text!r}", kw.pos)
-        self.take("lparen")
+        _, digits, pos = self.take("int")
+        self.take("kw", "of")
+        self.take("(")
         children = [self.expr()]
-        while self.peek() is not None and self.peek().kind == "comma":
+        while self.tokens[self.i][0] == ",":
             self.i += 1
             children.append(self.expr())
-        self.take("rparen")
+        self.take(")")
+        k = int(digits)
         if not 1 <= k <= len(children):
-            raise PolicySyntaxError(
-                f"threshold {k} out of range 1..{len(children)}", tok.pos
-            )
+            raise PolicySyntaxError(f"threshold {k} out of range 1..{len(children)}", pos)
         return ("gate", k, children)
 
 
@@ -242,7 +199,8 @@ def parse_policy(text: str) -> AccessTree:
 
 
 def format_policy(tree: AccessTree) -> str:
-    """Canonical text for a tree; parse(format(t)) reproduces t."""
+    """Canonical text for a tree.  parse(format(t)) reproduces a tree that
+    `parse_policy` built; any other partition gives the same policy."""
 
     def fmt(node: NodeDescriptor) -> str:
         if node.is_leaf:

@@ -438,9 +438,11 @@ class DecryptionState:
     is closed, block 1 can also open by the root value and a later block by
     a gate of its level with that gate's link element.  Node values are
     computed only for such an unlock, from the held subset with the fewest
-    leaves still to pair.  A node's children sit in its own block under
-    higher node ids or in the next block, so a tree sealed as one block
-    opens as well as one sealed level by level, and no parent id can loop."""
+    leaves still to pair.  A node's parent is a gate of the block before or
+    a gate of its own block under a lower node id (the root's parent id is
+    0).  So a tree opens whenever each node sits in its parent's block or
+    the next: sealed as one block, level by level, or as two blocks cut
+    anywhere in node-id order; and no parent id can loop."""
 
     def __init__(self, sk: SecretKey):
         self.sk = sk
@@ -461,11 +463,13 @@ class DecryptionState:
 
     def add_block(self, ctb: CiphertextBlock) -> None:
         """Ingest one block and open every block now reachable.  A repeat is
-        ignored; another block under a held index or a held node id, or a
-        node of a block after the first whose parent id names no gate of the
-        block before (once both are held), is a DecodeError.  So is a point
-        that fails its deferred validation, and the block holding it is
-        dropped first, so a re-sent copy is taken in."""
+        ignored; another block under a held index or a held node id is a
+        DecodeError, and so is a node whose parent id names neither a gate
+        of the block before nor a gate of its own block under a lower id:
+        block 1 is checked on arrival (parent id 0 stands for the block
+        before it), a later block once the block before is held too.  So is
+        a point that fails its deferred validation, and the block holding it
+        is dropped first, so a re-sent copy is taken in."""
         if self.block_count is None:
             self.block_count = ctb.block_count
             self.total_len = ctb.total_len
@@ -479,14 +483,18 @@ class DecryptionState:
             d.node_id for b in self._blocks.values() for d in b.descriptor)
         if shared:
             raise DecodeError(f"node id {min(shared)} appears in more than one block")
-        for parent, child in ((self._blocks.get(ctb.index - 1), ctb),
-                              (ctb, self._blocks.get(ctb.index + 1))):
-            if parent is not None and child is not None:
-                gates = {d.node_id for d in parent.descriptor if not d.is_leaf}
-                dangling = [d.node_id for d in child.descriptor if d.parent_id not in gates]
-                if dangling:
-                    raise DecodeError(f"node {min(dangling)} of block {child.index} has "
-                                      f"no parent gate in block {parent.index}")
+        held = {**self._blocks, ctb.index: ctb}
+        for j in (ctb.index, ctb.index + 1):
+            if j not in held or (j > 1 and j - 1 not in held):
+                continue
+            gates = {0} if j == 1 else {d.node_id for d in held[j - 1].descriptor
+                                        if not d.is_leaf}
+            for d in sorted(held[j].descriptor, key=lambda d: d.node_id):
+                if d.parent_id not in gates:
+                    raise DecodeError(f"node {d.node_id} of block {j} has no parent gate in "
+                                      f"the block before or under a lower id in its own")
+                if not d.is_leaf:
+                    gates.add(d.node_id)
         if ctb.index == 1:
             self.commitment = ctb.commitment
         self._blocks[ctb.index] = ctb

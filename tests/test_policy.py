@@ -8,6 +8,7 @@ from lcws.algebra import ORDER, Scalar
 from lcws.bench import synthetic_policy
 from lcws.errors import PolicySyntaxError
 from lcws.policy import (
+    AccessTree,
     format_policy,
     lagrange_coeff,
     parse_policy,
@@ -64,21 +65,35 @@ def test_parse_or_gate_threshold_one():
     assert tree.root.threshold == 1 and len(tree.children(tree.root.node_id)) == 3
 
 
-@pytest.mark.parametrize("text,pos_at_least", [
+@pytest.mark.parametrize("text,position", [
     ("", 0),
+    ("   ", 3),
+    ("AND", 0),
+    ("12", 0),
     ("(a AND", 6),
     ("(a AND b", 8),
     ("a b", 2),
+    ("a )", 2),
+    ("((a))x", 5),
+    ("(a OR\tb\nOR c) d", 14),
     ("(a ! b)", 3),
+    ("(a AND \u00e9)", 7),
     ("(a AND b OR c)", 9),
+    ("(a AND AND b)", 7),
+    ("(b OR)", 5),
+    ("(a, b)", 2),
     ("()", 1),
+    ("(1 of ())", 7),
+    ("(2 of a)", 6),
+    ("(2 (a, b))", 3),
+    ("(2 of (a b))", 9),
     ("(3 of (a, b))", 1),
     ("(0 of (a))", 1),
 ])
-def test_parse_errors_carry_position(text, pos_at_least):
+def test_parse_errors_carry_position(text, position):
     with pytest.raises(PolicySyntaxError) as exc:
         parse_policy(text)
-    assert exc.value.position >= pos_at_least or exc.value.position == 0
+    assert exc.value.position == position
 
 
 def test_keywords_are_not_attributes():
@@ -198,6 +213,17 @@ def test_explicit_one_of_one_gate_is_not_wrapped():
     tree = parse_policy("(1 of (a))")
     assert not tree.wrapped
     assert tree.depth == 2
+
+
+def test_one_level_partition_formats_as_its_policy():
+    # C9's tree sealed as one block, as traditional CP-ABE seals it; the
+    # one-level partition of "(1 of (a))" is the tree of "a", and prints so
+    text = "(alpha AND (beta OR (2 of (gamma, delta, epsilon))))"
+    for text, printed in ((text, text), ("(1 of (a))", "a")):
+        tree = parse_policy(text)
+        flat = AccessTree([sorted((d for level in tree.levels for d in level),
+                                  key=lambda d: d.node_id)])
+        assert format_policy(flat) == printed
 
 
 # ---------------------------------------------------------------------------

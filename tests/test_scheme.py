@@ -389,6 +389,25 @@ def test_one_level_partition_decrypts(suite, text, good, bad):
         _decrypt(ctbs, scheme.keygen(pk, mk, bad, rng))
 
 
+@pytest.mark.parametrize("cut", [1, 3, 5])
+@pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+def test_two_block_partition_decrypts(suite, cut, reverse):
+    # C9's tree cut into two blocks in node-id order: block 2 holds a gate
+    # and its children (after nodes 1 and 3), or leaves only (after node 5)
+    pk, mk, ctx = suite
+    rng = random.Random(35)
+    tree = parse_policy("(alpha AND (beta OR (2 of (gamma, delta, epsilon))))")
+    nodes = sorted((d for level in tree.levels for d in level), key=lambda d: d.node_id)
+    msg = rng.randbytes(300)
+    ctbs = [wire.decode_ctb(wire.encode_ctb(ctb, "m"))[0] for ctb in
+            scheme.encrypt_message(msg, AccessTree([nodes[:cut], nodes[cut:]]), pk, ctx, rng)]
+    ctbs = ctbs[::-1] if reverse else ctbs
+    assert len(ctbs) == 2
+    assert _decrypt(ctbs, scheme.keygen(pk, mk, {"alpha", "gamma", "epsilon"}, rng)) == msg
+    with pytest.raises(PolicyNotSatisfiedError):
+        _decrypt(ctbs, scheme.keygen(pk, mk, {"alpha", "gamma"}, rng))
+
+
 def test_unauthorized_key_denied(suite):
     pk, mk, ctx = suite
     rng = random.Random(17)

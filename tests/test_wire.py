@@ -451,11 +451,10 @@ def test_policy_shape_golden_digest(policy):
 def test_decoded_public_key_builds_its_tables_on_first_use(suite, monkeypatch):
     expected = (suite[0].g ** 5, suite[0].h ** 6, suite[0].egg_alpha ** 7)
     built = []
-    build_comb, build_fq2_comb = algebra._build_comb, algebra._build_fq2_comb
-    monkeypatch.setattr(algebra, "_build_comb",
-                        lambda point, teeth: built.append(("g0", teeth)) or build_comb(point, teeth))
-    monkeypatch.setattr(algebra, "_build_fq2_comb",
-                        lambda u: built.append(("gt", 8)) or build_fq2_comb(u))
+    comb_rows = algebra._comb_rows
+    # both groups' table builds start from their rows
+    monkeypatch.setattr(algebra, "_comb_rows", lambda base, teeth, square: built.append(
+        ("gt" if square is algebra._fq2_sqr else "g0", teeth)) or comb_rows(base, teeth, square))
     misses = algebra._comb_table.cache_info().misses
     pk = wire.decode_public_key(wire.encode_public_key(suite[0]))
     assert built == []

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .algebra import ORDER, Scalar
 from .errors import PolicySyntaxError
@@ -36,7 +36,7 @@ class NodeDescriptor:
     """One node of the tree, a leaf (attribute) or a threshold gate, as the
     public, serializable record a ciphertext block carries."""
 
-    node_id: int                    # preorder, root is 1
+    node_id: int                    # a name; the parser numbers in preorder, root 1
     parent_id: int                  # 0 for the root
     index: int                      # 1-based position among siblings; root is 1
     attribute: Optional[str]        # None for gates
@@ -47,12 +47,33 @@ class NodeDescriptor:
         return self.attribute is not None
 
 
+def check_level(level: Sequence[NodeDescriptor],
+                above: Optional[Sequence[NodeDescriptor]]) -> None:
+    """The partition rule, for a level and the one before it (None for the
+    root level), in stored order: the level holds a node, and each node's
+    parent id names a gate of `above` or one listed before it in `level`;
+    only the root level's first node, the root, has parent id 0."""
+    if not level:
+        raise ValueError("a level holds no node")
+    gates = {0} if above is None else {d.node_id for d in above if not d.is_leaf}
+    for node in level:
+        if node.parent_id not in gates:
+            raise ValueError(f"node {node.node_id} has no parent gate in the level above "
+                             "or earlier in its own")
+        if above is None:
+            gates.discard(0)
+        if not node.is_leaf:
+            gates.add(node.node_id)
+
+
 class AccessTree:
     """Immutable policy tree stored as its level partition: one tuple of
-    descriptors per level, root level first, each in node-id order."""
+    descriptors per level, root level first, each passing `check_level`."""
 
     def __init__(self, levels: Iterable[Iterable[NodeDescriptor]]):
         self.levels: Tuple[Tuple[NodeDescriptor, ...], ...] = tuple(map(tuple, levels))
+        for above, level in zip((None,) + self.levels, self.levels):
+            check_level(level, above)
         self.depth = len(self.levels)
         self.root = self.levels[0][0]
         kids: Dict[int, List[NodeDescriptor]] = {}
@@ -80,7 +101,7 @@ class AccessTree:
 
 def partition_levels(tree: AccessTree) -> Tuple[Tuple[NodeDescriptor, ...], ...]:
     """The tree's level partition, one block's worth of nodes per level:
-    root level first, each level in node-id order."""
+    root level first, each level in the stored order `check_level` walks."""
     return tree.levels
 
 

@@ -35,7 +35,7 @@ from .algebra import (
     xor_bytes,
 )
 from .errors import DecodeError, PolicyNotSatisfiedError
-from .policy import AccessTree, NodeDescriptor, lagrange_coeff, partition_levels
+from .policy import AccessTree, NodeDescriptor, check_level, lagrange_coeff, partition_levels
 
 _DEFAULT_RNG = secrets.SystemRandom()
 
@@ -282,9 +282,9 @@ def _poly_shares(share: Scalar, threshold: int, children: Tuple, rng) -> Dict[in
 def encrypt_block(state: EncryptState, pk: PublicKey, rng=None) -> CiphertextBlock:
     """Seal the next data block under its tree level and move the state on.
 
-    The level's nodes are walked once in node-id order, so a parent's share
-    is always queued before it is spent.  A gate spends its pending share
-    on a fresh polynomial and queues shares for its children; a leaf
+    The level's nodes are walked once in stored order, so by `check_level`
+    a node's share is queued before it is spent.  A gate spends its pending
+    share on a fresh polynomial and queues shares for its children; a leaf
     spends its share on the published component pair.  Every gate except
     the root also gets a link element that lifts its recovered value to
     the level secret.
@@ -438,11 +438,9 @@ class DecryptionState:
     is closed, block 1 can also open by the root value and a later block by
     a gate of its level with that gate's link element.  Node values are
     computed only for such an unlock, from the held subset with the fewest
-    leaves still to pair.  A node's parent is a gate of the block before or
-    a gate of its own block under a lower node id (the root's parent id is
-    0).  So a tree opens whenever each node sits in its parent's block or
-    the next: sealed as one block, level by level, or as two blocks cut
-    anywhere in node-id order; and no parent id can loop."""
+    leaves still to pair.  Each block must pass `check_level` against the
+    block before, so a satisfying key opens any tree `AccessTree` accepts,
+    and no parent id can loop."""
 
     def __init__(self, sk: SecretKey):
         self.sk = sk
@@ -464,12 +462,10 @@ class DecryptionState:
     def add_block(self, ctb: CiphertextBlock) -> None:
         """Ingest one block and open every block now reachable.  A repeat is
         ignored; another block under a held index or a held node id is a
-        DecodeError, and so is a node whose parent id names neither a gate
-        of the block before nor a gate of its own block under a lower id:
-        block 1 is checked on arrival (parent id 0 stands for the block
-        before it), a later block once the block before is held too.  So is
-        a point that fails its deferred validation, and the block holding it
-        is dropped first, so a re-sent copy is taken in."""
+        DecodeError, and so is a block that breaks `check_level`: block 1 is
+        checked on arrival, a later block once the block before is held too.
+        So is a point that fails its deferred validation, and the block
+        holding it is dropped first, so a re-sent copy is taken in."""
         if self.block_count is None:
             self.block_count = ctb.block_count
             self.total_len = ctb.total_len
@@ -485,16 +481,11 @@ class DecryptionState:
             raise DecodeError(f"node id {min(shared)} appears in more than one block")
         held = {**self._blocks, ctb.index: ctb}
         for j in (ctb.index, ctb.index + 1):
-            if j not in held or (j > 1 and j - 1 not in held):
-                continue
-            gates = {0} if j == 1 else {d.node_id for d in held[j - 1].descriptor
-                                        if not d.is_leaf}
-            for d in sorted(held[j].descriptor, key=lambda d: d.node_id):
-                if d.parent_id not in gates:
-                    raise DecodeError(f"node {d.node_id} of block {j} has no parent gate in "
-                                      f"the block before or under a lower id in its own")
-                if not d.is_leaf:
-                    gates.add(d.node_id)
+            if j in held and (j == 1 or j - 1 in held):
+                try:
+                    check_level(held[j].descriptor, held[j - 1].descriptor if j > 1 else None)
+                except ValueError as e:
+                    raise DecodeError(f"block {j}: {e}") from None
         if ctb.index == 1:
             self.commitment = ctb.commitment
         self._blocks[ctb.index] = ctb
@@ -518,23 +509,22 @@ class DecryptionState:
         if 1 in self.data_blocks:
             return None
         plan = self._plan()
-        ids = ([d.node_id for d in ctb.descriptor if d.parent_id == 0] if ctb.index == 1
-               else ctb.gate_links)
-        ready = [(plan[nid][0], nid) for nid in ids if nid in plan and plan[nid][1] == ctb.index]
+        ids = [ctb.descriptor[0].node_id] if ctb.index == 1 else ctb.gate_links
+        ready = [nid for nid in ids if nid in plan and plan[nid][1] == ctb.index]
         if not ready:
             return None
-        nid = min(ready)[1]
+        nid = min(ready, key=lambda n: plan[n][0])
         value = self._value(plan, nid)
         return RootUnlock(value) if ctb.index == 1 else GateUnlock(nid, value)
 
     def _plan(self) -> Dict[int, tuple]:
         """(leaves to pair, block, descriptor, children) per satisfied node.
-        Blocks go from the last and each by descending node id, so a child
-        in the next block or under a higher id is planned before its parent."""
+        Blocks go from the last and each in reversed stored order, so by
+        `check_level` a child is planned before its parent."""
         plan: Dict[int, tuple] = {}
         kids: Dict[Tuple[int, int], List[NodeDescriptor]] = {}
         for j, ctb in sorted(self._blocks.items(), reverse=True):
-            for d in sorted(ctb.descriptor, key=lambda d: d.node_id, reverse=True):
+            for d in reversed(ctb.descriptor):
                 if d.node_id in self.node_values:
                     plan[d.node_id] = (0, j, d, ())
                 elif (d.is_leaf and d.attribute in self.sk.components

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -224,6 +225,33 @@ def test_one_level_partition_formats_as_its_policy():
         flat = AccessTree([sorted((d for level in tree.levels for d in level),
                                   key=lambda d: d.node_id)])
         assert format_policy(flat) == printed
+
+
+def _c9_nodes():
+    tree = parse_policy("(alpha AND (beta OR (2 of (gamma, delta, epsilon))))")
+    return {d.node_id: d for level in tree.levels for d in level}
+
+
+@pytest.mark.parametrize("bad, levels, reparent", [
+    (2, [[1, 3], [4, 5], [2, 6, 7, 8]], {}),           # parent two levels up
+    (6, [[1], [2, 3], [6, 4, 5, 7, 8]], {}),           # listed before its parent
+    (4, [[1], [2, 3], [4, 5], [6, 7, 8]], {4: 2}),     # a leaf as parent
+    (3, [[1, 2, 3], [4, 5], [6, 7, 8]], {3: 0}),       # a second root
+], ids=["two-levels-up", "before-its-parent", "under-a-leaf", "second-root"])
+def test_access_tree_refuses_a_node_before_its_parent(bad, levels, reparent):
+    # C9's tree regrouped so that one node breaks the partition rule: the
+    # tree is refused where it is built, before any block is sealed
+    nodes = _c9_nodes()
+    nodes.update({i: dataclasses.replace(nodes[i], parent_id=p) for i, p in reparent.items()})
+    with pytest.raises(ValueError, match=f"node {bad} has no parent gate"):
+        AccessTree([[nodes[i] for i in level] for level in levels])
+
+
+def test_access_tree_refuses_an_empty_level():
+    nodes = _c9_nodes()
+    for levels in ([[1], [], [2, 3], [4, 5], [6, 7, 8]], [[], [1]]):
+        with pytest.raises(ValueError, match="holds no node"):
+            AccessTree([[nodes[i] for i in level] for level in levels])
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,58 @@ def test_two_block_partition_decrypts(suite, cut, reverse):
         _decrypt(ctbs, scheme.keygen(pk, mk, {"alpha", "gamma"}, rng))
 
 
+def _sealed(msg, levels, pk, ctx, rng):
+    """`msg` sealed under the tree of `levels`, each block through the wire."""
+    return [wire.decode_ctb(wire.encode_ctb(ctb, "m"))[0]
+            for ctb in scheme.encrypt_message(msg, AccessTree(levels), pk, ctx, rng)]
+
+
+def test_partition_walks_stored_order_not_node_ids(suite):
+    # (a AND b) sealed flat with its gate listed first under the highest id:
+    # node ids are names, and a level is walked in the order it is stored
+    pk, mk, ctx = suite
+    rng = random.Random(36)
+    msg = rng.randbytes(200)
+    ctbs = _sealed(msg, [[NodeDescriptor(9, 0, 1, None, 2), NodeDescriptor(2, 9, 1, "a", None),
+                          NodeDescriptor(3, 9, 2, "b", None)]], pk, ctx, rng)
+    assert _decrypt(ctbs, scheme.keygen(pk, mk, {"a", "b"}, rng)) == msg
+    with pytest.raises(PolicyNotSatisfiedError):
+        _decrypt(ctbs, scheme.keygen(pk, mk, {"b"}, rng))
+
+
+def test_owner_and_receiver_agree_on_the_partition_rule(suite):
+    # random trees with each node in its parent's block or the next, each
+    # block in node-id order: every such tree opens with a satisfying key in
+    # either arrival order and stays closed to an unsatisfying one; moving
+    # a leaf two blocks below its parent gets the tree refused
+    pk, mk, ctx = suite
+    rng = random.Random(37)
+    moved = 0
+    for _ in range(10):
+        tree = parse_policy(random_policy(rng, max_depth=4, max_leaves=6))
+        nodes = sorted((d for level in tree.levels for d in level), key=lambda d: d.node_id)
+        block = {0: -1}                     # 0, the root's parent id, sits above block 0
+        for d in nodes:
+            block[d.node_id] = block[d.parent_id] + (d.parent_id == 0 or rng.random() < 0.5)
+        depth = max(block.values()) + 1
+        levels = [[d for d in nodes if block[d.node_id] == k] for k in range(depth)]
+        msg = rng.randbytes(rng.randint(1, 500))
+        ctbs = _sealed(msg, levels, pk, ctx, rng)
+        sk = scheme.keygen(pk, mk, satisfying_attrs(tree, rng), rng)
+        assert _decrypt(ctbs, sk) == msg and _decrypt(ctbs[::-1], sk) == msg
+        with pytest.raises(PolicyNotSatisfiedError):
+            _decrypt(ctbs, scheme.keygen(pk, mk, unsatisfying_attrs(tree, rng), rng))
+        leaves = [d for d in nodes if d.is_leaf and len(levels[block[d.node_id]]) > 1
+                  and block[d.parent_id] + 2 < depth]
+        if leaves:
+            leaf = rng.choice(leaves)
+            block[leaf.node_id] = block[leaf.parent_id] + 2
+            with pytest.raises(ValueError, match=f"node {leaf.node_id} has no parent gate"):
+                AccessTree([[d for d in nodes if block[d.node_id] == k] for k in range(depth)])
+            moved += 1
+    assert moved >= 3
+
+
 def test_unauthorized_key_denied(suite):
     pk, mk, ctx = suite
     rng = random.Random(17)
@@ -684,6 +736,19 @@ def test_dangling_parent_id_rejected_once_both_blocks_held(suite, reverse):
             state.add_block(ctb)
         with pytest.raises(DecodeError, match="no parent gate"):
             state.add_block(arrival[2])
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_empty_block_rejected(suite, index):
+    # a block holding no node is no tree level; block 1 would have no root
+    pk, mk, ctx = suite
+    rng = random.Random(33)
+    _, ctbs = _encrypt_all(rng.randbytes(100), "(a OR b)", pk, ctx, rng)
+    ctbs[index - 1] = dataclasses.replace(ctbs[index - 1], descriptor=(), leaf_components={})
+    state = DecryptionState(scheme.keygen(pk, mk, {"a"}, rng))
+    with pytest.raises(DecodeError, match=f"block {index}: a level holds no node"):
+        for ctb in ctbs:
+            state.add_block(ctb)
 
 
 _FUZZ_POLICY = "((a OR x) AND ((b AND c) OR y))"

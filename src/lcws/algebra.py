@@ -11,9 +11,19 @@ Everything here is a pure function of its inputs; elements are immutable
 and hashable (one made by `fixed_base()` also keeps the exponentiation
 table and the Miller-loop lines it builds on first use, and a decoded
 source-group element keeps its coordinates once its first use has
-validated them).  A source-group power takes its method from the base:
+checked them).  A source-group power takes its method from the base:
 a fixed base uses its own wide comb, an attribute hash the shared narrow
 comb of its point, and any other base the x-only ladder.
+
+A decoded point is checked as far as its use needs.  Arithmetic (a
+product, power, inverse or comb build) needs a point of the prime-order
+subgroup, and runs the x-only subgroup test.  A pairing's Miller point
+needs the same, and its own loop proves it: `_lines` refuses a point
+whose multiple [ORDER]P is not the identity.  The point a pairing only
+evaluates needs to lie on the curve with x != 0, no more: with a Miller
+point of order ORDER the reduced Tate pairing is bilinear in its second
+argument over all of E(F_q) (Galbraith, Paterson and Smart, "Pairings for
+cryptographers", 2008), so a component of any other order pairs to 1.
 """
 
 from __future__ import annotations
@@ -446,11 +456,20 @@ def _unitary_pow(u, k: int):
 # fe(f1 * conj(f2)) = fe(f1) / fe(f2).
 
 def _lines(p):
-    """(tangent line, secant line or None) per NAF step of f_{ORDER, p}."""
+    """(tangent line, secant line or None) per NAF step of f_{ORDER, p}, for
+    a curve point p; raises `DecodeError` unless p has order ORDER.
+
+    The loop computes [ORDER]p.  For p of order ORDER the running point
+    reaches -p just before the last digit, 1, and the loop ends on that
+    digit's vertical secant with Z != 0 throughout.  Any other p ends some
+    other way: [ORDER]p is then not the identity, or an intermediate point
+    is the identity or +-p, and the formulas below give Z = 0 there, which
+    every later step keeps."""
     px, py = p
     npy = _Q - py
     X, Y, Z = px, py, 1
     out = []
+    last = len(_NAF_ORDER_MSB) - 1
     for d in _NAF_ORDER_MSB:
         Z2 = Z * Z % _Q
         W = (3 * X * X + Z2 * Z2) % _Q
@@ -468,11 +487,11 @@ def _lines(p):
             S2 = ay * Z % _Q * Z1Z1 % _Q
             if U2 == X and (S2 + Y) % _Q == 0:
                 # running point is the negative of the addend: the secant is
-                # vertical and the sum is the identity; only reachable on
-                # the final NAF digit
-                out.append((tangent, None))
-                X, Y, Z = 0, 1, 0
-                continue
+                # vertical and the sum is the identity
+                if Z and len(out) == last:
+                    out.append((tangent, None))
+                    return out
+                break
             H = (U2 - X) % _Q
             rr = (S2 - Y) % _Q
             HZ = H * Z % _Q
@@ -487,7 +506,7 @@ def _lines(p):
             Z3n = ((Z + H) * (Z + H) - Z1Z1 - HH) % _Q
             X, Y, Z = X3, Y3, Z3n
         out.append((tangent, secant))
-    return out
+    raise DecodeError("point not in the prime-order subgroup")
 
 
 def _miller_product(terms):
@@ -541,42 +560,64 @@ def _exponent(k) -> int:
 
 
 def _decompress(data: bytes) -> Tuple[int, int]:
-    """The subgroup point behind a structurally valid, non-identity encoding."""
+    """The curve point behind a structurally valid, non-identity encoding,
+    other than (0, 0); whether it lies in the subgroup is left open.  (0, 0)
+    is refused because it is the one point at which a line of a Miller loop
+    can vanish."""
     x = int.from_bytes(data[1:], "big")
+    if x == 0:
+        raise DecodeError("x = 0 names the point of order 2")
     rhs = (x * x * x + x) % _Q
     y = pow(rhs, _SQRT_EXP, _Q)
     if y * y % _Q != rhs:
         raise DecodeError("x is not on the curve")
     if (y & 1) != (data[0] == 0x03):
         y = _Q - y
-    if not _in_prime_subgroup(x):
-        raise DecodeError("point not in the prime-order subgroup")
     return (x, y)
 
 
 class G0Element:
     """Element of the prime-order source-group subgroup (multiplicative API).
 
-    A decoded element keeps its wire bytes and is validated (square root
-    and subgroup check) on its first arithmetic use, which then raises
-    `DecodeError` if the bytes name no subgroup point; encoding, equality,
-    hashing and `is_identity` need no validation."""
+    A decoded element keeps its wire bytes and is checked on its first use,
+    which raises `DecodeError` if the bytes name no point the use accepts.
+    Arithmetic and `validate` need a subgroup point (square root and
+    subgroup test); a pairing needs only a curve point with x != 0 (square
+    root) where it evaluates the element, and where the element is the
+    Miller point its loop shows membership and marks it validated.
+    Encoding, equality, hashing and `is_identity` need no check."""
 
-    __slots__ = ("_point", "_raw", "_table", "_line_table")
+    __slots__ = ("_point", "_curve", "_raw", "_table", "_line_table")
 
     def __init__(self, point: Optional[Tuple[int, int]]):
         self._point = point
+        self._curve = None
         self._raw = None
         self._table = None
         self._line_table = None
 
     @property
     def _p(self) -> Optional[Tuple[int, int]]:
-        """The affine point, or None for the identity; every read of the
-        coordinates goes through here, so none is used unvalidated."""
+        """The affine point, or None for the identity, in the prime-order
+        subgroup; every read of the coordinates but a pairing's goes
+        through here, so none is used unvalidated."""
         p = self._point
         if p is _UNCHECKED:
-            p = self._point = _decompress(self._raw)
+            p = self._on_curve
+            if not _in_prime_subgroup(p[0]):
+                raise DecodeError("point not in the prime-order subgroup")
+            self._point = p
+        return p
+
+    @property
+    def _on_curve(self) -> Optional[Tuple[int, int]]:
+        """The affine point, or None for the identity, as a pairing reads
+        it: on the curve with x != 0, in the subgroup only if shown so."""
+        p = self._point
+        if p is _UNCHECKED:
+            p = self._curve
+            if p is None:
+                p = self._curve = _decompress(self._raw)
         return p
 
     def validate(self) -> None:
@@ -591,7 +632,7 @@ class G0Element:
         if self._table is not None and self._table is not _SHARED:
             return self
         out = G0Element(self._point)
-        out._raw = self._raw
+        out._curve, out._raw = self._curve, self._raw
         out._table = out._line_table = _NOT_BUILT
         return out
 
@@ -748,10 +789,13 @@ def _pairing_product(pairs) -> GTElement:
     (u, v, inverted) triples, with one final exponentiation.  The pairing
     is symmetric, so a fixed base on either side is the Miller point; it
     keeps its lines from its first pairing on, and any other Miller point
-    records them afresh."""
+    records them afresh.  Both points are read as curve points; the Miller
+    point's loop then refuses it outside the prime-order subgroup and marks
+    it validated otherwise, and the other point, only evaluated, needs no
+    more (module docstring)."""
     terms = []
     for u, v, inverted in pairs:
-        p, q = u._p, v._p                    # both validated, even beside the identity
+        p, q = u._on_curve, v._on_curve      # both read, even beside the identity
         if p is None or q is None:
             continue
         if u._line_table is None and v._line_table is not None:
@@ -761,6 +805,7 @@ def _pairing_product(pairs) -> GTElement:
             lines = _lines(p)
         elif lines is _NOT_BUILT:
             lines = u._line_table = _lines(p)
+        u._point = p                         # its loop showed p has order ORDER
         terms.append((lines, q, inverted))
     if not terms:
         return GTElement.one()
@@ -874,9 +919,9 @@ def generator() -> G0Element:
 # to ORDER, so the two hold together.  They differ only for a message whose
 # R has [h]R = O, a chance of 1/ORDER (about 2^-160): `hash_to_g0` moves on
 # to the next counter there, while this check pairs with that R.  R lies
-# outside the prime-order subgroup, so it must never be the Miller point;
-# it keeps no lines, so `_pairing_product` never swaps it there.  G' keeps
-# its lines from the first check on and never gets a comb table.
+# outside the prime-order subgroup, so as the Miller point its loop would
+# refuse it; it keeps no lines, so `_pairing_product` never swaps it there.
+# G' keeps its lines from the first check on and never gets a comb table.
 _G_PRIME = G0Element(_ladder(_GENERATOR._p, pow(COFACTOR, -1, ORDER)))
 _G_PRIME._line_table = _NOT_BUILT
 
@@ -884,7 +929,9 @@ _G_PRIME._line_table = _NOT_BUILT
 def check_message_pairing(msg: bytes, v1: G0Element, v2: G0Element) -> bool:
     """Whether pair(hash_to_g0(TAG_MESSAGE, msg), v2) == pair(v1, generator()),
     up to the 2^-160 case above, with one final exponentiation.  A corrupt
-    v1 or v2 raises `DecodeError`."""
+    v1 or v2 raises `DecodeError`: v2's own Miller loop refuses it, and v1,
+    which the product only evaluates, is validated first."""
+    v1.validate()
     r = G0Element(next(_curve_points(TAG_MESSAGE, bytes(msg))))
     return _pairing_product(((v2, r, False), (v1, _G_PRIME, True))).is_identity()
 

@@ -68,7 +68,9 @@ def check_level(level: Sequence[NodeDescriptor],
 
 class AccessTree:
     """Immutable policy tree stored as its level partition: one tuple of
-    descriptors per level, root level first, each passing `check_level`."""
+    descriptors per level, root level first, each passing `check_level`.
+    Node ids are distinct, and each gate has at least `threshold` children
+    with distinct indices, so some key opens the tree."""
 
     def __init__(self, levels: Iterable[Iterable[NodeDescriptor]]):
         self.levels: Tuple[Tuple[NodeDescriptor, ...], ...] = tuple(map(tuple, levels))
@@ -77,10 +79,21 @@ class AccessTree:
         self.depth = len(self.levels)
         self.root = self.levels[0][0]
         kids: Dict[int, List[NodeDescriptor]] = {}
+        seen: Set[int] = set()
         for level in self.levels:
             for node in level:
+                if node.node_id in seen:
+                    raise ValueError(f"node id {node.node_id} appears more than once")
+                seen.add(node.node_id)
                 kids.setdefault(node.parent_id, []).append(node)
         self._children = {parent: tuple(nodes) for parent, nodes in kids.items()}
+        for gate in (n for level in self.levels for n in level if not n.is_leaf):
+            children = self.children(gate.node_id)
+            if len({c.index for c in children}) != len(children):
+                raise ValueError(f"gate {gate.node_id} has two children of one index")
+            if len(children) < gate.threshold:
+                raise ValueError(f"gate {gate.node_id} has fewer children than its "
+                                 f"threshold {gate.threshold}")
 
     @property
     def wrapped(self) -> bool:

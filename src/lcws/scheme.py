@@ -349,7 +349,9 @@ def encrypt_message(message: bytes, tree: AccessTree, pk: PublicKey,
 
 def decrypt_leaf(ctb: CiphertextBlock, sk: SecretKey, node_id: int) -> Optional[GTElement]:
     """Blinded share value for one leaf, or None when the key lacks the
-    leaf's attribute."""
+    leaf's attribute.  The block's components are the Miller points, so a
+    component outside the prime-order subgroup raises `DecodeError` here;
+    the key's, only evaluated, need only lie on the curve."""
     desc = next((d for d in ctb.descriptor if d.node_id == node_id and d.is_leaf), None)
     if desc is None:
         raise ValueError(f"node {node_id} is not a leaf of block {ctb.index}")
@@ -357,7 +359,7 @@ def decrypt_leaf(ctb: CiphertextBlock, sk: SecretKey, node_id: int) -> Optional[
         return None
     d_j, d_j_prime = sk.components[desc.attribute]
     c_hat, c_hat_prime = ctb.leaf_components[node_id]
-    return pair_ratio(d_j, c_hat, d_j_prime, c_hat_prime)
+    return pair_ratio(c_hat, d_j, c_hat_prime, d_j_prime)
 
 
 def decrypt_interior(children: Mapping[int, GTElement], threshold: int) -> Optional[GTElement]:
@@ -405,7 +407,11 @@ def decrypt_block(ctb: CiphertextBlock, sk: SecretKey, unlock: Unlock
     keystream key is then the quotient of the encapsulation pairing by
     that value, one product of pairings for a gate or chain unlock.
     Returns the chained payload and the next block's chain unlock element
-    (None on the last block, whose slot holds the identity sentinel)."""
+    (None on the last block, whose slot holds the identity sentinel).  A
+    slot that is no point, the sentinel before the last block or anything
+    else in the last block is a `DecodeError`: the mask key was wrong, as it
+    is when the product evaluates an encapsulation, gate link or chain
+    element outside the prime-order subgroup."""
     if isinstance(unlock, RootUnlock):
         if ctb.index != 1:
             raise ValueError("root unlock only applies to block 1")
@@ -420,8 +426,14 @@ def decrypt_block(ctb: CiphertextBlock, sk: SecretKey, unlock: Unlock
 
     plain = xor_bytes(ctb.masked_payload, kdf_mask(mask_key, len(ctb.masked_payload)))
     payload, sec_bytes = plain[: ctb.block_len], plain[ctb.block_len:]
-    next_element = G0Element.deserialize(sec_bytes)
-    return payload, None if next_element.is_identity() else next_element
+    try:
+        next_element = G0Element.deserialize(sec_bytes)
+    except DecodeError:
+        next_element = None
+    if next_element is None or next_element.is_identity() != ctb.is_last:
+        expected = "identity sentinel" if ctb.is_last else "unlock element"
+        raise DecodeError(f"block {ctb.index}: unlock slot holds no {expected}")
+    return payload, None if ctb.is_last else next_element
 
 
 class _OpenedBlock(NamedTuple):

@@ -1,8 +1,8 @@
-"""Shared generators for random scalars and randomized policy/key trials,
-a recorder of the secrets keygen and encryption draw, point addition on
-points of any order, the plain NAF exponentiations that tests compare the
-package's ladders and combs against, and the verifier's check as the
-scheme defines it."""
+"""Shared generators for random scalars, curve points of any order and
+randomized policy/key trials, a recorder of the secrets keygen and
+encryption draw, point addition on points of any order, the plain NAF
+exponentiations that tests compare the package's ladders and combs
+against, and the verifier's check as the scheme defines it."""
 
 from __future__ import annotations
 
@@ -30,6 +30,26 @@ def affine_add(p, q):
     if p is None:
         return q
     return algebra._jac_to_affine(algebra._jac_add_affine((*p, 1), q))
+
+
+def random_curve_point(rng):
+    """A uniform affine point of E(F_q), of any order."""
+    q = algebra.FIELD_PRIME
+    while True:
+        x = rng.randrange(q)
+        rhs = (x * x * x + x) % q
+        y = pow(rhs, algebra._SQRT_EXP, q)
+        if y * y % q == rhs:
+            return (x, y)
+
+
+def point_of_prime_order(d, rng):
+    """A point of prime order d dividing the cofactor, 3 or 17: [(q + 1) / d]R
+    for random curve points R until that is not the identity."""
+    while True:
+        t = algebra._ladder(random_curve_point(rng), (algebra.FIELD_PRIME + 1) // d)
+        if t is not None:
+            return t
 
 
 def affine_mul_naf(p, naf_digits_msb):

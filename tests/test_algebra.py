@@ -8,7 +8,8 @@ from lcws import algebra as alg
 from lcws.algebra import G0Element, GTElement, Scalar
 from lcws.errors import DecodeError
 
-from helpers import affine_add, affine_mul_naf, fq2_pow_naf, is_zero, random_scalar
+from helpers import (affine_add, affine_mul_naf, fq2_pow_naf, is_zero, random_curve_point,
+                     random_scalar)
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -184,20 +185,11 @@ def _oracle_in_subgroup(p):
     return _mul(p, alg.ORDER) is None
 
 
-def _random_curve_point(rng):
-    while True:
-        x = rng.randrange(alg.FIELD_PRIME)
-        rhs = (x * x * x + x) % alg.FIELD_PRIME
-        y = pow(rhs, alg._SQRT_EXP, alg.FIELD_PRIME)
-        if y * y % alg.FIELD_PRIME == rhs:
-            return (x, y)
-
-
 def _point_of_order(d, rng):
     """[(q + 1) / d]R for random points R until the result has order exactly d."""
     primes = [p for p in (2, 3, 17) if d % p == 0]
     while True:
-        t = _mul(_random_curve_point(rng), _GROUP_ORDER // d)
+        t = _mul(random_curve_point(rng), _GROUP_ORDER // d)
         if t is not None and _mul(t, d) is None and all(_mul(t, d // p) is not None for p in primes):
             return t
 
@@ -217,51 +209,113 @@ def test_subgroup_check_exponents_share_only_3_and_17_with_group_order():
     assert gcd(2 ** 159 - 2 ** 107 + 1, _GROUP_ORDER) == 1
 
 
-def test_subgroup_check_matches_oracle():
-    rng = random.Random(31)
+def _subgroup_test_points(rng):
+    """Subgroup points, random curve points, (0, 0), points of small order
+    and subgroup points plus those: (all, subgroup, small)."""
     subgroup = [(G ** alg.random_nonzero_scalar(rng))._p for _ in range(8)]
     small = [_point_of_order(d, rng) for d in _SMALL_ORDERS]
     cases = (subgroup
-             + [_random_curve_point(rng) for _ in range(20)]
+             + [random_curve_point(rng) for _ in range(20)]
              + [(0, 0)]
              + small
              + [affine_add(s, t) for s, t in zip(subgroup * 2, small)])
+    return cases, subgroup, small
+
+
+def test_subgroup_check_matches_oracle():
+    cases, subgroup, small = _subgroup_test_points(random.Random(31))
     for point in cases:
         assert _decodes(point) == _oracle_in_subgroup(point), point
     assert all(_decodes(p) for p in subgroup)
     assert not any(_decodes(p) for p in small)
 
 
+def test_miller_loop_refuses_exactly_the_points_outside_the_subgroup():
+    # the loop of f_{ORDER, P} computes [ORDER]P, and it ends as the loop of a
+    # point of order ORDER ends for no other point, on the same set as the
+    # x-only subgroup test and the [ORDER]P == O oracle
+    cases, subgroup, small = _subgroup_test_points(random.Random(31))
+    for point in cases:
+        try:
+            lines = alg._lines(point)
+        except DecodeError:
+            lines = None
+        member = _oracle_in_subgroup(point)
+        assert (lines is not None) == member, point
+        if point != (0, 0):
+            assert alg._in_prime_subgroup(point[0]) == member, point
+    assert len(cases) == 49 and sum(map(_oracle_in_subgroup, cases)) == len(subgroup)
+
+
 def test_every_arithmetic_entry_point_validates_a_decoded_point():
     # decode checks structure only; an x off the curve, the point of order 2
     # and a point outside the prime-order subgroup all decode, encode back to
-    # their bytes, and fail with DecodeError at every first use
+    # their bytes, and fail with DecodeError at every first use that needs a
+    # subgroup point: arithmetic, validation, and a pairing that puts the
+    # element in the Miller position.  A pairing that only evaluates the
+    # element needs a curve point with x != 0, so there the first two fail
+    # and the third pairs as its subgroup part, and is still refused by
+    # every later use of the first kind
     q = alg.FIELD_PRIME
     off_curve = next(x for x in range(1, 100) if pow(x * x * x + x, (q - 1) // 2, q) != 1)
-    outside = _random_curve_point(random.Random(46))
+    outside = random_curve_point(random.Random(46))
     assert not _oracle_in_subgroup(outside)
     encodings = [b"\x02" + off_curve.to_bytes(64, "big"), G0Element((0, 0)).serialize(),
                  G0Element(outside).serialize()]
     one = G0Element.identity()
-    uses = [lambda e: e ** 3, lambda e: e ** 0, lambda e: e * G, lambda e: G * e,
-            lambda e: e / G, lambda e: G / e, lambda e: e.inverse(),
-            lambda e: alg.pair(e, G), lambda e: alg.pair(G, e), lambda e: alg.pair(e, one),
-            lambda e: alg.pair(one, e), lambda e: alg.pair_ratio(e, G, G, G),
-            lambda e: alg.pair_ratio(G, e, G, G), lambda e: alg.pair_ratio(G, G, e, G),
-            lambda e: alg.pair_ratio(G, G, G, e), lambda e: alg.pair_ratio(e, one, G, G),
-            lambda e: alg.pair_ratio(G, G, one, e), lambda e: e.fixed_base() ** 2,
-            lambda e: alg.pair(G, e.fixed_base()), lambda e: e.validate()]
+    plain = G ** 5                          # keeps no lines, so it stays where it is put
+    subgroup_uses = [
+        lambda e: e ** 3, lambda e: e ** 0, lambda e: e * G, lambda e: G * e,
+        lambda e: e / G, lambda e: G / e, lambda e: e.inverse(),
+        lambda e: e.fixed_base() ** 2, lambda e: e.validate(),
+        lambda e: alg.pair(e, plain), lambda e: alg.pair_ratio(plain, G, e, plain),
+        lambda e: alg.pair(e.fixed_base(), G), lambda e: alg.pair(plain, e.fixed_base())]
+    evaluated_uses = [
+        lambda e: alg.pair(e, G), lambda e: alg.pair(G, e), lambda e: alg.pair(plain, e),
+        lambda e: alg.pair(e, one), lambda e: alg.pair(one, e),
+        lambda e: alg.pair_ratio(e, G, G, G), lambda e: alg.pair_ratio(G, e, G, G),
+        lambda e: alg.pair_ratio(G, G, e, G), lambda e: alg.pair_ratio(G, G, G, e),
+        lambda e: alg.pair_ratio(e, one, G, G), lambda e: alg.pair_ratio(G, G, one, e),
+        lambda e: alg.pair(G, e.fixed_base())]
     for data in encodings:
-        for use in uses:
+        for use in subgroup_uses + evaluated_uses:
             e = G0Element.deserialize(data)
             assert e.serialize() == data and not e.is_identity()
             assert e == G0Element.deserialize(data) and hash(e) == hash(G0Element.deserialize(data))
             for _ in range(2):
-                with pytest.raises(DecodeError):
+                if data == encodings[-1] and use in evaluated_uses:
                     use(e)
+                    with pytest.raises(DecodeError, match="subgroup"):
+                        e ** 3
+                else:
+                    with pytest.raises(DecodeError):
+                        use(e)
         # making a decoded element a fixed base validates nothing
         fixed = G0Element.deserialize(data).fixed_base()
         assert fixed._point is alg._UNCHECKED and fixed.serialize() == data
+
+
+def test_a_pairing_evaluates_a_point_as_its_subgroup_part():
+    # with a Miller point of order ORDER the pairing is bilinear in the
+    # evaluated point over all of E(F_q), so a component of small order
+    # pairs to 1, whichever side the point is passed on
+    rng = random.Random(49)
+    s, plain = (G ** alg.random_nonzero_scalar(rng) for _ in range(2))
+    for d in (2, 3, 4, 17, 51):
+        mixed = G0Element.deserialize(
+            G0Element(affine_add(s._p, _point_of_order(d, rng))).serialize())
+        assert alg.pair(G, mixed) == alg.pair(mixed, G) == alg.pair(G, s)
+        assert alg.pair(plain, mixed) == alg.pair(plain, s)
+        assert alg.pair_ratio(plain, mixed, mixed, G) == alg.pair_ratio(plain, s, s, G)
+        with pytest.raises(DecodeError, match="subgroup"):
+            alg.pair(mixed, plain)
+    # a Miller point whose loop returns is marked validated; one that is only
+    # evaluated is not
+    fresh = G0Element.deserialize(s.serialize())
+    alg.pair(G, fresh)
+    assert fresh._point is alg._UNCHECKED
+    alg.pair(fresh, plain)
+    assert fresh._point == s._p
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +463,7 @@ def test_cofactor_ladder_matches_the_naf_oracle_on_points_of_every_order():
     subgroup = [(G ** alg.random_nonzero_scalar(rng))._p for _ in range(4)]
     small = [_point_of_order(d, rng) for d in _SMALL_ORDERS]
     mixed = [affine_add(s, t) for s, t in zip(subgroup * 3, small)]
-    cases = small + mixed + subgroup + [_random_curve_point(rng) for _ in range(10)]
+    cases = small + mixed + subgroup + [random_curve_point(rng) for _ in range(10)]
     for point in cases + [alg._affine_neg(p) for p in cases]:
         assert alg._ladder(point, alg.COFACTOR) == affine_mul_naf(point, _NAF_COFACTOR), point
     # [COFACTOR]P is the identity exactly on the points of small order
@@ -420,7 +474,7 @@ def test_cofactor_ladder_matches_the_naf_oracle_on_points_of_every_order():
 def test_ladder_matches_the_naf_oracle_on_one_use_exponents():
     rng = random.Random(65)
     subgroup = [(G ** alg.random_nonzero_scalar(rng))._p for _ in range(3)]
-    points = subgroup + [_random_curve_point(rng) for _ in range(3)]
+    points = subgroup + [random_curve_point(rng) for _ in range(3)]
     small = [_point_of_order(d, rng) for d in _SMALL_ORDERS]
     exponents = (1, 2, 3, alg.ORDER - 2, alg.ORDER - 1, rng.getrandbits(160) | 1 << 159,
                  alg.COFACTOR)

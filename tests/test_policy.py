@@ -10,6 +10,7 @@ from lcws.bench import synthetic_policy
 from lcws.errors import PolicySyntaxError
 from lcws.policy import (
     AccessTree,
+    NodeDescriptor,
     format_policy,
     lagrange_coeff,
     parse_policy,
@@ -252,6 +253,31 @@ def test_access_tree_refuses_an_empty_level():
     for levels in ([[1], [], [2, 3], [4, 5], [6, 7, 8]], [[], [1]]):
         with pytest.raises(ValueError, match="holds no node"):
             AccessTree([[nodes[i] for i in level] for level in levels])
+
+
+def test_access_tree_refuses_a_repeated_node_id():
+    # the owner would spend the first node's share and then find none for
+    # the second; the receiver refuses such blocks too
+    N = NodeDescriptor
+    for levels in ([[N(1, 0, 1, None, 2), N(2, 1, 1, "a", None), N(2, 1, 2, "b", None)]],
+                   [[N(1, 0, 1, None, 2), N(2, 1, 1, None, 1), N(3, 1, 2, "b", None)],
+                    [N(2, 2, 1, "a", None)]]):
+        with pytest.raises(ValueError, match="node id 2 appears more than once"):
+            AccessTree(levels)
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([(1, 0, 1, None, 2), (2, 1, 1, "a", None), (3, 1, 1, "b", None)],
+     "gate 1 has two children of one index"),
+    ([(1, 0, 1, None, 3), (2, 1, 1, "a", None), (3, 1, 2, "b", None)],
+     "gate 1 has fewer children than its threshold 3"),
+    ([(1, 0, 1, None, 1), (2, 1, 1, None, 1)], "gate 2 has fewer children than its threshold 1"),
+], ids=["repeated-index", "below-threshold", "childless"])
+def test_access_tree_refuses_a_gate_no_key_opens(nodes, message):
+    # interpolation needs `threshold` children of distinct indices, so such
+    # a gate seals a message that no key opens; the parser never builds one
+    with pytest.raises(ValueError, match=message):
+        AccessTree([[NodeDescriptor(*n) for n in nodes]])
 
 
 # ---------------------------------------------------------------------------

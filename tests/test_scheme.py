@@ -26,8 +26,8 @@ from lcws.scheme import (
     verify_message,
 )
 
-from helpers import (random_policy, recording, satisfying_attrs, unsatisfying_attrs,
-                     verify_message_reference)
+from helpers import (affine_add, point_of_prime_order, random_policy, recording,
+                     satisfying_attrs, unsatisfying_attrs, verify_message_reference)
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -586,7 +586,10 @@ def test_bench_policy_validates_26_points(bench_policy_blocks, monkeypatch):
     # elements the payloads carry; the spread key, in order, reads d and
     # d_hat, one leaf's two key and two block components, the 10
     # encapsulations and the 9 chain elements, and decode checks block 1's
-    # commitment: 26 square roots and subgroup checks
+    # commitment: 26 square roots.  Only the commitment takes the x-only
+    # subgroup test: d, d_hat and the leaf's block components are Miller
+    # points, whose own loops show membership, and the other 21 are only
+    # evaluated, which needs no more than the curve
     msg, ctbs, keys = bench_policy_blocks
     key_file = wire.encode_secret_key(keys["spread"])
     blobs = [wire.encode_ctb(ctb, "m") for ctb in ctbs]
@@ -594,15 +597,132 @@ def test_bench_policy_validates_26_points(bench_policy_blocks, monkeypatch):
             + sum(1 + (ctb.commitment is not None) + len(ctb.gate_links)
                   + 2 * len(ctb.leaf_components) for ctb in ctbs))
     assert held == 248
-    checked = []
-    real = alg._in_prime_subgroup
-    monkeypatch.setattr(alg, "_in_prime_subgroup", lambda x: checked.append(x) or real(x))
+    roots, checked = [], []
+    real_root, real_check = alg._decompress, alg._in_prime_subgroup
+    monkeypatch.setattr(alg, "_decompress", lambda data: roots.append(data) or real_root(data))
+    monkeypatch.setattr(alg, "_in_prime_subgroup", lambda x: checked.append(x) or real_check(x))
     sk = wire.decode_secret_key(key_file)
     state = DecryptionState(sk)
     for blob in blobs:
         state.add_block(wire.decode_ctb(blob)[0])
     assert assemble_message(state, sk) == msg
-    assert len(checked) == 26
+    assert len(roots) == 26
+    assert checked == [int.from_bytes(ctbs[0].commitment.serialize()[1:], "big")]
+
+
+# "(a OR (b AND c))": block 1 holds the root, block 2 leaf a and the gate
+# (b AND c) with its link, block 3 leaves b and c
+_THREE_LEVELS = "(a OR (b AND c))"
+
+
+def _plus_small_order(element, order, rng):
+    """`element` plus a point of prime order `order`, decoded from its
+    encoding as a receiver gets it."""
+    point = affine_add(element._p, point_of_prime_order(order, rng))
+    return G0Element.deserialize(G0Element(point).serialize())
+
+
+@pytest.mark.parametrize("order", [3, 17])
+def test_points_a_pairing_only_evaluates_need_only_lie_on_the_curve(suite, monkeypatch, order):
+    # an encapsulation, a gate link, a chain element and a key's d_j and
+    # d_j' are each only evaluated by the product that reads them, so each
+    # plus a point of small order opens its block to the same plaintext; a
+    # block's leaf component is its pairing's Miller point, and its own loop
+    # refuses the same addition
+    pk, mk, ctx = suite
+    rng = random.Random(40 + order)
+    msg = rng.randbytes(300)
+    _, ctbs = _encrypt_all(msg, _THREE_LEVELS, pk, ctx, rng)
+    key_a = scheme.keygen(pk, mk, {"a"}, rng)
+    key_bc = scheme.keygen(pk, mk, {"b", "c"}, rng)
+
+    def plus(element):
+        return _plus_small_order(element, order, rng)
+
+    # key {a} opens block 2 by the chain, whose product evaluates its encapsulation
+    encap = dataclasses.replace(ctbs[1], encap=plus(ctbs[1].encap))
+    out, counts = _counting_decrypt(monkeypatch, [ctbs[0], encap, ctbs[2]], key_a)
+    assert out == msg and counts[ChainUnlock] == 2
+    monkeypatch.undo()
+    # key {b, c} with block 3 first opens block 2 by its gate and the gate's link
+    links = dataclasses.replace(ctbs[1], gate_links={
+        nid: plus(link) for nid, link in ctbs[1].gate_links.items()})
+    out, counts = _counting_decrypt(monkeypatch, [ctbs[2], links, ctbs[0]], key_bc)
+    assert out == msg and counts[GateUnlock] == 1
+    monkeypatch.undo()
+    # the chain element block 1's payload carries for block 2
+    state = DecryptionState(key_a)
+    state.add_block(ctbs[0])
+    state.add_block(ctbs[1])
+    element = state.chain_elements[2]
+    assert (decrypt_block(ctbs[1], key_a, ChainUnlock(plus(element)))
+            == decrypt_block(ctbs[1], key_a, ChainUnlock(element)))
+    # the key's component pair for the leaf it reads
+    d_j, d_j_prime = key_a.components["a"]
+    assert _decrypt(ctbs, scheme.SecretKey(key_a.d, key_a.d_hat,
+                                           {"a": (plus(d_j), plus(d_j_prime))})) == msg
+    # either of the block's components for that leaf: refused before any
+    # node value is kept, and the block is dropped, so a genuine copy sent
+    # again is taken in
+    leaf = next(d.node_id for d in ctbs[1].descriptor if d.attribute == "a")
+    c_hat, c_hat_prime = ctbs[1].leaf_components[leaf]
+    for components in ((plus(c_hat), c_hat_prime), (c_hat, plus(c_hat_prime))):
+        forged = dataclasses.replace(
+            ctbs[1], leaf_components={**ctbs[1].leaf_components, leaf: components})
+        state = DecryptionState(key_a)
+        state.add_block(ctbs[0])
+        with pytest.raises(DecodeError, match="subgroup"):
+            state.add_block(forged)
+        assert not state.node_values and 2 not in state.pending_blocks
+        for ctb in ctbs[1:]:
+            state.add_block(ctb)
+        assert assemble_message(state, key_a) == msg
+
+
+def test_an_evaluated_point_at_x_0_is_a_decode_error(suite):
+    # (0, 0) is on the curve, but a line can vanish there: it is refused as a
+    # point, before any product of pairings evaluates it
+    pk, mk, ctx = suite
+    rng = random.Random(39)
+    msg = rng.randbytes(300)
+    _, ctbs = _encrypt_all(msg, _THREE_LEVELS, pk, ctx, rng)
+    key_a = scheme.keygen(pk, mk, {"a"}, rng)
+    zero = G0Element.deserialize(G0Element((0, 0)).serialize())
+    with pytest.raises(DecodeError, match="x = 0"):
+        _decrypt([ctbs[0], dataclasses.replace(ctbs[1], encap=zero), ctbs[2]], key_a)
+    with pytest.raises(DecodeError, match="x = 0"):
+        decrypt_block(ctbs[1], key_a, ChainUnlock(zero))
+    d_j, d_j_prime = key_a.components["a"]
+    for components in ((zero, d_j_prime), (d_j, zero)):
+        with pytest.raises(DecodeError, match="x = 0"):
+            _decrypt(ctbs, scheme.SecretKey(key_a.d, key_a.d_hat, {"a": components}))
+
+
+def test_unlock_slot_must_match_the_block_position(suite):
+    # the last block's unlock slot holds the identity sentinel and every
+    # earlier block's an unlock element, so a block opened as if it stood
+    # elsewhere in the chain is refused, as is one opened by a wrong mask key
+    pk, mk, ctx = suite
+    rng = random.Random(38)
+    msg = rng.randbytes(300)
+    _, ctbs = _encrypt_all(msg, "(a AND (b AND c))", pk, ctx, rng)
+    assert len(ctbs) == 3
+    sk = scheme.keygen(pk, mk, {"a", "b", "c"}, rng)
+    state = DecryptionState(sk)
+    for ctb in ctbs:
+        state.add_block(ctb)
+    assert assemble_message(state, sk) == msg
+    chain = state.chain_elements
+    assert decrypt_block(ctbs[1], sk, ChainUnlock(chain[2]))[1] == chain[3]
+    assert decrypt_block(ctbs[2], sk, ChainUnlock(chain[3]))[1] is None
+    with pytest.raises(DecodeError, match="block 3: unlock slot holds no identity sentinel"):
+        decrypt_block(dataclasses.replace(ctbs[1], index=3), sk, ChainUnlock(chain[2]))
+    with pytest.raises(DecodeError, match="block 2: unlock slot holds no unlock element"):
+        decrypt_block(dataclasses.replace(ctbs[2], index=2), sk, ChainUnlock(chain[3]))
+    # block 2 opened by block 3's chain element, a wrong mask key: a random
+    # slot passes as a point with probability about 0.5%, not for this seed
+    with pytest.raises(DecodeError, match="block 2: unlock slot"):
+        decrypt_block(ctbs[1], sk, ChainUnlock(chain[3]))
 
 
 def test_gate_opens_block_2_before_block_1(suite, monkeypatch):

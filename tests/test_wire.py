@@ -213,17 +213,17 @@ def _message_curve_point(msg):
 
 def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_blocks,
                                                                   monkeypatch):
-    # every point whose Miller-loop lines are recorded, every point a
-    # product of pairings evaluates them at, and every point handed to point
-    # addition, a comb table build, a comb exponentiation or a one-use
-    # ladder power is a prime-order subgroup point, also while corrupt blocks
-    # and key files are being decrypted and checked.  The one exception is
-    # the verifier's own R, the message hash before its cofactor is cleared,
-    # at which it evaluates v2's lines by design
+    # every point whose Miller-loop lines are returned, and every point
+    # handed to point addition, a comb table build, a comb exponentiation or
+    # a one-use ladder power, is a prime-order subgroup point; every point a
+    # product of pairings evaluates them at is a curve point with x != 0.
+    # This holds also while corrupt blocks and key files are being decrypted
+    # and checked.  An evaluated point need not lie in the subgroup: the
+    # verifier's own R, the message hash before its cofactor is cleared,
+    # lies outside it by design
     msg, ctbs, sk = three_blocks
     r_point = _message_curve_point(msg)
-    seen = set()
-    at_r = []
+    seen, evaluated = set(), set()
 
     def watch(name, points):
         real = getattr(algebra, name)
@@ -233,13 +233,19 @@ def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_bl
             return real(*args)
         monkeypatch.setattr(algebra, name, wrapper)
 
-    def evaluation_points(terms):
-        points = [q for _, q, _ in terms]
-        at_r.extend(p for p in points if p == r_point)
-        return [p for p in points if p != r_point]
+    real_lines, real_product = algebra._lines, algebra._miller_product
 
-    watch("_lines", lambda p: (p,))
-    watch("_miller_product", evaluation_points)
+    def lines(p):
+        out = real_lines(p)
+        seen.add(p)
+        return out
+
+    def miller_product(terms):
+        evaluated.update(q for _, q, _ in terms)
+        return real_product(terms)
+
+    monkeypatch.setattr(algebra, "_lines", lines)
+    monkeypatch.setattr(algebra, "_miller_product", miller_product)
     # a mixed addition's affine operand, and a product's left factor: the
     # Jacobian operand with Z = 1
     watch("_jac_add_affine", lambda p, a: (a, p[:2] if p is not None and p[2] == 1 else None))
@@ -259,12 +265,15 @@ def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_bl
         use(decode(data))
     assert _decrypt([wire.decode_ctb(wire.encode_ctb(ctb, "m"))[0] for ctb in ctbs], sk) == msg
     monkeypatch.undo()                      # the oracle below adds points too
-    assert len(seen) > 20
+    assert len(seen) > 20 and len(evaluated) > 5
     order_naf = algebra._naf_msb(algebra.ORDER)
     for point in seen:
         assert affine_mul_naf(point, order_naf) is None, point
-    # the exemption was used, and for a point outside the subgroup
-    assert at_r and affine_mul_naf(r_point, order_naf) is not None
+    q = algebra.FIELD_PRIME
+    for x, y in evaluated:
+        assert x != 0 and (y * y - x * x * x - x) % q == 0, (x, y)
+    # R was evaluated, and lies outside the subgroup
+    assert r_point in evaluated and affine_mul_naf(r_point, order_naf) is not None
 
 
 def test_ctb_rejects_non_text_fields(corpus):

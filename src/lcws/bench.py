@@ -3,9 +3,9 @@
 Per-block encryption and decryption durations are wall-clock measured on
 real ciphertext blocks; transmission durations come from the link model
 priced on the actual wire sizes.  Totals are then evaluated through the
-exact pipeline recurrences, and medians over repeated runs are reported,
-next to the quartiles of the times of the primitives that dominate a
-block.
+exact pipeline recurrence, once per side, and medians over repeated runs
+are reported, next to the quartiles of the times of the primitives that
+dominate a block.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import algebra, pipeline, scheme, wire
-from .pipeline import LinkModel, StageTimes
+from .pipeline import LinkModel
 from .policy import AccessTree, parse_policy
 from .scheme import DecryptionState, EncryptionContext, PublicKey, SecretKey
 
@@ -125,9 +125,10 @@ def _commit() -> Optional[str]:
 
 def measure_stage_times(messages: Sequence[bytes], tree: AccessTree, pk: PublicKey,
                         ctx: EncryptionContext, sk: SecretKey, link: LinkModel,
-                        rng: random.Random) -> List[StageTimes]:
+                        rng: random.Random) -> List[Tuple[List[float], ...]]:
     """One full measured pass per message: encrypt (timed per block), price
     the wire bytes on the link, decrypt in arrival order (timed per block).
+    Returns each message's per-block seconds as (enc, tx, dec) lists.
 
     The messages are interleaved block by block: block i of every message
     is encrypted back to back before block i + 1 of any, and likewise for
@@ -168,7 +169,7 @@ def measure_stage_times(messages: Sequence[bytes], tree: AccessTree, pk: PublicK
             gc.enable()
     if outs != list(messages):
         raise RuntimeError("benchmark round trip mismatch")
-    return [StageTimes(*times) for times in zip(enc_times, tx_times, dec_times)]
+    return list(zip(enc_times, tx_times, dec_times))
 
 
 _PRIMITIVE_CALLS = 15
@@ -259,17 +260,12 @@ def run_bench(sizes: Sequence[int], levels: int, leaves: int, link: LinkModel,
 
     rows = []
     for size in sizes:
-        samples = by_size[size]
         # representative stage times: per-block medians across the runs, so a
         # scheduler spike hitting one block of one run cannot skew the totals
-        n = samples[0].n
-        med = StageTimes(
-            [statistics.median([t.enc[i] for t in samples]) for i in range(n)],
-            [statistics.median([t.tx[i] for t in samples]) for i in range(n)],
-            [statistics.median([t.dec[i] for t in samples]) for i in range(n)],
-        )
-        enc_sched = pipeline.pipelined_total_enc(med)
-        dec_sched = pipeline.pipelined_total_dec(med)
+        enc, tx, dec = ([statistics.median(block) for block in zip(*stage)]
+                        for stage in zip(*by_size[size]))
+        enc_sched = pipeline.schedule(pipeline.ENC, enc, tx)
+        dec_sched = pipeline.schedule(pipeline.DEC, tx, dec)
         rows.append(BenchRow(
             size=size,
             enc_seq=enc_sched.total_sequential,
@@ -278,8 +274,8 @@ def run_bench(sizes: Sequence[int], levels: int, leaves: int, link: LinkModel,
             dec_seq=dec_sched.total_sequential,
             dec_pipe=dec_sched.total_pipelined,
             dec_delta=dec_sched.delta_t,
-            max_block_enc=max(med.enc),
-            min_block_tx=min(med.tx),
+            max_block_enc=max(enc),
+            min_block_tx=min(tx),
         ))
     return BenchReport(levels=levels, leaves=leaves, runs=runs, rows=tuple(rows),
                        primitives=measure_primitives(rng))

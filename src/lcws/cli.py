@@ -220,10 +220,10 @@ def dr_decrypt(sk_path, store_dir, message_id, out_path, bandwidth, latency):
         state.add_block(_decode_stored(blob, object_ids[index - 1]))
 
     pipeline_mod.run_two_stage(object_ids, pipeline_mod.DEC, download, ingest)
-    held = state.data_blocks.keys() | state.pending_blocks.keys()
     for index in range(1, state.block_count + 1):
-        if index not in held:
-            raise StoreNotFoundError(make_object_id(message_id, index))
+        object_id = make_object_id(message_id, index)
+        if object_id not in object_ids:
+            raise StoreNotFoundError(object_id)
     message = scheme.assemble_message(state, sk)
     out_path.write_bytes(message)
     click.echo(f"wrote {len(message)} bytes to {out_path}")

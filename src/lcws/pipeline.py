@@ -3,10 +3,13 @@
 Blocks pass through a compute stage and a transmit stage, in either order,
 with FIFO hand-off from stage one's worker thread to stage two in the
 caller's: stage two starts a block once it has finished the previous one
-and stage one has finished this one.
+and stage one has finished this one.  `schedule(side, first, second)`
+evaluates that rule exactly from each stage's per-block durations (the
+makespan recurrence of a two-machine flow shop), and `run_two_stage(items,
+side, first, second)` runs the stages themselves; both take the stages in
+order and return the same `ScheduleResult`.
 """
 
-import functools
 import queue
 import threading
 import time
@@ -15,32 +18,9 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 ENC = "enc"
 DEC = "dec"
-# side -> (stage one, stage two), naming both the StageTimes durations and
-# the BlockSchedule fields of each stage
+# side -> (stage one, stage two), naming the BlockSchedule fields of each stage
 _STAGES = {ENC: ("enc", "tx"), DEC: ("tx", "dec")}
 _HANDOFF_BLOCKS = 4            # blocks stage one may run ahead of stage two
-
-
-@dataclass(frozen=True)
-class StageTimes:
-    """Per-block durations in seconds for the three protocol stages."""
-
-    enc: Tuple[float, ...]
-    tx: Tuple[float, ...]
-    dec: Tuple[float, ...]
-
-    def __init__(self, enc: Sequence[float], tx: Sequence[float], dec: Sequence[float] = None):
-        dec = [0.0] * len(tx) if dec is None else dec
-        for name, values in (("enc", enc), ("tx", tx), ("dec", dec)):
-            object.__setattr__(self, name, tuple(float(x) for x in values))
-        if not (len(self.enc) == len(self.tx) == len(self.dec)):
-            raise ValueError("stage duration lists must have equal length")
-        if any(x < 0 for x in self.enc + self.tx + self.dec):
-            raise ValueError("durations must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return len(self.enc)
 
 
 @dataclass
@@ -71,15 +51,21 @@ def _stages(side: str) -> Tuple[str, str]:
     return _STAGES[side]
 
 
-def _result(side: str, spans, sequential: float, total: float) -> ScheduleResult:
-    fields = [f"{stage}_{edge}" for stage in _STAGES[side] for edge in ("start", "end")]
+def _result(stages: Tuple[str, str], spans, sequential: float, total: float) -> ScheduleResult:
+    fields = [f"{stage}_{edge}" for stage in stages for edge in ("start", "end")]
     rows = [BlockSchedule(i, **dict(zip(fields, span))) for i, span in enumerate(spans, 1)]
     return ScheduleResult(rows, sequential, total)
 
 
-def schedule(times: StageTimes, side: str) -> ScheduleResult:
-    """Exact overlap recurrence and sequential total for one side."""
-    first, second = (getattr(times, name) for name in _stages(side))
+def schedule(side: str, first: Sequence[float], second: Sequence[float]) -> ScheduleResult:
+    """Exact overlap recurrence and sequential total for one side, from the
+    per-block durations in seconds of stage one and of stage two."""
+    stages = _stages(side)
+    first, second = tuple(map(float, first)), tuple(map(float, second))
+    if len(first) != len(second):
+        raise ValueError("stage duration lists must have equal length")
+    if any(x < 0 for x in first + second):
+        raise ValueError("durations must be nonnegative")
     spans = []
     end1 = end2 = 0.0
     for a, b in zip(first, second):
@@ -87,23 +73,7 @@ def schedule(times: StageTimes, side: str) -> ScheduleResult:
         start2 = max(end2, end1)
         end2 = start2 + b
         spans.append((start1, end1, start2, end2))
-    return _result(side, spans, sum(first) + sum(second), end2)
-
-
-pipelined_total_enc = functools.partial(schedule, side=ENC)
-pipelined_total_dec = functools.partial(schedule, side=DEC)
-
-
-def sequential_total_enc(times: StageTimes) -> float:
-    return schedule(times, ENC).total_sequential
-
-
-def sequential_total_dec(times: StageTimes) -> float:
-    return schedule(times, DEC).total_sequential
-
-
-def delta_t(times: StageTimes, side: str) -> float:
-    return schedule(times, side).delta_t
+    return _result(stages, spans, sum(first) + sum(second), end2)
 
 
 @dataclass(frozen=True)
@@ -136,8 +106,9 @@ def run_two_stage(items: Iterable, side: str, first: Callable[[int, object], obj
     call, and stage one's span of an item includes drawing it from `items`.
     If a stage raises or the caller is interrupted, neither stage starts
     another block, and the first exception is re-raised here once the
-    worker has ended.
+    worker has ended.  An unknown side is refused before either stage runs.
     """
+    stages = _stages(side)
     handoff: "queue.Queue" = queue.Queue(maxsize=_HANDOFF_BLOCKS)
     done = object()
     errors: List[BaseException] = []
@@ -180,7 +151,7 @@ def run_two_stage(items: Iterable, side: str, first: Callable[[int, object], obj
     total = time.perf_counter() - t0
     if errors:
         raise errors[0]
-    return _result(side, spans, sum(e1 - s1 + e2 - s2 for s1, e1, s2, e2 in spans), total)
+    return _result(stages, spans, sum(e1 - s1 + e2 - s2 for s1, e1, s2, e2 in spans), total)
 
 
 def run_pipeline(blocks: Sequence, link: LinkModel, side: str,

@@ -152,32 +152,32 @@ def test_c4_verification_soundness(suite):
 def test_c5_timing_closed_forms():
     for n in range(1, 33):
         for a, b in [(0.5, 2.0), (2.0, 0.5), (1.0, 1.0), (0.25, 0.75)]:
-            enc = [a] * n
+            enc = dec = [a] * n
             tx = [b] * n
-            t = pl.StageTimes(enc, tx, dec=[a] * n)
-            enc_total = pl.pipelined_total_enc(t).total_pipelined
-            seq_enc = pl.sequential_total_enc(t)
+            enc_sched = pl.schedule(pl.ENC, enc, tx)
+            dec_sched = pl.schedule(pl.DEC, tx, dec)
+            enc_total = enc_sched.total_pipelined
             # transmit-dominant and compute-dominant closed forms
             if b >= a:
                 assert enc_total == enc[0] + sum(tx)
-                assert pl.delta_t(t, pl.ENC) == sum(enc) - enc[0]
+                assert enc_sched.delta_t == sum(enc) - enc[0]
             if a >= b:
                 assert enc_total == sum(enc) + tx[-1]
-                assert pl.delta_t(t, pl.ENC) == sum(tx) - tx[-1]
-            dec_total = pl.pipelined_total_dec(t).total_pipelined
+                assert enc_sched.delta_t == sum(tx) - tx[-1]
+            dec_total = dec_sched.total_pipelined
             if b >= a:                               # transmit dominates decryption
-                assert dec_total == sum(tx) + t.dec[-1]
-                assert pl.delta_t(t, pl.DEC) == sum(t.dec) - t.dec[-1]
+                assert dec_total == sum(tx) + dec[-1]
+                assert dec_sched.delta_t == sum(dec) - dec[-1]
             if a >= b:
-                assert dec_total == tx[0] + sum(t.dec)
-                assert pl.delta_t(t, pl.DEC) == sum(tx) - tx[0]
+                assert dec_total == tx[0] + sum(dec)
+                assert dec_sched.delta_t == sum(tx) - tx[0]
             if n == 1:
-                assert pl.delta_t(t, pl.ENC) == 0.0
-                assert pl.delta_t(t, pl.DEC) == 0.0
+                assert enc_sched.delta_t == 0.0
+                assert dec_sched.delta_t == 0.0
             else:
-                assert pl.delta_t(t, pl.ENC) > 0
-                assert pl.delta_t(t, pl.DEC) > 0
-            assert enc_total <= seq_enc
+                assert enc_sched.delta_t > 0
+                assert dec_sched.delta_t > 0
+            assert enc_total <= enc_sched.total_sequential
     return "n in 1..32, both stage dominance orders, zero tolerance"
 
 

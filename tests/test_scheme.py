@@ -679,6 +679,29 @@ def test_points_a_pairing_only_evaluates_need_only_lie_on_the_curve(suite, monke
         assert assemble_message(state, key_a) == msg
 
 
+@pytest.mark.parametrize("text", ["(a AND b)", "(a AND (b OR c))", "(2 of (a, b, c))"])
+def test_colluding_keys_do_not_combine(suite, text):
+    # d and d_hat of a key for {a} with the component of b from a key for
+    # {b}: each key's blinding r differs, so the leaf values do not meet
+    pk, mk, ctx = suite
+    rng = random.Random(40)
+    for _ in range(4):
+        msg = rng.randbytes(300)
+        _, ctbs = _encrypt_all(msg, text, pk, ctx, rng)
+        v = make_challenge(ctbs[0].commitment, mk, rng)
+        key_a = scheme.keygen(pk, mk, {"a"}, rng)
+        key_b = scheme.keygen(pk, mk, {"b"}, rng)
+        colluding = scheme.SecretKey(key_a.d, key_a.d_hat, {"a": key_a.components["a"],
+                                                            "b": key_b.components["b"]})
+        assert _decrypt(ctbs, scheme.keygen(pk, mk, {"a", "b"}, rng)) == msg
+        for order in (ctbs, ctbs[::-1]):
+            try:
+                out = _decrypt(order, colluding)
+            except DecodeError:
+                continue
+            assert out != msg and not verify_message(out, v)
+
+
 def test_an_evaluated_point_at_x_0_is_a_decode_error(suite):
     # (0, 0) is on the curve, but a line can vanish there: it is refused as a
     # point, before any product of pairings evaluates it

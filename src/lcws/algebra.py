@@ -71,22 +71,10 @@ _H2C_PREFIX = b"lcws-h2c-v1"
 _KDF_PREFIX = b"lcws-kdf-v1"
 
 
-def _naf_msb(k: int) -> list:
-    """Non-adjacent form digits of k >= 1, most significant first, without
-    the leading 1."""
-    digits = []
-    while k:
-        if k & 1:
-            d = 2 - (k & 3)
-            k -= d
-        else:
-            d = 0
-        digits.append(d)
-        k >>= 1
-    return digits[-2::-1]
-
-
-_NAF_ORDER_MSB = _naf_msb(ORDER)
+# ORDER = 2^159 + 2^107 + 1 has no two adjacent ones, so its NAF is its
+# binary form: the Miller loop reads these bits, most significant first,
+# without the leading 1
+_ORDER_BITS = tuple(map(int, bin(ORDER)[3:]))
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +427,8 @@ def _unitary_pow(u, k: int):
 # ---------------------------------------------------------------------------
 # pairing core: the lines of a Miller loop and one product of pairings
 # ---------------------------------------------------------------------------
-# f_{ORDER,P} is the product of a tangent line at each NAF step's running
-# point and a secant line at each nonzero digit.  A line is kept as three
+# f_{ORDER,P} is the product of a tangent line at each step's running
+# point and a secant line at each one bit.  A line is kept as three
 # coefficients (a, b, c) in F_q; at the distorted image (-x, i*y) of
 # Q = (x, y), that is at x_bar = -x, its value is (a*x_bar + b) - c*y*i.
 # The coefficients carry a projective factor in F_q and the vertical lines
@@ -456,7 +444,7 @@ def _unitary_pow(u, k: int):
 # fe(f1 * conj(f2)) = fe(f1) / fe(f2).
 
 def _lines(p):
-    """(tangent line, secant line or None) per NAF step of f_{ORDER, p}, for
+    """(tangent line, secant line or None) per bit of f_{ORDER, p}, for
     a curve point p; raises `DecodeError` unless p has order ORDER.
 
     The loop computes [ORDER]p.  For p of order ORDER the running point
@@ -466,11 +454,10 @@ def _lines(p):
     is the identity or +-p, and the formulas below give Z = 0 there, which
     every later step keeps."""
     px, py = p
-    npy = _Q - py
     X, Y, Z = px, py, 1
     out = []
-    last = len(_NAF_ORDER_MSB) - 1
-    for d in _NAF_ORDER_MSB:
+    last = len(_ORDER_BITS) - 1
+    for d in _ORDER_BITS:
         Z2 = Z * Z % _Q
         W = (3 * X * X + Z2 * Z2) % _Q
         Y2 = Y * Y % _Q
@@ -481,10 +468,9 @@ def _lines(p):
         X = Xn
         secant = None
         if d:
-            ay = py if d == 1 else npy
             Z1Z1 = Z * Z % _Q
             U2 = px * Z1Z1 % _Q
-            S2 = ay * Z % _Q * Z1Z1 % _Q
+            S2 = py * Z % _Q * Z1Z1 % _Q
             if U2 == X and (S2 + Y) % _Q == 0:
                 # running point is the negative of the addend: the secant is
                 # vertical and the sum is the identity
@@ -495,7 +481,7 @@ def _lines(p):
             H = (U2 - X) % _Q
             rr = (S2 - Y) % _Q
             HZ = H * Z % _Q
-            secant = (rr, (ay * HZ - rr * px) % _Q, HZ)
+            secant = (rr, (py * HZ - rr * px) % _Q, HZ)
             HH = H * H % _Q
             I = 4 * HH % _Q
             J = H * I % _Q

@@ -12,8 +12,8 @@ chain without touching deeper levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
-                    Union)
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set,
+                    Tuple, Union)
 
 import secrets
 
@@ -350,8 +350,9 @@ def encrypt_message(message: bytes, tree: AccessTree, pk: PublicKey,
 def decrypt_leaf(ctb: CiphertextBlock, sk: SecretKey, node_id: int) -> Optional[GTElement]:
     """Blinded share value for one leaf, or None when the key lacks the
     leaf's attribute.  The block's components are the Miller points, so a
-    component outside the prime-order subgroup raises `DecodeError` here;
-    the key's, only evaluated, need only lie on the curve."""
+    component outside the prime-order subgroup raises `DecodeError` here,
+    as does the identity, which a pairing would skip; the key's, only
+    evaluated, need only lie on the curve."""
     desc = next((d for d in ctb.descriptor if d.node_id == node_id and d.is_leaf), None)
     if desc is None:
         raise ValueError(f"node {node_id} is not a leaf of block {ctb.index}")
@@ -359,6 +360,8 @@ def decrypt_leaf(ctb: CiphertextBlock, sk: SecretKey, node_id: int) -> Optional[
         return None
     d_j, d_j_prime = sk.components[desc.attribute]
     c_hat, c_hat_prime = ctb.leaf_components[node_id]
+    if c_hat.is_identity() or c_hat_prime.is_identity():
+        raise DecodeError(f"block {ctb.index}: leaf {node_id} component is the identity")
     return pair_ratio(c_hat, d_j, c_hat_prime, d_j_prime)
 
 
@@ -437,88 +440,86 @@ def decrypt_block(ctb: CiphertextBlock, sk: SecretKey, unlock: Unlock
 
 
 class _OpenedBlock(NamedTuple):
-    """An opened block without its masked payload, so no block is held twice."""
+    """An opened block: `decrypt_block`'s results, not its masked payload."""
     index: int
     descriptor: Tuple[NodeDescriptor, ...]
     leaf_components: Mapping[int, Tuple[G0Element, G0Element]]
+    payload: bytes
+    next_element: Optional[G0Element]     # block index + 1's chain element; None on the last
 
 
 class DecryptionState:
     """Accumulates arriving blocks and opens each one as soon as it can.
 
-    A block opens by its chain element when that is known; while block 1
-    is closed, block 1 can also open by the root value and a later block by
-    a gate of its level with that gate's link element.  Node values are
-    computed only for such an unlock, from the held subset with the fewest
-    leaves still to pair.  Each block must pass `check_level` against the
-    block before, so a satisfying key opens any tree `AccessTree` accepts,
-    and no parent id can loop."""
+    `blocks` holds a closed block as its `CiphertextBlock`, an open one as
+    its `_OpenedBlock`.  A block opens by the chain element in the record
+    before it; while block 1 is closed, block 1 can also open by the root
+    value and a later block by a gate of its level with that gate's link
+    element.  Node values are computed only for such an unlock, from the
+    held subset with the fewest leaves still to pair.  Each block must pass
+    `check_level` against the block before, so a satisfying key opens any
+    tree `AccessTree` accepts, and no parent id can loop."""
 
     def __init__(self, sk: SecretKey):
         self.sk = sk
         self.block_count: Optional[int] = None
         self.total_len: Optional[int] = None
-        self.data_blocks: Dict[int, bytes] = {}
-        self.chain_elements: Dict[int, G0Element] = {}
-        self.node_values: Dict[int, GTElement] = {}
         self.commitment: Optional[G0Element] = None
-        self._blocks: Dict[int, Union[CiphertextBlock, _OpenedBlock]] = {}
-
-    @property
-    def pending_blocks(self) -> Dict[int, CiphertextBlock]:
-        return {i: ctb for i, ctb in self._blocks.items() if i not in self.data_blocks}
-
-    def received_all(self) -> bool:
-        return self.block_count is not None and len(self._blocks) == self.block_count
+        self.node_values: Dict[int, GTElement] = {}
+        self.blocks: Dict[int, Union[CiphertextBlock, _OpenedBlock]] = {}
+        self._suspects: Set[int] = set()
 
     def add_block(self, ctb: CiphertextBlock) -> None:
         """Ingest one block and open every block now reachable.  A repeat is
-        ignored; another block under a held index or a held node id is a
-        DecodeError, and so is a block that breaks `check_level`: block 1 is
-        checked on arrival, a later block once the block before is held too.
-        So is a point that fails its deferred validation, and the block
-        holding it is dropped first, so a re-sent copy is taken in."""
-        if self.block_count is None:
-            self.block_count = ctb.block_count
-            self.total_len = ctb.total_len
-        elif ctb.block_count != self.block_count or ctb.total_len != self.total_len:
-            raise DecodeError("inconsistent headers across blocks")
-        if ctb.index in self._blocks:
-            if self._blocks[ctb.index].descriptor != ctb.descriptor:
-                raise DecodeError(f"conflicting blocks for index {ctb.index}")
+        ignored; another block under a held index or a held node id, a header
+        unlike the held blocks' and a block that breaks `check_level` (block 1
+        on arrival, a later block once the block before is held) are each a
+        DecodeError, and a refused block sets nothing.  So is a point that
+        fails its deferred validation, and the block holding it is dropped, so
+        a re-sent copy is taken in.  If it opened by a chain element, the
+        block before, which supplied it, is suspect: its next copy replaces it."""
+        i = ctb.index
+        if i in self.blocks and i not in self._suspects:
+            if self.blocks[i].descriptor != ctb.descriptor:
+                raise DecodeError(f"conflicting blocks for index {i}")
             return
+        if self.blocks and (ctb.block_count, ctb.total_len) != (self.block_count, self.total_len):
+            raise DecodeError("inconsistent headers across blocks")
+        held = {**self.blocks, i: ctb}
         shared = {d.node_id for d in ctb.descriptor}.intersection(
-            d.node_id for b in self._blocks.values() for d in b.descriptor)
+            d.node_id for j, b in held.items() if j != i for d in b.descriptor)
         if shared:
             raise DecodeError(f"node id {min(shared)} appears in more than one block")
-        held = {**self._blocks, ctb.index: ctb}
-        for j in (ctb.index, ctb.index + 1):
+        for j in (i, i + 1):
             if j in held and (j == 1 or j - 1 in held):
                 try:
                     check_level(held[j].descriptor, held[j - 1].descriptor if j > 1 else None)
                 except ValueError as e:
                     raise DecodeError(f"block {j}: {e}") from None
-        if ctb.index == 1:
+        self.block_count, self.total_len = ctb.block_count, ctb.total_len
+        if i == 1:
             self.commitment = ctb.commitment
-        self._blocks[ctb.index] = ctb
+        self.blocks[i] = ctb
+        self._suspects.discard(i)
         # one ascending pass: opening block i only yields what blocks after i need
-        for idx, pending in sorted(self.pending_blocks.items()):
-            unlock = self._unlock_for(pending)
+        for idx, block in sorted(self.blocks.items()):
+            unlock = None if isinstance(block, _OpenedBlock) else self._unlock_for(block)
             if unlock is not None:
                 try:
-                    payload, next_element = decrypt_block(pending, self.sk, unlock)
+                    payload, next_element = decrypt_block(block, self.sk, unlock)
                 except DecodeError:
-                    del self._blocks[idx]
+                    del self.blocks[idx]
+                    if isinstance(unlock, ChainUnlock):
+                        self._suspects.add(idx - 1)
                     raise
-                self.data_blocks[idx] = payload
-                self._blocks[idx] = _OpenedBlock(idx, pending.descriptor, pending.leaf_components)
-                if next_element is not None:
-                    self.chain_elements[idx + 1] = next_element
+                self.blocks[idx] = _OpenedBlock(idx, block.descriptor, block.leaf_components,
+                                                payload, next_element)
 
     def _unlock_for(self, ctb: CiphertextBlock) -> Optional[Unlock]:
-        if ctb.index in self.chain_elements:
-            return ChainUnlock(self.chain_elements[ctb.index])
-        if 1 in self.data_blocks:
+        prev = self.blocks.get(ctb.index - 1)
+        if isinstance(prev, _OpenedBlock):
+            return ChainUnlock(prev.next_element)
+        if isinstance(self.blocks.get(1), _OpenedBlock):
             return None
         plan = self._plan()
         ids = [ctb.descriptor[0].node_id] if ctb.index == 1 else ctb.gate_links
@@ -535,7 +536,7 @@ class DecryptionState:
         `check_level` a child is planned before its parent."""
         plan: Dict[int, tuple] = {}
         kids: Dict[Tuple[int, int], List[NodeDescriptor]] = {}
-        for j, ctb in sorted(self._blocks.items(), reverse=True):
+        for j, ctb in sorted(self.blocks.items(), reverse=True):
             for d in reversed(ctb.descriptor):
                 if d.node_id in self.node_values:
                     plan[d.node_id] = (0, j, d, ())
@@ -564,9 +565,9 @@ class DecryptionState:
             _, j, d, chosen = plan[nid]
             if d.is_leaf:
                 try:
-                    self.node_values[nid] = decrypt_leaf(self._blocks[j], self.sk, nid)
+                    self.node_values[nid] = decrypt_leaf(self.blocks[j], self.sk, nid)
                 except DecodeError:
-                    del self._blocks[j]
+                    del self.blocks[j]
                     raise
             else:
                 shares = {k.index: self.node_values[k.node_id] for k in chosen}
@@ -581,13 +582,13 @@ def assemble_message(state: DecryptionState, sk: SecretKey) -> bytes:
     block still closed means the policy is not satisfied; that is always
     block 1, since the chain from block 1 opens every later block.  `sk`
     is the key the state was built with; the state already holds it."""
-    if not state.received_all():
+    if len(state.blocks) != state.block_count:
         raise ValueError("not all ciphertext blocks have been received")
-    if state.pending_blocks:
-        closed = min(state.pending_blocks)
+    closed = [i for i, b in state.blocks.items() if not isinstance(b, _OpenedBlock)]
+    if closed:
         raise PolicyNotSatisfiedError(
-            f"attributes do not satisfy the access policy: block {closed} stays closed")
-    payloads = [state.data_blocks[i] for i in range(1, state.block_count + 1)]
+            f"attributes do not satisfy the access policy: block {min(closed)} stays closed")
+    payloads = [state.blocks[i].payload for i in range(1, state.block_count + 1)]
     return unchain_blocks(payloads, state.total_len)
 
 

@@ -2,7 +2,8 @@
 randomized policy/key trials, a recorder of the secrets keygen and
 encryption draw, point addition on points of any order, the plain NAF
 exponentiations that tests compare the package's ladders and combs
-against, and the verifier's check as the scheme defines it."""
+against, the verifier's check as the scheme defines it, and the blocks a
+receiver holds open."""
 
 from __future__ import annotations
 
@@ -52,6 +53,21 @@ def point_of_prime_order(d, rng):
             return t
 
 
+def naf_msb(k: int) -> list:
+    """Non-adjacent form digits of k >= 1, most significant first, without
+    the leading 1."""
+    digits = []
+    while k:
+        if k & 1:
+            d = 2 - (k & 3)
+            k -= d
+        else:
+            d = 0
+        digits.append(d)
+        k >>= 1
+    return digits[-2::-1]
+
+
 def affine_mul_naf(p, naf_digits_msb):
     """[k]P by NAF double-and-add in Jacobian coordinates, from the NAF
     digits of k >= 1 without the leading 1; None is the identity."""
@@ -88,6 +104,11 @@ def verify_message_reference(message: bytes, v: scheme.VerificationTuple) -> boo
     clearing the cofactor."""
     h = algebra.hash_to_g0(algebra.TAG_MESSAGE, message)
     return algebra.pair_ratio(h, v.v2, v.v1, algebra.generator()).is_identity()
+
+
+def opened(state: scheme.DecryptionState) -> List[int]:
+    """Indices of the blocks a receiver holds open, ascending."""
+    return sorted(i for i, b in state.blocks.items() if isinstance(b, scheme._OpenedBlock))
 
 
 class Drawn:

@@ -28,7 +28,7 @@ from lcws.scheme import (
     decrypt_leaf,
 )
 
-from helpers import random_policy, recording, satisfying_attrs, unsatisfying_attrs
+from helpers import opened, random_policy, recording, satisfying_attrs, unsatisfying_attrs
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -111,13 +111,12 @@ def test_c3_partial_decryption(suite):
     state = DecryptionState(sk)
     for ctb in ctbs:
         state.add_block(ctb)
-    assert 2 in state.data_blocks                      # via the gate link path
-    assert 1 not in state.data_blocks
+    assert opened(state) == [2, 3]                     # via the gate link path
     with pytest.raises(PolicyNotSatisfiedError):
         assemble_message(state, sk)
     # the recovered block is the XOR of two segments, not plaintext
     segments = scheme.partition_message(message, 3)
-    assert state.data_blocks[2] == segments[1]
+    assert state.blocks[2].payload == segments[1]
     return "block 2 open via gate link, block 1 sealed, assembly denied"
 
 

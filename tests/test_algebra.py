@@ -8,8 +8,8 @@ from lcws import algebra as alg
 from lcws.algebra import G0Element, GTElement, Scalar
 from lcws.errors import DecodeError
 
-from helpers import (affine_add, affine_mul_naf, fq2_pow_naf, is_zero, random_curve_point,
-                     random_scalar)
+from helpers import (affine_add, affine_mul_naf, fq2_pow_naf, is_zero, naf_msb,
+                     random_curve_point, random_scalar)
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -156,6 +156,10 @@ def test_decode_rejects_bad_input():
     corrupted[10] ^= 0xFF
     with pytest.raises(DecodeError):
         GTElement.deserialize(bytes(corrupted))
+    q = alg.FIELD_PRIME.to_bytes(64, "big")
+    for coords in (q + t[64:], t[:64] + q):                   # a coordinate >= q
+        with pytest.raises(DecodeError, match="coordinate out of range"):
+            GTElement.deserialize(coords)
 
 
 def test_gt_inverse_and_division():
@@ -178,7 +182,7 @@ def _mul(p, k):
     """Plain double-and-add [k]P for k >= 1; None is the identity."""
     if k == 1:
         return p
-    return affine_mul_naf(p, alg._naf_msb(k))
+    return affine_mul_naf(p, naf_msb(k))
 
 
 def _oracle_in_subgroup(p):
@@ -333,7 +337,7 @@ def _miller(p, q):
     X, Y, Z = p[0], p[1], 1
     px, py = p
     npx, npy = px, Q - py
-    for d in alg._NAF_ORDER_MSB:
+    for d in naf_msb(alg.ORDER):
         Z2 = Z * Z % Q
         Z3 = Z2 * Z % Q
         W = (3 * X * X + Z2 * Z2) % Q
@@ -376,6 +380,12 @@ def _oracle_pair(u, v):
     return GTElement(alg._final_exponentiation(_miller(u._p, v._p)))
 
 
+def test_miller_loop_bits_are_the_naf_of_order():
+    # no two adjacent ones in ORDER, so the loop's plain bits are its NAF
+    assert alg._ORDER_BITS == tuple(naf_msb(alg.ORDER)) == tuple(map(int, bin(alg.ORDER)[3:]))
+    assert len(alg._ORDER_BITS) == 159 and set(alg._ORDER_BITS) == {0, 1}
+
+
 def test_pair_and_pair_ratio_match_the_miller_loop_oracle():
     rng = random.Random(47)
     one = G0Element.identity()
@@ -414,17 +424,17 @@ def test_lines_recorded_once_per_fixed_base_and_never_kept_on_a_plain_one(monkey
         assert alg.pair(other, fixed) == expected
         assert alg.pair_ratio(fixed, other, other, fixed).is_identity()
     assert recorded == [fixed._p]
-    assert len(fixed._line_table) == len(alg._NAF_ORDER_MSB)
+    assert len(fixed._line_table) == len(alg._ORDER_BITS)
     assert plain._line_table is None
     # the generator is one fixed base, so its lines are shared process-wide
-    assert len(G._line_table) == len(alg._NAF_ORDER_MSB)
+    assert len(G._line_table) == len(alg._ORDER_BITS)
 
 
 # ---------------------------------------------------------------------------
 # hash to G0 and the unitary powers against the NAF oracles
 # ---------------------------------------------------------------------------
 
-_NAF_COFACTOR = alg._naf_msb(alg.COFACTOR)
+_NAF_COFACTOR = naf_msb(alg.COFACTOR)
 
 
 def _oracle_hash_to_curve(tag, msg):
@@ -522,7 +532,7 @@ def test_unitary_pow_matches_the_naf_oracle():
     for u in units:
         assert (u[0] * u[0] + u[1] * u[1]) % q == 1
         for k in (0, 1, 2, 3, alg.ORDER - 1, alg.ORDER, alg.COFACTOR, rng.randrange(alg.ORDER)):
-            expected = alg._FQ2_ONE if k == 0 else fq2_pow_naf(u, alg._naf_msb(k))
+            expected = alg._FQ2_ONE if k == 0 else fq2_pow_naf(u, naf_msb(k))
             assert alg._unitary_pow(u, k) == expected, (u, k)
 
 

@@ -148,6 +148,13 @@ def test_unknown_message_id_is_io_error(runner, tmp_path):
         "--message-id", "doesnotexist", "--out", str(tmp_path / "x.bin"),
     ])
     assert res.exit_code == 3
+    # so is a message folder that exists but holds no block
+    (tmp_path / "store" / "empty").mkdir(parents=True)
+    res = runner.invoke(main, [
+        "dr-decrypt", "--sk", str(sk), "--store", str(tmp_path / "store"),
+        "--message-id", "empty", "--out", str(tmp_path / "x.bin"),
+    ])
+    assert res.exit_code == 3 and not (tmp_path / "x.bin").exists()
 
 
 def test_corrupt_key_file_is_format_error(runner, tmp_path):

@@ -1,6 +1,7 @@
 import faulthandler
 import heapq
 import itertools
+import random
 import signal
 import sys
 import threading
@@ -12,7 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcws import pipeline as pl
+from lcws import scheme, wire
 from lcws.pipeline import BlockSchedule, LinkModel, ScheduleResult
+from lcws.policy import parse_policy
+from lcws.store import BlobStore, make_object_id
 
 
 def simulate_schedule(side: str, first: Sequence[float],
@@ -256,6 +260,32 @@ def test_benchmark_reads_a_measured_schedule(monkeypatch, side, stage_two):
     stats = roles.schedule_stats(res, stage_two)
     assert stats["overlap_s"] == res.delta_t > 0
     assert 0 < stats["wait_s"] < res.total_pipelined
+
+
+@pytest.mark.parametrize("link", [None, LinkModel(bandwidth=1.0e6, latency=0.01)],
+                         ids=["no-link", "link"])
+def test_benchmark_receiver_decrypts_a_stored_message(monkeypatch, tmp_path, suite, link):
+    # perfbench/roles.py's receiver drives DecryptionState, add_block,
+    # state.commitment and assemble_message by name; a rename would fail
+    # every benchmark message without failing any other test
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import roles
+
+    pk, mk, ctx = suite
+    rng = random.Random(49)
+    msg = rng.randbytes(3000)
+    store = BlobStore(tmp_path)
+    for ctb in scheme.encrypt_message(msg, parse_policy("(a AND (b OR c))"), pk, ctx, rng):
+        store.put(make_object_id("m1", ctb.index), wire.encode_ctb(ctb, "m1"))
+    key_file = wire.encode_secret_key(scheme.keygen(pk, mk, {"a", "c"}, rng))
+    receiver = roles.Receiver.__new__(roles.Receiver)      # no plan, key files or master key
+    receiver.store_dir = tmp_path
+    out, commitment, schedule = receiver.decrypt(key_file, "m1", link)
+    assert out == msg and commitment == scheme.data_verification(msg, ctx)
+    if link is None:
+        assert schedule is None
+    else:
+        assert [r.block for r in schedule.rows] == [1, 2, 3] and schedule.total_pipelined > 0
 
 
 def test_run_two_stage_times_a_generator_as_stage_one():

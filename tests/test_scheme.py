@@ -26,8 +26,9 @@ from lcws.scheme import (
     verify_message,
 )
 
-from helpers import (affine_add, point_of_prime_order, random_policy, recording,
-                     satisfying_attrs, unsatisfying_attrs, verify_message_reference)
+from helpers import (affine_add, opened, point_of_prime_order, random_curve_point, random_policy,
+                     recording, satisfying_attrs, unsatisfying_attrs,
+                     verify_message_reference)
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -167,7 +168,7 @@ def test_encrypt_depth_one_policy_shape(suite):
     sk = scheme.keygen(pk, mk, {"a"}, rng)
     state = DecryptionState(sk)
     state.add_block(ctb)
-    assert state.chain_elements == {}
+    assert state.blocks[1].next_element is None
     assert _rebuild(state, sk) == b"tiny"
 
 
@@ -184,6 +185,11 @@ def test_encrypt_and_gate_block_shapes(suite):
     assert not first.leaf_components and not first.gate_links
     assert len(second.leaf_components) == 2 and not second.gate_links
     assert first.block_len == 5 and first.total_len == 10
+    # a commitment on a later block, or a gate link on block 1, is refused
+    with pytest.raises(ValueError, match="commitment must be present exactly on block 1"):
+        dataclasses.replace(second, commitment=first.commitment)
+    with pytest.raises(ValueError, match="block 1 carries no gate links"):
+        dataclasses.replace(first, gate_links={first.descriptor[0].node_id: G})
 
 
 def test_encrypt_unmask_with_fixture_exponents(suite):
@@ -483,8 +489,8 @@ def test_partial_decryption_gate_path(suite):
     state = DecryptionState(sk)
     for ctb in ctbs:
         state.add_block(ctb)
-    assert sorted(state.data_blocks) == [2, 3]
-    assert 1 in state.pending_blocks
+    assert opened(state) == [2, 3]
+    assert 1 in state.blocks
     with pytest.raises(PolicyNotSatisfiedError):
         assemble_message(state, sk)
 
@@ -567,6 +573,21 @@ def test_bench_policy_costs_21_pairings_and_one_leaf(bench_policy_blocks, monkey
     assert counts == {"terms": 21, "final_exp": 11, "leaf": 1, **unlocks}
 
 
+def test_a_block_waits_for_the_block_before_once_block_1_is_open(bench_policy_blocks,
+                                                                 monkeypatch):
+    # block 1 opens as block 2 arrives; blocks 4 to 10 then come before
+    # block 3, and wait for its chain element instead of pairing for gates
+    msg, ctbs, keys = bench_policy_blocks
+    arrival = [*ctbs[:2], *ctbs[3:], ctbs[2]]
+    state = DecryptionState(keys["full"])
+    for ctb in arrival[:-1]:
+        state.add_block(ctb)
+    assert opened(state) == [1, 2] and 3 not in state.blocks
+    in_order = _counting_decrypt(monkeypatch, ctbs, keys["full"])
+    monkeypatch.undo()
+    assert _counting_decrypt(monkeypatch, arrival, keys["full"]) == in_order
+
+
 def test_secret_key_d_and_d_hat_keep_their_lines(bench_policy_blocks):
     # a decoded key's d and d_hat are fixed bases that stay unvalidated
     # until their first pairing, and then keep their Miller-loop lines; the
@@ -577,7 +598,7 @@ def test_secret_key_d_and_d_hat_keep_their_lines(bench_policy_blocks):
     assert sk.d._line_table is sk.d_hat._line_table is alg._NOT_BUILT
     assert sk.d._point is sk.d_hat._point is alg._UNCHECKED
     assert _decrypt(ctbs, sk) == msg
-    assert len(sk.d._line_table) == len(sk.d_hat._line_table) == len(alg._NAF_ORDER_MSB)
+    assert len(sk.d._line_table) == len(sk.d_hat._line_table) == len(alg._ORDER_BITS)
     assert all(c._line_table is None for pair in sk.components.values() for c in pair)
 
 
@@ -654,26 +675,28 @@ def test_points_a_pairing_only_evaluates_need_only_lie_on_the_curve(suite, monke
     state = DecryptionState(key_a)
     state.add_block(ctbs[0])
     state.add_block(ctbs[1])
-    element = state.chain_elements[2]
+    element = state.blocks[1].next_element
     assert (decrypt_block(ctbs[1], key_a, ChainUnlock(plus(element)))
             == decrypt_block(ctbs[1], key_a, ChainUnlock(element)))
     # the key's component pair for the leaf it reads
     d_j, d_j_prime = key_a.components["a"]
     assert _decrypt(ctbs, scheme.SecretKey(key_a.d, key_a.d_hat,
                                            {"a": (plus(d_j), plus(d_j_prime))})) == msg
-    # either of the block's components for that leaf: refused before any
-    # node value is kept, and the block is dropped, so a genuine copy sent
-    # again is taken in
+    # either of the block's components for that leaf, or either one as the
+    # identity, which a pairing would skip: refused before any node value is
+    # kept, and the block is dropped, so a genuine copy sent again is taken in
     leaf = next(d.node_id for d in ctbs[1].descriptor if d.attribute == "a")
     c_hat, c_hat_prime = ctbs[1].leaf_components[leaf]
-    for components in ((plus(c_hat), c_hat_prime), (c_hat, plus(c_hat_prime))):
+    one = G0Element.identity()
+    for components in ((plus(c_hat), c_hat_prime), (c_hat, plus(c_hat_prime)),
+                       (one, c_hat_prime), (c_hat, one)):
         forged = dataclasses.replace(
             ctbs[1], leaf_components={**ctbs[1].leaf_components, leaf: components})
         state = DecryptionState(key_a)
         state.add_block(ctbs[0])
-        with pytest.raises(DecodeError, match="subgroup"):
+        with pytest.raises(DecodeError, match="subgroup|is the identity"):
             state.add_block(forged)
-        assert not state.node_values and 2 not in state.pending_blocks
+        assert not state.node_values and 2 not in state.blocks
         for ctb in ctbs[1:]:
             state.add_block(ctb)
         assert assemble_message(state, key_a) == msg
@@ -735,7 +758,7 @@ def test_unlock_slot_must_match_the_block_position(suite):
     for ctb in ctbs:
         state.add_block(ctb)
     assert assemble_message(state, sk) == msg
-    chain = state.chain_elements
+    chain = {i + 1: b.next_element for i, b in state.blocks.items()}
     assert decrypt_block(ctbs[1], sk, ChainUnlock(chain[2]))[1] == chain[3]
     assert decrypt_block(ctbs[2], sk, ChainUnlock(chain[3]))[1] is None
     with pytest.raises(DecodeError, match="block 3: unlock slot holds no identity sentinel"):
@@ -746,6 +769,41 @@ def test_unlock_slot_must_match_the_block_position(suite):
     # slot passes as a point with probability about 0.5%, not for this seed
     with pytest.raises(DecodeError, match="block 2: unlock slot"):
         decrypt_block(ctbs[1], sk, ChainUnlock(chain[3]))
+    # a root value opens only block 1, and a chain element must come wrapped
+    with pytest.raises(ValueError, match="root unlock only applies to block 1"):
+        decrypt_block(ctbs[1], sk, RootUnlock(E_GG))
+    with pytest.raises(TypeError, match="unsupported unlock"):
+        decrypt_block(ctbs[1], sk, chain[2])
+
+
+def _decoded(point):
+    """A curve point, or None for the identity, as a receiver decodes it."""
+    return G0Element.deserialize(G0Element(point).serialize())
+
+
+def test_block_that_supplied_a_failing_chain_element_is_replaced_by_its_resent_copy(suite):
+    # block 2's encapsulation is a uniform curve point: its wrong mask key
+    # leaves, for this seed, a slot that still decodes as a point, so block 2
+    # opens and hands block 3 a wrong chain element.  Block 3 fails and is
+    # dropped, and block 2, which supplied the element, becomes suspect: its
+    # genuine copy sent again replaces it instead of being ignored as a repeat
+    pk, mk, ctx = suite
+    rng = random.Random(81)
+    msg = rng.randbytes(400)
+    _, ctbs = _encrypt_all(msg, "(a AND (b AND (c AND d)))", pk, ctx, rng)
+    sk = scheme.keygen(pk, mk, {"a", "b", "c", "d"}, rng)
+    forged = dataclasses.replace(ctbs[1], encap=_decoded(random_curve_point(random.Random(29))))
+    state = DecryptionState(sk)
+    for ctb in (ctbs[0], forged, ctbs[2]):
+        state.add_block(ctb)
+    with pytest.raises(DecodeError, match="block 3: unlock slot"):
+        state.add_block(ctbs[3])                    # block 1 opens by the root, then 2 and 3
+    assert opened(state) == [1, 2] and sorted(state.blocks) == [1, 2, 4]
+    assert state.blocks[2].payload != partition_message(msg, 4)[1]
+    for ctb in ctbs[1:]:
+        state.add_block(ctb)
+    assert opened(state) == [1, 2, 3, 4]
+    assert assemble_message(state, sk) == msg
 
 
 def test_gate_opens_block_2_before_block_1(suite, monkeypatch):
@@ -761,7 +819,7 @@ def test_gate_opens_block_2_before_block_1(suite, monkeypatch):
     state = DecryptionState(sk)
     for ctb in ctbs[:3]:
         state.add_block(ctb)
-    assert sorted(state.data_blocks) == [2, 3] and 4 in state.chain_elements
+    assert opened(state) == [2, 3] and state.blocks[3].next_element is not None
     state.add_block(ctbs[3])
     assert assemble_message(state, sk) == msg
     _, counts = _counting_decrypt(monkeypatch, ctbs, sk)
@@ -786,6 +844,51 @@ def test_repeated_block_ignored_conflicting_block_rejected(suite):
         with pytest.raises(DecodeError):
             for ctb in order:
                 state.add_block(ctb)
+
+
+_HEADER_POLICY = "(a AND (b OR c))"           # 3 blocks: 1000 and 1002 bytes both cut into 334
+
+
+def test_refused_first_block_leaves_no_header(suite):
+    # a block 1 with another total length but the same block length, and a
+    # root that names a parent, is refused; it sets no header, so the
+    # genuine blocks that follow are taken in
+    pk, mk, ctx = suite
+    rng = random.Random(34)
+    msg = rng.randbytes(1000)
+    _, ctbs = _encrypt_all(msg, _HEADER_POLICY, pk, ctx, rng)
+    sk = scheme.keygen(pk, mk, {"a", "b"}, rng)
+    root = dataclasses.replace(ctbs[0].descriptor[0], parent_id=5)
+    forged = dataclasses.replace(ctbs[0], total_len=1002, descriptor=(root,))
+    assert forged.block_len == ctbs[0].block_len
+    state = DecryptionState(sk)
+    with pytest.raises(DecodeError, match="block 1: "):
+        state.add_block(forged)
+    assert state.total_len is None and state.commitment is None and not state.blocks
+    for ctb in ctbs:
+        state.add_block(ctb)
+    assert assemble_message(state, sk) == msg
+
+
+@pytest.mark.parametrize("held", [1, 3])
+def test_block_whose_header_differs_is_refused_while_another_is_held(suite, held):
+    pk, mk, ctx = suite
+    rng = random.Random(35)
+    msg = rng.randbytes(1000)
+    _, ctbs = _encrypt_all(msg, _HEADER_POLICY, pk, ctx, rng)
+    sk = scheme.keygen(pk, mk, {"a", "b"}, rng)
+    state = DecryptionState(sk)
+    state.add_block(ctbs[held - 1])
+    # the same block length under another total length or block count
+    for header in ({"total_len": 1001}, {"total_len": 1336, "block_count": 4}):
+        forged = dataclasses.replace(ctbs[1], **header)
+        assert forged.block_len == ctbs[1].block_len
+        with pytest.raises(DecodeError, match="inconsistent headers"):
+            state.add_block(forged)
+        assert (state.block_count, state.total_len) == (3, 1000) and 2 not in state.blocks
+    for ctb in ctbs:
+        state.add_block(ctb)
+    assert assemble_message(state, sk) == msg
 
 
 def test_node_ids_shared_across_blocks_rejected(suite):
@@ -926,6 +1029,82 @@ def test_bit_flips_end_in_typed_errors(fuzz_corpus, data):
         assemble_message(state, sk)
     except (DecodeError, PolicyNotSatisfiedError):
         pass
+
+
+@pytest.fixture(scope="module")
+def resend_corpus(suite):
+    pk, mk, ctx = suite
+    rng = random.Random(36)
+    msg = rng.randbytes(500)                        # 4 blocks of 125 bytes, none padded
+    _, ctbs = _encrypt_all(msg, _FUZZ_POLICY, pk, ctx, rng)
+    keys = [scheme.keygen(pk, mk, attrs, rng) for attrs in _FUZZ_KEYS]
+    return msg, ctbs, keys, make_challenge(ctbs[0].commitment, mk, rng)
+
+
+def _points(ctb):
+    """(kind, genuine point, the block with that point replaced) per point."""
+    out = [("encap", ctb.encap, lambda p: dataclasses.replace(ctb, encap=p))]
+    if ctb.commitment is not None:
+        out.append(("commitment", ctb.commitment,
+                    lambda p: dataclasses.replace(ctb, commitment=p)))
+    for nid, link in ctb.gate_links.items():
+        out.append(("gate link", link, lambda p, nid=nid: dataclasses.replace(
+            ctb, gate_links={**ctb.gate_links, nid: p})))
+    for nid, pair in ctb.leaf_components.items():
+        for k in (0, 1):
+            out.append(("leaf", pair[k], lambda p, nid=nid, k=k, pair=pair: dataclasses.replace(
+                ctb, leaf_components={**ctb.leaf_components,
+                                      nid: (p, pair[1]) if k == 0 else (pair[0], p)})))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_resending_every_genuine_block_repairs_one_corrupt_point(resend_corpus, data):
+    # one point replaced, or one payload byte flipped; the blocks arrive in
+    # order or reversed, then every genuine block is sent again, twice: two
+    # wrong mask keys in a row whose slots pass need two rounds
+    msg, ctbs, keys, v = resend_corpus
+    key = data.draw(st.integers(0, len(keys) - 1), label="key")
+    i = data.draw(st.integers(0, len(ctbs) - 1), label="block")
+    how = data.draw(st.sampled_from(["uniform", 3, 17, "(0, 0)", "identity", "flip"]),
+                    label="replacement")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    if how == "flip":
+        pos = rng.randrange(len(ctbs[i].masked_payload))
+        kind = "payload" if pos < ctbs[i].block_len else "slot"
+        masked = bytearray(ctbs[i].masked_payload)
+        masked[pos] ^= 1 << rng.randrange(8)
+        forged = dataclasses.replace(ctbs[i], masked_payload=bytes(masked))
+    else:
+        kind, genuine, replace = data.draw(st.sampled_from(_points(ctbs[i])), label="point")
+        forged = replace(G0Element.identity() if how == "identity"
+                         else _decoded((0, 0)) if how == "(0, 0)"
+                         else _decoded(random_curve_point(rng)) if how == "uniform"
+                         else _plus_small_order(genuine, how, rng))
+    arrival = [forged if j == i else ctb for j, ctb in enumerate(ctbs)]
+    if data.draw(st.booleans(), label="reversed"):
+        arrival.reverse()
+    state = DecryptionState(keys[key])
+    for ctb in arrival + ctbs + ctbs:
+        try:
+            state.add_block(ctb)
+        except DecodeError:
+            pass
+    if key == 2:                                    # {b, c} fails the policy
+        with pytest.raises(PolicyNotSatisfiedError):
+            assemble_message(state, keys[key])
+        return
+    out = assemble_message(state, keys[key])
+    if kind == "payload":
+        assert out != msg and not verify_message(out, v)
+    elif kind in ("encap", "gate link"):
+        # an evaluated point outside the subgroup opens its block with a
+        # wrong mask key; in about 1 case in 200 the slot still passes, and
+        # if no block then opens by its chain element the bytes are wrong
+        assert out == msg or not verify_message(out, v)
+    else:
+        assert out == msg
 
 
 def test_assemble_requires_all_blocks(suite):

@@ -3,6 +3,8 @@ import pytest
 from lcws.errors import StoreNotFoundError
 from lcws.store import BlobStore, make_object_id
 
+from helpers import opened
+
 
 def test_put_get_identity(tmp_path):
     store = BlobStore(tmp_path / "s")
@@ -59,8 +61,11 @@ def test_bad_object_id_rejected(tmp_path):
 def test_no_temp_files_left(tmp_path):
     store = BlobStore(tmp_path / "s")
     store.put("m1/00001", b"payload")
+    # a write that fails removes its temp file and leaves no object
+    with pytest.raises(TypeError):
+        store.put("m1/00002", "text, not bytes")
     leftovers = [p for p in (tmp_path / "s").rglob("*") if p.suffix == ".tmp"]
-    assert leftovers == []
+    assert leftovers == [] and store.list("m1") == ["m1/00001"]
 
 
 def test_store_contents_alone_reveal_nothing(tmp_path, suite):
@@ -89,6 +94,6 @@ def test_store_contents_alone_reveal_nothing(tmp_path, suite):
         for oid in store.list(mid):
             ctb, _ = wire.decode_ctb(store.get(oid))
             state.add_block(ctb)
-        assert not state.data_blocks
+        assert not opened(state)
         with _pytest.raises(PolicyNotSatisfiedError):
             scheme.assemble_message(state, outsider)

@@ -11,7 +11,7 @@ from lcws.bench import synthetic_policy
 from lcws.errors import DecodeError
 from lcws.policy import parse_policy
 
-from helpers import affine_mul_naf, random_policy
+from helpers import affine_mul_naf, naf_msb, opened, random_policy
 
 
 @pytest.fixture(scope="module")
@@ -162,9 +162,9 @@ def test_block_whose_point_fails_is_dropped_so_a_resent_copy_decrypts(three_bloc
     state.add_block(ctbs[0])
     with pytest.raises(DecodeError, match="curve|subgroup"):
         state.add_block(wire.decode_ctb(blob_2)[0])
-    assert 2 not in state.pending_blocks and 2 not in state.data_blocks
+    assert 2 not in state.blocks
     state.add_block(ctbs[1])
-    assert sorted(state.data_blocks) == [1, 2]
+    assert opened(state) == [1, 2]
     state.add_block(ctbs[2])
     assert scheme.assemble_message(state, sk) == msg
 
@@ -266,7 +266,7 @@ def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_bl
     assert _decrypt([wire.decode_ctb(wire.encode_ctb(ctb, "m"))[0] for ctb in ctbs], sk) == msg
     monkeypatch.undo()                      # the oracle below adds points too
     assert len(seen) > 20 and len(evaluated) > 5
-    order_naf = algebra._naf_msb(algebra.ORDER)
+    order_naf = naf_msb(algebra.ORDER)
     for point in seen:
         assert affine_mul_naf(point, order_naf) is None, point
     q = algebra.FIELD_PRIME
@@ -314,6 +314,12 @@ def test_ctb_rejects_bad_descriptors(corpus):
         data = wire.encode_ctb(dataclasses.replace(ctb, descriptor=tuple(descriptor)), "m")
         with pytest.raises(DecodeError):
             wire.decode_ctb(data)
+    # a node kind byte other than 0 (leaf) or 1 (gate)
+    d = ctb.descriptor[gate]
+    gate_bytes = struct.pack(">IIHBH", d.node_id, d.parent_id, d.index, 1, d.threshold)
+    other_kind = struct.pack(">IIHBH", d.node_id, d.parent_id, d.index, 2, d.threshold)
+    with pytest.raises(DecodeError, match="unknown node kind 2"):
+        wire.decode_ctb(_replaced(wire.encode_ctb(ctb, "m"), gate_bytes, other_kind))
 
 
 def test_ctb_rejects_header_block_length_its_total_length_does_not_give(corpus):
@@ -410,6 +416,14 @@ def test_key_file_kind_mismatch(suite):
     data = wire.encode_public_key(pk)
     with pytest.raises(DecodeError):
         wire.decode_master_key(data)
+    # so is a key file of another version or another suite
+    version = struct.pack(">BH", data[4], wire.WIRE_VERSION)
+    with pytest.raises(DecodeError, match="unsupported key file version 99"):
+        wire.decode_public_key(_replaced(data, version, struct.pack(">BH", data[4], 99)))
+    suite_id = SUITE_ID.encode("ascii")
+    other = bytes([suite_id[0] ^ 0x01]) + suite_id[1:]
+    with pytest.raises(DecodeError, match="unknown suite"):
+        wire.decode_public_key(_replaced(data, suite_id, other))
 
 
 def test_key_file_truncation(suite):

@@ -39,7 +39,6 @@ from .scheme import (
     encryption_context,
     keygen,
     make_challenge,
-    partition_message,
     setup,
     verify_message,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "pair_ratio",
     "parse_policy",
     "partition_levels",
-    "partition_message",
     "satisfies",
     "setup",
     "verify_message",

@@ -100,9 +100,6 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         return Scalar(self.value * other.value % ORDER)
 
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.value % ORDER)
-
     def inverse(self) -> "Scalar":
         if self.value == 0:
             raise ZeroDivisionError("zero scalar has no inverse")
@@ -133,12 +130,6 @@ def random_nonzero_scalar(rng) -> Scalar:
 # ---------------------------------------------------------------------------
 # Affine points are (x, y) tuples; None is the identity.  Jacobian triples
 # (X, Y, Z) satisfy x = X/Z^2, y = Y/Z^3.
-
-def _affine_neg(p):
-    if p is None:
-        return None
-    return (p[0], (_Q - p[1]) % _Q)
-
 
 def _jac_double(p):
     if p is None:
@@ -641,12 +632,6 @@ class G0Element:
         elif table is _NOT_BUILT:
             table = self._table = _build_comb(p, _WIDE_TEETH)
         return G0Element(_jac_to_affine(_comb_pow(table, e, _jac_double, _jac_add_affine, None)))
-
-    def inverse(self) -> "G0Element":
-        return G0Element(_affine_neg(self._p))
-
-    def __truediv__(self, other: "G0Element") -> "G0Element":
-        return self * other.inverse()
 
     def is_identity(self) -> bool:
         return self._point is None

@@ -20,7 +20,7 @@ from . import bench as bench_mod
 from . import pipeline as pipeline_mod
 from . import scheme, wire
 from .errors import DecodeError, PolicyNotSatisfiedError, PolicySyntaxError, StoreNotFoundError
-from .policy import parse_policy
+from .policy import check_attributes, parse_policy
 from .store import BlobStore, check_message_id, make_object_id
 
 EXIT_POLICY = 2
@@ -119,8 +119,10 @@ def ta_setup(out_dir: Path, seed):
 def ta_keygen(pk_path, mk_path, attrs, out_path, seed):
     """Issue a receiver key for an attribute set."""
     attr_set = {a.strip() for a in attrs.split(",") if a.strip()}
-    if not attr_set:
-        raise click.UsageError("attribute list must be non-empty")
+    try:
+        check_attributes(attr_set)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     pk = wire.decode_public_key(pk_path.read_bytes())
     mk = wire.decode_master_key(mk_path.read_bytes())
     sk = scheme.keygen(pk, mk, attr_set, _rng(seed))
@@ -142,8 +144,6 @@ def ta_challenge(mk_path, store_dir, message_id, out_path, seed):
     store = BlobStore(store_dir)
     object_id = make_object_id(message_id, 1)
     ctb = _decode_stored(store.get(object_id), object_id)
-    if ctb.commitment is None:
-        raise DecodeError("first block carries no commitment")
     v = scheme.make_challenge(ctb.commitment, mk, _rng(seed))
     out_path.write_bytes(wire.encode_verification_tuple(v))
     click.echo(f"wrote verification tuple to {out_path}")
@@ -164,9 +164,9 @@ def do_encrypt(message_file, pk_path, ctx_path, policy, store_dir, message_id, s
     message = message_file.read_bytes()
     if not message:
         raise click.UsageError("empty message")
+    tree = parse_policy(policy)
     pk = wire.decode_public_key(pk_path.read_bytes())
     ctx = wire.decode_encryption_context(ctx_path.read_bytes())
-    tree = parse_policy(policy)
     store = BlobStore(store_dir)
     mid = message_id or _derive_message_id(message)
     # a message stored under this id before must leave no object but the

@@ -20,15 +20,18 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .algebra import ORDER, Scalar
 from .errors import PolicySyntaxError
 
 # punctuation, a word (keyword, integer or attribute), or any other
 # non-space character, which is an error
 _TOKEN_RE = re.compile(r"([(),])|([A-Za-z0-9_:-]+)|(\S)")
 _KEYWORDS = frozenset({"AND", "OR", "of"})
+
+# a descriptor's field widths on the wire: 32-bit node and parent ids,
+# 16-bit sibling index, threshold and attribute length
+MAX_NODE_ID, MAX_FIELD = 2 ** 32 - 1, 2 ** 16 - 1
 
 
 @dataclass(frozen=True)
@@ -66,26 +69,61 @@ def check_level(level: Sequence[NodeDescriptor],
             gates.add(node.node_id)
 
 
-class AccessTree:
-    """Immutable policy tree stored as its level partition: one tuple of
-    descriptors per level, root level first, each passing `check_level`.
-    Node ids are distinct, and each gate has at least `threshold` children
-    with distinct indices, so some key opens the tree."""
+def check_attributes(attributes: Iterable[str]) -> None:
+    """A non-empty attribute set, each attribute fitting the wire's 16-bit
+    length field as UTF-8: the attributes a key or a leaf can name."""
+    if not attributes:
+        raise ValueError("attribute set must be non-empty")
+    size = max(len(attribute.encode("utf-8")) for attribute in attributes)
+    if size > MAX_FIELD:
+        raise ValueError(f"attribute of {size} bytes is over {MAX_FIELD}")
 
-    def __init__(self, levels: Iterable[Iterable[NodeDescriptor]]):
-        self.levels: Tuple[Tuple[NodeDescriptor, ...], ...] = tuple(map(tuple, levels))
-        for above, level in zip((None,) + self.levels, self.levels):
-            check_level(level, above)
-        self.depth = len(self.levels)
-        self.root = self.levels[0][0]
-        kids: Dict[int, List[NodeDescriptor]] = {}
-        seen: Set[int] = set()
-        for level in self.levels:
-            for node in level:
+
+def tree_fault(levels: Mapping[int, Sequence[NodeDescriptor]]) -> Optional[Tuple[int, str]]:
+    """The first fault of levels keyed by 1-based position, some possibly
+    missing, as (position, reason); None if there is none.  Each node fits
+    the wire (index 0 is no sibling's: q(0) is the gate's own secret), no
+    node id repeats, and a level at 1 or after a held one passes `check_level`."""
+    seen: Set[int] = set()
+    for j in sorted(levels):
+        try:
+            for node in levels[j]:
+                for name, value, low, high in (
+                        ("id", node.node_id, 1, MAX_NODE_ID),
+                        ("parent id", node.parent_id, 0, MAX_NODE_ID),
+                        ("sibling index", node.index, 1, MAX_FIELD),
+                        ("threshold", 1 if node.is_leaf else node.threshold, 1, MAX_FIELD)):
+                    if not (isinstance(value, int) and low <= value <= high):
+                        raise ValueError(f"node {node.node_id} has {name} {value!r} "
+                                         f"outside {low}..{high}")
+                if node.is_leaf:
+                    check_attributes([node.attribute])
                 if node.node_id in seen:
                     raise ValueError(f"node id {node.node_id} appears more than once")
                 seen.add(node.node_id)
-                kids.setdefault(node.parent_id, []).append(node)
+            if j == 1 or j - 1 in levels:
+                check_level(levels[j], levels.get(j - 1))
+        except ValueError as exc:
+            return j, str(exc)
+    return None
+
+
+class AccessTree:
+    """Immutable policy tree stored as its level partition: one tuple of
+    descriptors per level, root level first, keeping the rule of
+    `tree_fault`.  Each gate has at least `threshold` children with
+    distinct indices, so some key opens the tree."""
+
+    def __init__(self, levels: Iterable[Iterable[NodeDescriptor]]):
+        self.levels: Tuple[Tuple[NodeDescriptor, ...], ...] = tuple(map(tuple, levels))
+        fault = tree_fault(dict(enumerate(self.levels, 1)))
+        if fault:
+            raise ValueError("level %d: %s" % fault)
+        self.depth = len(self.levels)
+        self.root = self.levels[0][0]
+        kids: Dict[int, List[NodeDescriptor]] = {}
+        for node in itertools.chain.from_iterable(self.levels):
+            kids.setdefault(node.parent_id, []).append(node)
         self._children = {parent: tuple(nodes) for parent, nodes in kids.items()}
         for gate in (n for level in self.levels for n in level if not n.is_leaf):
             children = self.children(gate.node_id)
@@ -206,13 +244,10 @@ def parse_policy(text: str) -> AccessTree:
 
     A bare-attribute policy is wrapped in a synthetic 1-of-1 root gate
     that shares the leaf's level, keeping the root a gate while leaving
-    the tree depth at 1.
+    the tree depth at 1.  A tree `AccessTree` refuses (an attribute or a
+    gate too wide for the wire) is a `PolicySyntaxError` at position 0.
     """
     shape = _Parser(text).parse()
-    if shape[0] == "leaf":
-        # depth-transparent wrapper: gate and leaf both sit on level 1
-        return AccessTree([[NodeDescriptor(1, 0, 1, None, 1),
-                            NodeDescriptor(2, 1, 1, shape[1], None)]])
     levels: List[List[NodeDescriptor]] = []
     ids = itertools.count(1)
 
@@ -228,8 +263,15 @@ def parse_policy(text: str) -> AccessTree:
         for i, kid in enumerate(kids, 1):
             build(kid, nid, i, level + 1)
 
-    build(shape, 0, 1, 0)
-    return AccessTree(levels)
+    if shape[0] == "leaf":
+        # depth-transparent wrapper: gate and leaf both sit on level 1
+        levels = [[NodeDescriptor(1, 0, 1, None, 1), NodeDescriptor(2, 1, 1, shape[1], None)]]
+    else:
+        build(shape, 0, 1, 0)
+    try:
+        return AccessTree(levels)
+    except ValueError as exc:
+        raise PolicySyntaxError(str(exc), 0) from None
 
 
 def format_policy(tree: AccessTree) -> str:
@@ -266,21 +308,3 @@ def satisfies(tree: AccessTree, attrs: Iterable[str]) -> bool:
         return sum(1 for c in tree.children(node.node_id) if sat(c)) >= node.threshold
 
     return sat(tree.root)
-
-
-# ---------------------------------------------------------------------------
-# Lagrange coefficients over the scalar field
-# ---------------------------------------------------------------------------
-
-def lagrange_coeff(i: int, index_set: Iterable[int], x: int) -> Scalar:
-    """Lagrange basis coefficient for index i over `index_set`, at point x."""
-    s = set(index_set)
-    if i not in s:
-        raise ValueError(f"index {i} not in interpolation set {sorted(s)}")
-    num, den = 1, 1
-    for j in s:
-        if j == i:
-            continue
-        num = num * (x - j) % ORDER
-        den = den * (i - j) % ORDER
-    return Scalar(num * pow(den, -1, ORDER) % ORDER)

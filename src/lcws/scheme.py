@@ -35,7 +35,7 @@ from .algebra import (
     xor_bytes,
 )
 from .errors import DecodeError, PolicyNotSatisfiedError
-from .policy import AccessTree, NodeDescriptor, check_level, lagrange_coeff, partition_levels
+from .policy import AccessTree, NodeDescriptor, check_attributes, partition_levels, tree_fault
 
 _DEFAULT_RNG = secrets.SystemRandom()
 
@@ -116,10 +116,10 @@ def encryption_context(mk: MasterKey) -> EncryptionContext:
 
 
 def keygen(pk: PublicKey, mk: MasterKey, attrs: Iterable[str], rng=None) -> SecretKey:
-    """Issue a key for an attribute set; fresh blinding prevents collusion."""
+    """Issue a key for an attribute set; fresh blinding prevents collusion.
+    An empty set, or an attribute no policy can name, is a ValueError."""
     attrs = frozenset(attrs)
-    if not attrs:
-        raise ValueError("attribute set must be non-empty")
+    check_attributes(attrs)
     rng = _rng_or_default(rng)
     r = random_nonzero_scalar(rng)
     beta_inv = mk.beta.inverse()
@@ -162,17 +162,6 @@ def _chain_segment(message: bytes, n: int, i: int):
         return piece if len(piece) == block_len else bytes(piece).ljust(block_len, b"\x00")
 
     return segment(1) if i == 1 else xor_bytes(segment(i - 1), segment(i))
-
-
-def partition_message(message: bytes, n: int) -> List[bytes]:
-    """Split into n equal segments (short ones zero-padded) and XOR-chain them.
-
-    Block 1 is the first segment in the clear; every later block is the
-    XOR of two consecutive segments, so blocks without their predecessor
-    carry no recoverable plaintext.
-    """
-    _block_len(len(message), n)                  # n < 1 or an empty message is a ValueError
-    return [bytes(_chain_segment(message, n, i)) for i in range(1, n + 1)]
 
 
 def unchain_blocks(payloads: Iterable[bytes], total_len: int) -> bytes:
@@ -279,6 +268,20 @@ def _poly_shares(share: Scalar, threshold: int, children: Tuple, rng) -> Dict[in
     return out
 
 
+def lagrange_coeff(i: int, index_set: Iterable[int], x: int) -> Scalar:
+    """Lagrange basis coefficient for index i over `index_set`, at point x."""
+    s = set(index_set)
+    if i not in s:
+        raise ValueError(f"index {i} not in interpolation set {sorted(s)}")
+    num, den = 1, 1
+    for j in s:
+        if j == i:
+            continue
+        num = num * (x - j) % ORDER
+        den = den * (i - j) % ORDER
+    return Scalar(num * pow(den, -1, ORDER) % ORDER)
+
+
 def encrypt_block(state: EncryptState, pk: PublicKey, rng=None) -> CiphertextBlock:
     """Seal the next data block under its tree level and move the state on.
 
@@ -337,7 +340,6 @@ def encrypt_message(message: bytes, tree: AccessTree, pk: PublicKey,
                     ctx: EncryptionContext, rng=None) -> Iterator[CiphertextBlock]:
     """Stream ciphertext blocks in index order; each is final as soon as it
     is yielded, so transmission may start immediately."""
-    rng = _rng_or_default(rng)
     state = begin_encryption(message, tree, ctx, rng)
     for _ in range(tree.depth):
         yield encrypt_block(state, pk, rng)
@@ -441,7 +443,6 @@ def decrypt_block(ctb: CiphertextBlock, sk: SecretKey, unlock: Unlock
 
 class _OpenedBlock(NamedTuple):
     """An opened block: `decrypt_block`'s results, not its masked payload."""
-    index: int
     descriptor: Tuple[NodeDescriptor, ...]
     leaf_components: Mapping[int, Tuple[G0Element, G0Element]]
     payload: bytes
@@ -456,9 +457,9 @@ class DecryptionState:
     before it; while block 1 is closed, block 1 can also open by the root
     value and a later block by a gate of its level with that gate's link
     element.  Node values are computed only for such an unlock, from the
-    held subset with the fewest leaves still to pair.  Each block must pass
-    `check_level` against the block before, so a satisfying key opens any
-    tree `AccessTree` accepts, and no parent id can loop."""
+    held subset with the fewest leaves still to pair.  The held blocks keep
+    the tree rule of `policy.tree_fault`, so a satisfying key opens any tree
+    `AccessTree` accepts, and no parent id can loop."""
 
     def __init__(self, sk: SecretKey):
         self.sk = sk
@@ -471,10 +472,9 @@ class DecryptionState:
 
     def add_block(self, ctb: CiphertextBlock) -> None:
         """Ingest one block and open every block now reachable.  A repeat is
-        ignored; another block under a held index or a held node id, a header
-        unlike the held blocks' and a block that breaks `check_level` (block 1
-        on arrival, a later block once the block before is held) are each a
-        DecodeError, and a refused block sets nothing.  So is a point that
+        ignored; another block under a held index, a header unlike the held
+        blocks' and a block that, with the held ones, breaks the tree rule are
+        each a DecodeError naming a block, and a refused block sets nothing.  So is a point that
         fails its deferred validation, and the block holding it is dropped, so
         a re-sent copy is taken in.  If it opened by a chain element, the
         block before, which supplied it, is suspect: its next copy replaces it."""
@@ -485,17 +485,9 @@ class DecryptionState:
             return
         if self.blocks and (ctb.block_count, ctb.total_len) != (self.block_count, self.total_len):
             raise DecodeError("inconsistent headers across blocks")
-        held = {**self.blocks, i: ctb}
-        shared = {d.node_id for d in ctb.descriptor}.intersection(
-            d.node_id for j, b in held.items() if j != i for d in b.descriptor)
-        if shared:
-            raise DecodeError(f"node id {min(shared)} appears in more than one block")
-        for j in (i, i + 1):
-            if j in held and (j == 1 or j - 1 in held):
-                try:
-                    check_level(held[j].descriptor, held[j - 1].descriptor if j > 1 else None)
-                except ValueError as e:
-                    raise DecodeError(f"block {j}: {e}") from None
+        fault = tree_fault({j: b.descriptor for j, b in {**self.blocks, i: ctb}.items()})
+        if fault:
+            raise DecodeError("block %d: %s" % fault)
         self.block_count, self.total_len = ctb.block_count, ctb.total_len
         if i == 1:
             self.commitment = ctb.commitment
@@ -512,7 +504,7 @@ class DecryptionState:
                     if isinstance(unlock, ChainUnlock):
                         self._suspects.add(idx - 1)
                     raise
-                self.blocks[idx] = _OpenedBlock(idx, block.descriptor, block.leaf_components,
+                self.blocks[idx] = _OpenedBlock(block.descriptor, block.leaf_components,
                                                 payload, next_element)
 
     def _unlock_for(self, ctb: CiphertextBlock) -> Optional[Unlock]:

@@ -1,9 +1,10 @@
 """Shared generators for random scalars, curve points of any order and
 randomized policy/key trials, a recorder of the secrets keygen and
-encryption draw, point addition on points of any order, the plain NAF
-exponentiations that tests compare the package's ladders and combs
-against, the verifier's check as the scheme defines it, and the blocks a
-receiver holds open."""
+encryption draw, point addition and negation on points of any order, the
+plain NAF exponentiations that tests compare the package's ladders and
+combs against, the verifier's check as the scheme defines it, the owner's
+XOR chain computed apart from the package, and the blocks a receiver holds
+open."""
 
 from __future__ import annotations
 
@@ -31,6 +32,11 @@ def affine_add(p, q):
     if p is None:
         return q
     return algebra._jac_to_affine(algebra._jac_add_affine((*p, 1), q))
+
+
+def affine_neg(p):
+    """-P for an affine curve point, None the identity."""
+    return None if p is None else (p[0], -p[1] % algebra.FIELD_PRIME)
 
 
 def random_curve_point(rng):
@@ -73,7 +79,7 @@ def affine_mul_naf(p, naf_digits_msb):
     digits of k >= 1 without the leading 1; None is the identity."""
     if p is None:
         return None
-    neg = algebra._affine_neg(p)
+    neg = affine_neg(p)
     acc = (p[0], p[1], 1)
     for d in naf_digits_msb:
         acc = algebra._jac_double(acc)
@@ -104,6 +110,16 @@ def verify_message_reference(message: bytes, v: scheme.VerificationTuple) -> boo
     clearing the cofactor."""
     h = algebra.hash_to_g0(algebra.TAG_MESSAGE, message)
     return algebra.pair_ratio(h, v.v2, v.v1, algebra.generator()).is_identity()
+
+
+def partition_message(message: bytes, n: int) -> List[bytes]:
+    """The XOR chain by hand: the message zero-padded to n equal segments,
+    block 1 the first segment and block i the XOR of segments i - 1 and i."""
+    size = -(-len(message) // n)
+    padded = message.ljust(size * n, b"\x00")
+    segments = [padded[k * size:(k + 1) * size] for k in range(n)]
+    return segments[:1] + [bytes(a ^ b for a, b in zip(prev, seg))
+                           for prev, seg in zip(segments, segments[1:])]
 
 
 def opened(state: scheme.DecryptionState) -> List[int]:

@@ -28,7 +28,8 @@ from lcws.scheme import (
     decrypt_leaf,
 )
 
-from helpers import opened, random_policy, recording, satisfying_attrs, unsatisfying_attrs
+from helpers import (opened, partition_message, random_policy, recording, satisfying_attrs,
+                     unsatisfying_attrs)
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -115,7 +116,7 @@ def test_c3_partial_decryption(suite):
     with pytest.raises(PolicyNotSatisfiedError):
         assemble_message(state, sk)
     # the recovered block is the XOR of two segments, not plaintext
-    segments = scheme.partition_message(message, 3)
+    segments = partition_message(message, 3)
     assert state.blocks[2].payload == segments[1]
     return "block 2 open via gate link, block 1 sealed, assembly denied"
 

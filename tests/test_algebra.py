@@ -8,7 +8,7 @@ from lcws import algebra as alg
 from lcws.algebra import G0Element, GTElement, Scalar
 from lcws.errors import DecodeError
 
-from helpers import (affine_add, affine_mul_naf, fq2_pow_naf, is_zero, naf_msb,
+from helpers import (affine_add, affine_mul_naf, affine_neg, fq2_pow_naf, is_zero, naf_msb,
                      random_curve_point, random_scalar)
 
 G = alg.generator()
@@ -270,7 +270,6 @@ def test_every_arithmetic_entry_point_validates_a_decoded_point():
     plain = G ** 5                          # keeps no lines, so it stays where it is put
     subgroup_uses = [
         lambda e: e ** 3, lambda e: e ** 0, lambda e: e * G, lambda e: G * e,
-        lambda e: e / G, lambda e: G / e, lambda e: e.inverse(),
         lambda e: e.fixed_base() ** 2, lambda e: e.validate(),
         lambda e: alg.pair(e, plain), lambda e: alg.pair_ratio(plain, G, e, plain),
         lambda e: alg.pair(e.fixed_base(), G), lambda e: alg.pair(plain, e.fixed_base())]
@@ -474,7 +473,7 @@ def test_cofactor_ladder_matches_the_naf_oracle_on_points_of_every_order():
     small = [_point_of_order(d, rng) for d in _SMALL_ORDERS]
     mixed = [affine_add(s, t) for s, t in zip(subgroup * 3, small)]
     cases = small + mixed + subgroup + [random_curve_point(rng) for _ in range(10)]
-    for point in cases + [alg._affine_neg(p) for p in cases]:
+    for point in cases + [affine_neg(p) for p in cases]:
         assert alg._ladder(point, alg.COFACTOR) == affine_mul_naf(point, _NAF_COFACTOR), point
     # [COFACTOR]P is the identity exactly on the points of small order
     assert all(alg._ladder(p, alg.COFACTOR) is None for p in small)
@@ -492,7 +491,7 @@ def test_ladder_matches_the_naf_oracle_on_one_use_exponents():
         for k in exponents:
             assert alg._ladder(point, k) == _mul(point, k), (point, k)
     # k = ORDER - 1 takes the branch where [k + 1]P is the identity: -P
-    assert all(alg._ladder(p, alg.ORDER - 1) == alg._affine_neg(p) for p in subgroup)
+    assert all(alg._ladder(p, alg.ORDER - 1) == affine_neg(p) for p in subgroup)
     assert alg._ladder(small[0], 3) == small[0] and alg._ladder(small[0], 2) is None
 
 

@@ -139,6 +139,30 @@ def test_policy_syntax_error_exit_code(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["do-encrypt", "ta-keygen"])
+def test_attribute_too_long_for_the_wire_exits_2_and_writes_nothing(runner, tmp_path, command):
+    # 65536 bytes overflow the wire's 16-bit attribute length: the policy, or
+    # the attribute list, is refused before any block is sealed or key drawn
+    keys = _setup_keys(runner, tmp_path)
+    long_attribute = "a" * 65536
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"data")
+    store = tmp_path / "store"
+    out = tmp_path / "sk.lcws"
+    if command == "do-encrypt":
+        res = runner.invoke(main, [
+            "do-encrypt", str(msg), "--pk", str(keys / "pk.lcws"),
+            "--enc-ctx", str(keys / "enc-ctx.lcws"), "--policy", f"(b OR {long_attribute})",
+            "--store", str(store), "--message-id", "m1",
+        ])
+    else:
+        res = _keygen(runner, keys, "b," + long_attribute, out)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "attribute of 65536 bytes is over 65535" in res.output
+    assert not store.exists() and not out.exists()
+
+
 def test_unknown_message_id_is_io_error(runner, tmp_path):
     keys = _setup_keys(runner, tmp_path)
     sk = tmp_path / "sk.lcws"
@@ -445,6 +469,7 @@ _BAD_OPTIONS = [
     ("bench", ["--runs", "0"]),
     ("bench", ["--levels", "0"]),
     ("bench", ["--levels", "3", "--leaves", "1"]),
+    ("bench", ["--levels", "1", "--leaves", "2"]),
     ("bench", ["--sizes", "0"]),
     ("bench", ["--sizes", "0.01,0.01"]),
     ("bench", ["--sizes", "abc"]),

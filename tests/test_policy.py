@@ -12,11 +12,11 @@ from lcws.policy import (
     AccessTree,
     NodeDescriptor,
     format_policy,
-    lagrange_coeff,
     parse_policy,
     partition_levels,
     satisfies,
 )
+from lcws.scheme import lagrange_coeff
 
 from helpers import random_policy
 
@@ -278,6 +278,57 @@ def test_access_tree_refuses_a_gate_no_key_opens(nodes, message):
     # a gate seals a message that no key opens; the parser never builds one
     with pytest.raises(ValueError, match=message):
         AccessTree([[NodeDescriptor(*n) for n in nodes]])
+
+
+def _wide_gate(children):
+    return [[NodeDescriptor(1, 0, 1, None, 1)],
+            [NodeDescriptor(k + 1, 1, k, f"a{k}", None) for k in range(1, children + 1)]]
+
+
+@pytest.mark.parametrize("levels, message", [
+    # index 0 would hand the leaf its gate's secret q(0): key {a} alone
+    # would open "2 of (a, b)"
+    ([[(1, 0, 1, None, 2)], [(2, 1, 0, "a", None), (3, 1, 1, "b", None)]],
+     "node 2 has sibling index 0 outside 1..65535"),
+    ([[(1, 0, 1, None, 1)], [(2, 1, 65536, "a", None)]],
+     "node 2 has sibling index 65536 outside 1..65535"),
+    ([[(1, 0, 1, None, 65536)], [(2, 1, 1, "a", None)]],
+     "node 1 has threshold 65536 outside 1..65535"),
+    ([[(1, 0, 1, None, 0)], [(2, 1, 1, "a", None)]], "node 1 has threshold 0"),
+    ([[(1, 0, 1, None, None)], [(2, 1, 1, "a", None)]], "node 1 has threshold None"),
+    ([[(0, 0, 1, None, 1)], [(2, 0, 1, "a", None)]], "node 0 has id 0 outside"),
+    ([[(1, 0, 1, None, 1)], [(2 ** 32, 1, 1, "a", None)]], f"node {2 ** 32} has id"),
+    ([[(1, 0, 1, None, 1)], [(2, 2 ** 32, 1, "a", None)]], "node 2 has parent id"),
+    ([[(1, 0, 1, None, 1)], [(2, 1, 1, "a" * 65536, None)]], "attribute of 65536 bytes"),
+    ([[(1, 0, 1, None, 1)], [(2, 1, 1, "\u00e9" * 32768, None)]], "attribute of 65536 bytes"),
+], ids=["index-0", "index-65536", "threshold-65536", "threshold-0", "no-threshold", "id-0",
+        "id-2^32", "parent-2^32", "attribute-65536", "attribute-65536-utf8"])
+def test_access_tree_refuses_a_node_the_wire_cannot_carry(levels, message):
+    with pytest.raises(ValueError, match=f"level [12]: {message}"):
+        AccessTree([[NodeDescriptor(*n) for n in level] for level in levels])
+
+
+def test_access_tree_takes_the_widest_fields_the_wire_carries():
+    tree = AccessTree([[NodeDescriptor(2 ** 32 - 1, 0, 1, None, 1)],
+                       [NodeDescriptor(1, 2 ** 32 - 1, 65535, "a" * 65535, None)]])
+    assert satisfies(tree, {"a" * 65535})
+    assert len(AccessTree(_wide_gate(65535)).children(1)) == 65535
+
+
+def test_access_tree_refuses_a_gate_of_65536_children():
+    with pytest.raises(ValueError, match="level 2: node 65537 has sibling index 65536"):
+        AccessTree(_wide_gate(65536))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a" * 65536, "attribute of 65536 bytes"),
+    ("(x AND " + "a" * 65536 + ")", "attribute of 65536 bytes"),
+    ("(" + " OR ".join(f"a{k}" for k in range(65536)) + ")", "sibling index 65536"),
+], ids=["bare-attribute", "attribute", "gate-of-65536-children"])
+def test_parser_reports_a_tree_too_wide_for_the_wire_as_a_syntax_error(text, message):
+    with pytest.raises(PolicySyntaxError, match=message) as info:
+        parse_policy(text)
+    assert info.value.position == 0
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,13 @@ from lcws.scheme import (
     decrypt_interior,
     decrypt_leaf,
     make_challenge,
-    partition_message,
     unchain_blocks,
     verify_message,
 )
 
-from helpers import (affine_add, opened, point_of_prime_order, random_curve_point, random_policy,
-                     recording, satisfying_attrs, unsatisfying_attrs,
-                     verify_message_reference)
+from helpers import (affine_add, opened, partition_message, point_of_prime_order,
+                     random_curve_point, random_policy, recording, satisfying_attrs,
+                     unsatisfying_attrs, verify_message_reference)
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -137,11 +136,15 @@ def test_partition_hand_xor():
                                                            bytes.fromhex("11")]
 
 
-def test_partition_rejects_bad_input():
-    with pytest.raises(ValueError):
-        partition_message(b"x", 0)
-    with pytest.raises(ValueError):
-        partition_message(b"", 3)
+def test_partition_rejects_bad_input(suite):
+    # an empty message cannot be sealed, and no block holds zero segments
+    pk, _, ctx = suite
+    with pytest.raises(ValueError, match="empty message"):
+        list(scheme.encrypt_message(b"", parse_policy("(a AND b)"), pk, ctx))
+    with pytest.raises(ValueError, match="block count must be at least 1"):
+        scheme.CiphertextBlock(index=1, block_count=0, total_len=1, descriptor=(),
+                               masked_payload=b"", encap=G, gate_links={},
+                               leaf_components={}, commitment=G)
 
 
 @settings(max_examples=80, deadline=None)
@@ -903,6 +906,35 @@ def test_node_ids_shared_across_blocks_rejected(suite):
     state.add_block(ctbs[0])
     with pytest.raises(DecodeError):
         state.add_block(forged)
+
+
+@pytest.mark.parametrize("first", [1, 2], ids=["block-1-first", "block-2-first"])
+def test_block_with_index_0_or_an_id_twice_is_refused(suite, first):
+    # index 0 would be the gate's own secret q(0); a node id twice in one
+    # block names two nodes at once.  Neither block is taken in, in either
+    # order, and the genuine block 2 still opens the message
+    pk, mk, ctx = suite
+    rng = random.Random(36)
+    msg = rng.randbytes(200)
+    _, ctbs = _encrypt_all(msg, "(a AND b)", pk, ctx, rng)
+    sk = scheme.keygen(pk, mk, {"a", "b"}, rng)
+    leaf_a, leaf_b = ctbs[1].descriptor
+    index_0 = dataclasses.replace(ctbs[1], descriptor=(
+        dataclasses.replace(leaf_a, index=0), leaf_b))
+    twice = dataclasses.replace(ctbs[1], descriptor=(
+        leaf_a, dataclasses.replace(leaf_b, node_id=leaf_a.node_id)),
+        leaf_components={leaf_a.node_id: ctbs[1].leaf_components[leaf_a.node_id]})
+    for forged, message in ((index_0, f"node {leaf_a.node_id} has sibling index 0"),
+                            (twice, f"node id {leaf_a.node_id} appears more than once")):
+        state = DecryptionState(sk)
+        if first == 1:
+            state.add_block(ctbs[0])
+        with pytest.raises(DecodeError, match=f"block 2: {message}"):
+            state.add_block(forged)
+        assert 2 not in state.blocks
+        for ctb in ctbs:
+            state.add_block(ctb)
+        assert assemble_message(state, sk) == msg
 
 
 def _hang_gate_chain(ctbs, length):

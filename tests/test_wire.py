@@ -302,6 +302,20 @@ def test_ctb_rejects_index_outside_block_range(corpus):
             wire.decode_ctb(bytes(data))
 
 
+def test_ctb_rejects_sentinel_flag_off_the_last_block(corpus):
+    # the sentinel flag marks exactly the last block: set on a middle block,
+    # or cleared on a last one, it is refused
+    at = 4 + 2 + 4 + len(SUITE_ID) + 4 + 1 + 8         # flags byte after "m", index, count
+    middle = next(c for c in corpus if 1 < c.index < c.block_count)
+    last = next(c for c in corpus if 1 < c.index == c.block_count)
+    for ctb, flags in ((middle, 0), (last, wire.FLAG_SENTINEL)):
+        data = bytearray(wire.encode_ctb(ctb, "m"))
+        assert data[at] == flags
+        data[at] ^= wire.FLAG_SENTINEL
+        with pytest.raises(DecodeError, match="sentinel flag inconsistent"):
+            wire.decode_ctb(bytes(data))
+
+
 def test_ctb_rejects_bad_descriptors(corpus):
     ctb = next(c for c in corpus if c.index > 1 and len(c.descriptor) > 1
                and any(not d.is_leaf for d in c.descriptor))

@@ -11,7 +11,6 @@ from .algebra import (
     GTElement,
     Scalar,
     SUITE_ID,
-    SUITE_MANIFEST,
     generator,
     hash_to_g0,
     kdf_mask,
@@ -58,7 +57,6 @@ __all__ = [
     "PolicySyntaxError",
     "PublicKey",
     "SUITE_ID",
-    "SUITE_MANIFEST",
     "Scalar",
     "SecretKey",
     "StoreNotFoundError",

@@ -52,14 +52,6 @@ G0_BYTES = 65          # 1 prefix byte + 64-byte x coordinate
 GT_BYTES = 128         # two 64-byte base-field coordinates
 _FQ_BYTES = 64
 
-SUITE_MANIFEST = {
-    "suite": SUITE_ID,
-    "scalar_bytes": SCALAR_BYTES,
-    "g0_bytes": G0_BYTES,
-    "gt_bytes": GT_BYTES,
-    "order": ORDER,
-}
-
 _Q = FIELD_PRIME
 _SQRT_EXP = (_Q + 1) // 4          # valid square roots since q = 3 (mod 4)
 

@@ -28,6 +28,9 @@ from .errors import PolicySyntaxError
 # non-space character, which is an error
 _TOKEN_RE = re.compile(r"([(),])|([A-Za-z0-9_:-]+)|(\S)")
 _KEYWORDS = frozenset({"AND", "OR", "of"})
+# deepest parenthesis nesting a policy may use: the parser, `format_policy`
+# and `satisfies` recurse once per level, far below Python's recursion limit
+MAX_NESTING = 128
 
 # a descriptor's field widths on the wire: 32-bit node and parent ids,
 # 16-bit sibling index, threshold and attribute length
@@ -163,11 +166,14 @@ def partition_levels(tree: AccessTree) -> Tuple[Tuple[NodeDescriptor, ...], ...]
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     """(kind, text, position) tuples closed by one end token at len(text).
     A kind is the punctuation itself, 'kw', 'int', 'attr' or 'end of input'."""
-    tokens = []
+    tokens, depth = [], 0
     for m in _TOKEN_RE.finditer(text):
         punct, word, other = m.groups()
         if other:
             raise PolicySyntaxError(f"unexpected character {other!r}", m.start())
+        depth += {"(": 1, ")": -1}.get(punct, 0)
+        if depth > MAX_NESTING:
+            raise PolicySyntaxError(f"parentheses nested deeper than {MAX_NESTING}", m.start())
         kind = punct or ("kw" if word in _KEYWORDS else "int" if word.isdigit() else "attr")
         tokens.append((kind, m.group(), m.start()))
     tokens.append(("end of input", "", len(text)))

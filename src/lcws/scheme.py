@@ -417,17 +417,17 @@ def decrypt_block(ctb: CiphertextBlock, sk: SecretKey, unlock: Unlock
     else in the last block is a `DecodeError`: the mask key was wrong, as it
     is when the product evaluates an encapsulation, gate link or chain
     element outside the prime-order subgroup."""
-    if isinstance(unlock, RootUnlock):
-        if ctb.index != 1:
-            raise ValueError("root unlock only applies to block 1")
-        mask_key = pair(ctb.encap, sk.d) / unlock.value
-    elif isinstance(unlock, GateUnlock):
-        mask_key = pair_ratio(ctb.encap, sk.d, ctb.gate_links[unlock.node_id],
-                              sk.d_hat) / unlock.value
-    elif isinstance(unlock, ChainUnlock):
-        mask_key = pair_ratio(ctb.encap, sk.d, unlock.element, sk.d_hat)
-    else:
-        raise TypeError(f"unsupported unlock {unlock!r}")
+    match unlock:
+        case RootUnlock(value):
+            if ctb.index != 1:
+                raise ValueError("root unlock only applies to block 1")
+            mask_key = pair(ctb.encap, sk.d) / value
+        case GateUnlock(node_id, value):
+            mask_key = pair_ratio(ctb.encap, sk.d, ctb.gate_links[node_id], sk.d_hat) / value
+        case ChainUnlock(element):
+            mask_key = pair_ratio(ctb.encap, sk.d, element, sk.d_hat)
+        case _:
+            raise TypeError(f"unsupported unlock {unlock!r}")
 
     plain = xor_bytes(ctb.masked_payload, kdf_mask(mask_key, len(ctb.masked_payload)))
     payload, sec_bytes = plain[: ctb.block_len], plain[ctb.block_len:]
@@ -474,10 +474,12 @@ class DecryptionState:
         """Ingest one block and open every block now reachable.  A repeat is
         ignored; another block under a held index, a header unlike the held
         blocks' and a block that, with the held ones, breaks the tree rule are
-        each a DecodeError naming a block, and a refused block sets nothing.  So is a point that
-        fails its deferred validation, and the block holding it is dropped, so
-        a re-sent copy is taken in.  If it opened by a chain element, the
-        block before, which supplied it, is suspect: its next copy replaces it."""
+        each a DecodeError naming a block, and a refused block sets nothing.
+        So is a block that fails to open.  Any held point may have given it a
+        wrong mask key, even one in the subgroup, so the block is dropped,
+        every node value is forgotten and every held block is suspect: its
+        next copy replaces it and is opened again.  A leaf component that
+        fails its validation drops only its own block."""
         i = ctb.index
         if i in self.blocks and i not in self._suspects:
             if self.blocks[i].descriptor != ctb.descriptor:
@@ -501,8 +503,8 @@ class DecryptionState:
                     payload, next_element = decrypt_block(block, self.sk, unlock)
                 except DecodeError:
                     del self.blocks[idx]
-                    if isinstance(unlock, ChainUnlock):
-                        self._suspects.add(idx - 1)
+                    self.node_values.clear()
+                    self._suspects = set(self.blocks)
                     raise
                 self.blocks[idx] = _OpenedBlock(block.descriptor, block.leaf_components,
                                                 payload, next_element)

@@ -18,7 +18,7 @@ from typing import Tuple
 
 from .algebra import G0_BYTES, GT_BYTES, SCALAR_BYTES, SUITE_ID, G0Element, GTElement, Scalar
 from .errors import DecodeError
-from .policy import NodeDescriptor
+from .policy import NodeDescriptor, tree_fault
 from .scheme import (
     CiphertextBlock,
     EncryptionContext,
@@ -109,21 +109,14 @@ def _decode_descriptor(data: bytes) -> Tuple[NodeDescriptor, ...]:
     r = _Reader(data)
     count = r.u32()
     out = []
-    seen = set()
     for _ in range(count):
         node_id, parent_id, index = struct.unpack(">IIH", r.take(10))
-        if node_id in seen:
-            raise DecodeError(f"duplicate node id {node_id}")
-        seen.add(node_id)
         kind = r.u8()
         if kind == 0:
             attr = _text(r.take(r.u16()), "utf-8")
             out.append(NodeDescriptor(node_id, parent_id, index, attr, None))
         elif kind == 1:
-            threshold = r.u16()
-            if threshold == 0:
-                raise DecodeError(f"gate {node_id} has threshold 0")
-            out.append(NodeDescriptor(node_id, parent_id, index, None, threshold))
+            out.append(NodeDescriptor(node_id, parent_id, index, None, r.u16()))
         else:
             raise DecodeError(f"unknown node kind {kind}")
     r.done()
@@ -182,6 +175,9 @@ def decode_ctb(data: bytes) -> Tuple[CiphertextBlock, str]:
     block_len = header.u32()
     header.done()
     descriptor = _decode_descriptor(r.section())
+    fault = tree_fault({index: descriptor})
+    if fault:
+        raise DecodeError("block %d: %s" % fault)
     masked_payload = r.section()
     encap = G0Element.deserialize(r.section())
     commitment = None

@@ -24,9 +24,9 @@ GENERATOR_HEX = (
 def test_suite_parameters_consistent():
     assert alg.FIELD_PRIME % 4 == 3
     assert alg.FIELD_PRIME + 1 == alg.COFACTOR * alg.ORDER
-    assert alg.SUITE_MANIFEST["scalar_bytes"] == alg.SCALAR_BYTES == 20
-    assert alg.SUITE_MANIFEST["g0_bytes"] == alg.G0_BYTES == 65
-    assert alg.SUITE_MANIFEST["gt_bytes"] == alg.GT_BYTES == 128
+    assert alg.SCALAR_BYTES == 20
+    assert alg.G0_BYTES == 65
+    assert alg.GT_BYTES == 128
 
 
 def test_pair_small_exponents():
@@ -67,6 +67,10 @@ def test_group_exponent_laws():
     assert acc == G ** 13
 
 
+def test_identity_is_neutral_on_either_side():
+    assert G * G0Element.identity() == G0Element.identity() * G == G
+
+
 def test_scalar_field_laws():
     rng = random.Random(8)
     a = alg.random_nonzero_scalar(rng)
@@ -100,6 +104,11 @@ def test_kdf_deterministic_and_involutive():
     assert alg.xor_bytes(alg.xor_bytes(payload, mask), mask) == payload
     with pytest.raises(ValueError):
         alg.kdf_mask(k, 0)
+
+
+def test_xor_refuses_operands_of_unequal_length():
+    with pytest.raises(ValueError, match="equal length"):
+        alg.xor_bytes(bytes(4), bytes(3))
 
 
 def test_kdf_distinct_keys_distinct_streams():

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from lcws import algebra, pipeline, scheme, wire
 from lcws.cli import main
 from lcws.errors import DecodeError
+from lcws.policy import MAX_NESTING
 from lcws.store import BlobStore
 
 from helpers import recording
@@ -163,6 +164,23 @@ def test_attribute_too_long_for_the_wire_exits_2_and_writes_nothing(runner, tmp_
     assert not store.exists() and not out.exists()
 
 
+def test_policy_nested_past_the_cap_exits_2_and_stores_nothing(runner, tmp_path):
+    keys = _setup_keys(runner, tmp_path)
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"data")
+    store = tmp_path / "store"
+    depth = MAX_NESTING + 1
+    res = runner.invoke(main, [
+        "do-encrypt", str(msg), "--pk", str(keys / "pk.lcws"),
+        "--enc-ctx", str(keys / "enc-ctx.lcws"), "--policy", "(" * depth + "a" + ")" * depth,
+        "--store", str(store), "--message-id", "m1",
+    ])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"nested deeper than {MAX_NESTING}" in res.output
+    assert not store.exists()
+
+
 def test_unknown_message_id_is_io_error(runner, tmp_path):
     keys = _setup_keys(runner, tmp_path)
     sk = tmp_path / "sk.lcws"
@@ -228,6 +246,13 @@ def test_ten_level_policy_uploads_ten_blocks(runner, tmp_path):
     assert res.exit_code == 0, res.output
     mid = res.output.strip().splitlines()[0]
     assert len(list((tmp_path / "store" / mid).glob("*.ctb"))) == 10
+
+
+def test_bench_report_refuses_sizes_out_of_order():
+    from lcws.bench import BenchReport, BenchRow
+    rows = tuple(BenchRow(size, *[0.0] * 8) for size in (131072, 65536))
+    with pytest.raises(ValueError, match="sizes must be strictly increasing"):
+        BenchReport(levels=3, leaves=4, runs=1, rows=rows, primitives={})
 
 
 def test_decrypt_through_simulated_link(runner, tmp_path):

@@ -9,6 +9,7 @@ from lcws.algebra import ORDER, Scalar
 from lcws.bench import synthetic_policy
 from lcws.errors import PolicySyntaxError
 from lcws.policy import (
+    MAX_NESTING,
     AccessTree,
     NodeDescriptor,
     format_policy,
@@ -171,6 +172,11 @@ def test_partition_ten_level_hundred_leaf_tree():
     assert sum(n.is_leaf for s in levels for n in s) == 100
 
 
+def test_synthetic_policy_needs_a_level():
+    with pytest.raises(ValueError, match="levels must be >= 1"):
+        synthetic_policy(0, 1)
+
+
 def test_partition_complete_and_disjoint():
     rng = random.Random(77)
     for _ in range(25):
@@ -329,6 +335,42 @@ def test_parser_reports_a_tree_too_wide_for_the_wire_as_a_syntax_error(text, mes
     with pytest.raises(PolicySyntaxError, match=message) as info:
         parse_policy(text)
     assert info.value.position == 0
+
+
+def _grouping(depth):
+    return "(" * depth + "a" + ")" * depth
+
+
+def _and_chain(depth):
+    text = "x"
+    for k in range(depth):
+        text = f"(a{k} AND {text})"
+    return text
+
+
+def _one_of_chain(depth):
+    """`depth` // 2 gates: each "1 of (...)" opens two parentheses."""
+    text = "x"
+    for k in range(depth // 2):
+        text = f"(1 of (a{k}, {text}))"
+    return text
+
+
+@pytest.mark.parametrize("shape, key", [(_grouping, {"a"}), (_and_chain, None),
+                                        (_one_of_chain, {"x"})],
+                         ids=["grouping", "and-chain", "one-of-chain"])
+def test_parentheses_nested_to_the_cap_parse_and_one_level_more_is_refused(shape, key):
+    text = shape(MAX_NESTING)
+    assert max(itertools.accumulate({"(": 1, ")": -1}.get(c, 0) for c in text)) == MAX_NESTING
+    tree = parse_policy(text)
+    attrs = key or {d.attribute for level in tree.levels for d in level if d.is_leaf}
+    assert satisfies(tree, attrs) and not satisfies(tree, {"other"})
+    assert parse_policy(format_policy(tree)).levels == tree.levels
+    deeper = shape(MAX_NESTING + 2 if shape is _one_of_chain else MAX_NESTING + 1)
+    offending = [i for i, c in enumerate(deeper) if c == "("][MAX_NESTING]
+    with pytest.raises(PolicySyntaxError, match=f"nested deeper than {MAX_NESTING}") as info:
+        parse_policy(deeper)
+    assert info.value.position == offending
 
 
 # ---------------------------------------------------------------------------

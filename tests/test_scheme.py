@@ -809,6 +809,37 @@ def test_block_that_supplied_a_failing_chain_element_is_replaced_by_its_resent_c
     assert assemble_message(state, sk) == msg
 
 
+def _in_subgroup(rng):
+    """Another point of the prime-order subgroup, decoded as a receiver gets it."""
+    return G0Element.deserialize((G ** Scalar(rng.randrange(1, alg.ORDER))).serialize())
+
+
+def test_a_leaf_component_swapped_for_a_subgroup_point_is_repaired_by_a_resend(suite):
+    # block 2's first leaf component is another subgroup point: its pairing
+    # passes, but leaf a's value is wrong, so block 1 opens by a wrong root
+    # value and fails.  The failure forgets every node value and makes block
+    # 2 suspect, so its genuine copy replaces it and block 1 then opens
+    pk, mk, ctx = suite
+    rng = random.Random(40)
+    msg = rng.randbytes(300)
+    _, ctbs = _encrypt_all(msg, "(a AND b)", pk, ctx, rng)
+    sk = scheme.keygen(pk, mk, {"a", "b"}, rng)
+    nid = min(ctbs[1].leaf_components)
+    d_j, d_j_prime = ctbs[1].leaf_components[nid]
+    forged = dataclasses.replace(ctbs[1], leaf_components={
+        **ctbs[1].leaf_components, nid: (_in_subgroup(rng), d_j_prime)})
+    state = DecryptionState(sk)
+    state.add_block(forged)
+    with pytest.raises(DecodeError, match="block 1: unlock slot"):
+        state.add_block(ctbs[0])
+    assert sorted(state.blocks) == [2] and not state.node_values
+    state.add_block(ctbs[1])
+    assert state.blocks[2] is ctbs[1]
+    state.add_block(ctbs[0])
+    assert opened(state) == [1, 2]
+    assert assemble_message(state, sk) == msg
+
+
 def test_gate_opens_block_2_before_block_1(suite, monkeypatch):
     # block 3 brings leaf a, so the gate (a OR x) opens block 2 and the chain
     # opens block 3; the root still needs b and c from block 4, whose chain
@@ -1094,13 +1125,13 @@ def _points(ctb):
 @given(data=st.data())
 def test_resending_every_genuine_block_repairs_one_corrupt_point(resend_corpus, data):
     # one point replaced, or one payload byte flipped; the blocks arrive in
-    # order or reversed, then every genuine block is sent again, twice: two
-    # wrong mask keys in a row whose slots pass need two rounds
+    # order or reversed, then every genuine block is sent again, twice: a
+    # forged point still held can fail a genuine block in the first round
     msg, ctbs, keys, v = resend_corpus
     key = data.draw(st.integers(0, len(keys) - 1), label="key")
     i = data.draw(st.integers(0, len(ctbs) - 1), label="block")
-    how = data.draw(st.sampled_from(["uniform", 3, 17, "(0, 0)", "identity", "flip"]),
-                    label="replacement")
+    how = data.draw(st.sampled_from(["uniform", 3, 17, "(0, 0)", "identity", "subgroup",
+                                     "flip"]), label="replacement")
     rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
     if how == "flip":
         pos = rng.randrange(len(ctbs[i].masked_payload))
@@ -1113,6 +1144,7 @@ def test_resending_every_genuine_block_repairs_one_corrupt_point(resend_corpus, 
         forged = replace(G0Element.identity() if how == "identity"
                          else _decoded((0, 0)) if how == "(0, 0)"
                          else _decoded(random_curve_point(rng)) if how == "uniform"
+                         else _in_subgroup(rng) if how == "subgroup"
                          else _plus_small_order(genuine, how, rng))
     arrival = [forged if j == i else ctb for j, ctb in enumerate(ctbs)]
     if data.draw(st.booleans(), label="reversed"):
@@ -1130,10 +1162,11 @@ def test_resending_every_genuine_block_repairs_one_corrupt_point(resend_corpus, 
     out = assemble_message(state, keys[key])
     if kind == "payload":
         assert out != msg and not verify_message(out, v)
-    elif kind in ("encap", "gate link"):
-        # an evaluated point outside the subgroup opens its block with a
-        # wrong mask key; in about 1 case in 200 the slot still passes, and
-        # if no block then opens by its chain element the bytes are wrong
+    elif kind in ("encap", "gate link") or (kind == "leaf" and how == "subgroup"):
+        # an evaluated point outside the subgroup, or a leaf component that
+        # is another subgroup point, opens its block with a wrong mask key;
+        # in about 1 case in 200 the slot still passes, and if no block then
+        # opens by its chain element the bytes are wrong
         assert out == msg or not verify_message(out, v)
     else:
         assert out == msg

@@ -336,6 +336,25 @@ def test_ctb_rejects_bad_descriptors(corpus):
         wire.decode_ctb(_replaced(wire.encode_ctb(ctb, "m"), gate_bytes, other_kind))
 
 
+def test_ctb_rejects_a_descriptor_the_tree_rule_refuses(suite):
+    # block 2 of this policy holds leaf 2 and gate 3; decode applies
+    # `policy.tree_fault` to the block's level, so a sibling index 0 (the
+    # gate's own secret q(0)) or a node id 0 is refused before any receiver
+    pk, _, ctx = suite
+    tree = parse_policy("(a AND (b OR c))")
+    ctb = list(scheme.encrypt_message(b"m" * 30, tree, pk, ctx, random.Random(96)))[1]
+    leaf, gate = ctb.descriptor
+    assert (leaf.node_id, leaf.is_leaf, gate.node_id) == (2, True, 3)
+    (component,) = ctb.leaf_components.values()
+    index_0 = dataclasses.replace(ctb, descriptor=(dataclasses.replace(leaf, index=0), gate))
+    id_0 = dataclasses.replace(ctb, descriptor=(dataclasses.replace(leaf, node_id=0), gate),
+                               leaf_components={0: component})
+    for forged, message in ((index_0, "block 2: node 2 has sibling index 0 outside"),
+                            (id_0, "block 2: node 0 has id 0 outside")):
+        with pytest.raises(DecodeError, match=message):
+            wire.decode_ctb(wire.encode_ctb(forged, "m"))
+
+
 def test_ctb_rejects_header_block_length_its_total_length_does_not_give(corpus):
     ctb = next(c for c in corpus if c.block_count > 1)
     header = struct.pack(">IQI", 12, ctb.total_len, ctb.block_len)

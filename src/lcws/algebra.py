@@ -9,16 +9,19 @@ for all source-group elements.  Scalars live in Z mod `ORDER`.
 
 Everything here is a pure function of its inputs; elements are immutable
 and hashable (one made by `fixed_base()` also keeps the exponentiation
-table and the Miller-loop lines it builds on first use, and a decoded
-source-group element keeps its coordinates once its first use has
-checked them).  A source-group power takes its method from the base:
+table and the normalised Miller-loop lines it builds on first use, and a
+decoded source-group element keeps its coordinates once its first use
+has checked them).  A source-group power takes its method from the base:
 a fixed base uses its own wide comb, an attribute hash the shared narrow
-comb of its point, and any other base the x-only ladder.
+comb of its point, and any other base the x-only ladder.  A pairing takes
+its Miller point's lines the same way: a fixed base reads its kept table,
+and any other Miller point is walked in the loop that evaluates it, which
+keeps nothing.
 
 A decoded point is checked as far as its use needs.  Arithmetic (a
 product, power, inverse or comb build) needs a point of the prime-order
 subgroup, and runs the x-only subgroup test.  A pairing's Miller point
-needs the same, and its own loop proves it: `_lines` refuses a point
+needs the same, and its own loop proves it: `_walk` refuses a point
 whose multiple [ORDER]P is not the identity.  The point a pairing only
 evaluates needs to lie on the curve with x != 0, no more: with a Miller
 point of order ORDER the reduced Tate pairing is bilinear in its second
@@ -279,22 +282,28 @@ _COMB_TEETH = 4
 _WIDE_TEETH = 8
 
 
-def _batch_to_affine(points):
-    """Jacobian points, none the identity, to affine with one inversion
-    (Montgomery's trick)."""
+def _batch_inverse(values) -> list:
+    """The inverses mod q of a sequence of nonzero values, with one
+    inversion (Montgomery's trick)."""
     prefix = []
     acc = 1
-    for _, _, z in points:
+    for v in values:
         prefix.append(acc)
-        acc = acc * z % _Q
+        acc = acc * v % _Q
     inv = pow(acc, -1, _Q)
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        x, y, z = points[i]
-        zi = inv * prefix[i] % _Q
-        inv = inv * z % _Q
+    out = [0] * len(prefix)
+    for i in range(len(prefix) - 1, -1, -1):
+        out[i] = inv * prefix[i] % _Q
+        inv = inv * values[i] % _Q
+    return out
+
+
+def _batch_to_affine(points):
+    """Jacobian points, none the identity, to affine with one inversion."""
+    out = []
+    for (x, y, _), zi in zip(points, _batch_inverse([z for _, _, z in points])):
         zi2 = zi * zi % _Q
-        out[i] = (x * zi2 % _Q, y * zi2 % _Q * zi % _Q)
+        out.append((x * zi2 % _Q, y * zi2 % _Q * zi % _Q))
     return out
 
 
@@ -408,27 +417,34 @@ def _unitary_pow(u, k: int):
 
 
 # ---------------------------------------------------------------------------
-# pairing core: the lines of a Miller loop and one product of pairings
+# pairing core: one Miller loop over a product of pairings
 # ---------------------------------------------------------------------------
-# f_{ORDER,P} is the product of a tangent line at each step's running
-# point and a secant line at each one bit.  A line is kept as three
-# coefficients (a, b, c) in F_q; at the distorted image (-x, i*y) of
-# Q = (x, y), that is at x_bar = -x, its value is (a*x_bar + b) - c*y*i.
-# The coefficients carry a projective factor in F_q and the vertical lines
-# lie in F_q altogether; the final exponentiation removes both, so the
-# lines need no inversion and the vertical ones are left out.  A source
-# element made by `fixed_base()` keeps the lines of its first Miller loop,
-# so each later pairing with it costs only the evaluations (Costello and
-# Stebila, "Fixed argument pairings", LATINCRYPT 2010).
+# f_{ORDER,p} is the product of a tangent line at each step's running
+# point and a secant line at each one bit.  `_walk` yields a point's lines
+# as three coefficients (a, b, c) in F_q; at the distorted image (-x, i*y)
+# of Q = (x, y), that is at x_bar = -x, a line's value is
+# (a*x_bar + b) - c*y*i.  Every factor in F_q vanishes in the final
+# exponentiation (Barreto, Kim, Lynn and Scott, CRYPTO 2002), so the lines
+# need no inversion, the vertical ones are left out, and each term is
+# scaled once by 1/ny, ny = -y: at x' = x_bar/ny and n' = 1/ny a line is
+# (a*x' + b*n') + c*i.  A Miller point used once is walked in the loop
+# that evaluates it and keeps nothing.  A source element made by
+# `fixed_base()` keeps the lines of its first walk as (A, B) = (a/c, b/c),
+# normalised with one batched inversion, so each later pairing with it
+# costs L = A*x' + B*n' and the sparse product f * (L + i) per line
+# (Costello and Stebila, "Fixed argument pairings", LATINCRYPT 2010; Scott,
+# "Implementing cryptographic pairings", Pairing 2007).
 #
 # A product of pairings shares one squaring of f per step among its terms
 # and one final exponentiation (Granger and Smart, ePrint 2006/172).  An
 # inverted term is evaluated at -Q, whose lines are the conjugates, since
 # fe(f1 * conj(f2)) = fe(f1) / fe(f2).
 
-def _lines(p):
-    """(tangent line, secant line or None) per bit of f_{ORDER, p}, for
-    a curve point p; raises `DecodeError` unless p has order ORDER.
+def _walk(p):
+    """The lines of f_{ORDER, p} for a curve point p, one (tangent, secant
+    or None) row per bit, as the loop reaches them.  The last row comes
+    only if p has order ORDER; otherwise the walk raises `DecodeError` in
+    its place or sooner.
 
     The loop computes [ORDER]p.  For p of order ORDER the running point
     reaches -p just before the last digit, 1, and the loop ends on that
@@ -438,9 +454,8 @@ def _lines(p):
     every later step keeps."""
     px, py = p
     X, Y, Z = px, py, 1
-    out = []
     last = len(_ORDER_BITS) - 1
-    for d in _ORDER_BITS:
+    for k, d in enumerate(_ORDER_BITS):
         Z2 = Z * Z % _Q
         W = (3 * X * X + Z2 * Z2) % _Q
         Y2 = Y * Y % _Q
@@ -457,9 +472,11 @@ def _lines(p):
             if U2 == X and (S2 + Y) % _Q == 0:
                 # running point is the negative of the addend: the secant is
                 # vertical and the sum is the identity
-                if Z and len(out) == last:
-                    out.append((tangent, None))
-                    return out
+                if Z and k == last:
+                    yield tangent, None
+                    return
+                break
+            if k == last:
                 break
             H = (U2 - X) % _Q
             rr = (S2 - Y) % _Q
@@ -474,29 +491,53 @@ def _lines(p):
             Y3 = (r2 * (V - X3) - 2 * Y * J) % _Q
             Z3n = ((Z + H) * (Z + H) - Z1Z1 - HH) % _Q
             X, Y, Z = X3, Y3, Z3n
-        out.append((tangent, secant))
+        yield tangent, secant
     raise DecodeError("point not in the prime-order subgroup")
+
+
+def _lines(p):
+    """The kept line table of a curve point: its walk, each line (a, b, c)
+    as (a/c, b/c) with one batched inversion of every c; raises
+    `DecodeError` unless p has order ORDER, which makes every c nonzero."""
+    rows = list(_walk(p))
+    inverses = iter(_batch_inverse([line[2] for row in rows for line in row if line]))
+
+    def normalised(line):
+        if line is None:
+            return None
+        ci = next(inverses)
+        return (line[0] * ci % _Q, line[1] * ci % _Q)
+
+    return tuple(tuple(map(normalised, row)) for row in rows)
 
 
 def _miller_product(terms):
     """The final exponentiation of the product of f_{ORDER, p} at the
-    distorted image of q over `terms`, each (lines of p, q, inverted); an
-    inverted term contributes the inverse of its pairing."""
-    # (x_bar, -y), or (x_bar, y) to conjugate an inverted term's lines
-    points = [((_Q - q[0]) % _Q, q[1] if inverted else _Q - q[1]) for _, q, inverted in terms]
+    distorted image of q over `terms`, each (lines of p, q, inverted): the
+    lines are p's kept table or its walk, which raises `DecodeError` unless
+    p has order ORDER.  An inverted term contributes the inverse of its
+    pairing."""
+    # ny = -y, or y to conjugate an inverted term's lines; each term is
+    # evaluated at (x_bar/ny, 1/ny)
+    nys = [q[1] if inverted else _Q - q[1] for _, q, inverted in terms]
+    points = [((_Q - q[0]) * n % _Q, n) for (_, q, _), n in zip(terms, _batch_inverse(nys))]
     f0, f1 = _FQ2_ONE
     for row in zip(*(lines for lines, _, _ in terms)):
         f0, f1 = (f0 + f1) * (f0 - f1) % _Q, 2 * f0 * f1 % _Q
-        for step, (x_bar, ny) in zip(row, points):
+        for step, (xs, ns) in zip(row, points):
             for line in step:
                 if line is None:
                     continue
-                a, b, c = line
-                l0 = (a * x_bar + b) % _Q
-                l1 = c * ny % _Q
-                t0 = f0 * l0 % _Q
-                t1 = f1 * l1 % _Q
-                f0, f1 = (t0 - t1) % _Q, ((f0 + f1) * (l0 + l1) - t0 - t1) % _Q
+                if len(line) == 2:
+                    # a kept line, c = 1
+                    L = (line[0] * xs + line[1] * ns) % _Q
+                    f0, f1 = (f0 * L - f1) % _Q, (f1 * L + f0) % _Q
+                else:
+                    a, b, c = line
+                    l0 = (a * xs + b * ns) % _Q
+                    t0 = f0 * l0 % _Q
+                    t1 = f1 * c % _Q
+                    f0, f1 = (t0 - t1) % _Q, ((f0 + f1) * (l0 + c) - t0 - t1) % _Q
     return _final_exponentiation((f0, f1))
 
 
@@ -751,12 +792,12 @@ def _pairing_product(pairs) -> GTElement:
     """The product of pair(u, v), or of its inverse where `inverted`, over
     (u, v, inverted) triples, with one final exponentiation.  The pairing
     is symmetric, so a fixed base on either side is the Miller point; it
-    keeps its lines from its first pairing on, and any other Miller point
-    records them afresh.  Both points are read as curve points; the Miller
-    point's loop then refuses it outside the prime-order subgroup and marks
-    it validated otherwise, and the other point, only evaluated, needs no
-    more (module docstring)."""
-    terms = []
+    records its lines on its first pairing and keeps them, and any other
+    Miller point is walked in the product's own loop.  Both points are read
+    as curve points; the Miller point's walk then refuses it outside the
+    prime-order subgroup and marks it validated otherwise, and the other
+    point, only evaluated, needs no more (module docstring)."""
+    terms, walked = [], []
     for u, v, inverted in pairs:
         p, q = u._on_curve, v._on_curve      # both read, even beside the identity
         if p is None or q is None:
@@ -765,14 +806,18 @@ def _pairing_product(pairs) -> GTElement:
             u, p, q = v, q, p
         lines = u._line_table
         if lines is None:
-            lines = _lines(p)
+            lines = _walk(p)
+            walked.append((u, p))
         elif lines is _NOT_BUILT:
             lines = u._line_table = _lines(p)
-        u._point = p                         # its loop showed p has order ORDER
+            u._point = p
         terms.append((lines, q, inverted))
     if not terms:
         return GTElement.one()
-    return GTElement(_miller_product(terms))
+    out = GTElement(_miller_product(terms))
+    for u, p in walked:
+        u._point = p                         # its walk showed p has order ORDER
+    return out
 
 
 def pair(u: G0Element, v: G0Element) -> GTElement:

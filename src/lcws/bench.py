@@ -182,8 +182,11 @@ def measure_primitives(rng: random.Random) -> Dict[str, Tuple[float, float, floa
     cache, a final exponentiation, a power of a target-group element
     without a table, the validation of a decoded source-group point, the
     check of a 16 KiB message against its verification tuple, the
-    recording of one point's Miller-loop lines, and a power of a plain
-    source-group point, which takes the ladder."""
+    recording and normalisation of one fixed base's line table, a power of
+    a plain source-group point, which takes the ladder, and a quotient of
+    two pairings as a receiver makes it: a leaf's, whose two Miller points
+    are walked in its own loop, and a chain unlock's, on the two kept
+    tables of a key's d and d_hat."""
     q = algebra.FIELD_PRIME
     calls = _PRIMITIVE_CALLS
     g = algebra.generator()
@@ -191,6 +194,9 @@ def measure_primitives(rng: random.Random) -> Dict[str, Tuple[float, float, floa
 
     def subgroup_point():
         return g ** algebra.random_nonzero_scalar(rng)
+
+    d, d_hat = (subgroup_point().fixed_base() for _ in range(2))
+    algebra.pair_ratio(g, d, g, d_hat)                   # records both tables
 
     def verification_case():
         message = rng.randbytes(_VERIFY_MESSAGE_BYTES)
@@ -220,6 +226,12 @@ def measure_primitives(rng: random.Random) -> Dict[str, Tuple[float, float, floa
         "g0_pow_one_use": (
             lambda case: case[0] ** case[1],
             [(subgroup_point(), algebra.random_nonzero_scalar(rng)) for _ in range(calls)]),
+        "pair_ratio_one_use": (
+            lambda case: algebra.pair_ratio(*case),
+            [tuple(subgroup_point() for _ in range(4)) for _ in range(calls)]),
+        "pair_ratio_kept": (
+            lambda case: algebra.pair_ratio(case[0], d, case[1], d_hat),
+            [(subgroup_point(), subgroup_point()) for _ in range(calls)]),
     }
     clock = time.perf_counter
     out = {}

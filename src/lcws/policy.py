@@ -28,8 +28,8 @@ from .errors import PolicySyntaxError
 # non-space character, which is an error
 _TOKEN_RE = re.compile(r"([(),])|([A-Za-z0-9_:-]+)|(\S)")
 _KEYWORDS = frozenset({"AND", "OR", "of"})
-# deepest parenthesis nesting a policy may use: the parser, `format_policy`
-# and `satisfies` recurse once per level, far below Python's recursion limit
+# deepest parenthesis nesting a policy may use: the parser recurses once per
+# level, far below Python's recursion limit
 MAX_NESTING = 128
 
 # a descriptor's field widths on the wire: 32-bit node and parent ids,
@@ -280,14 +280,24 @@ def parse_policy(text: str) -> AccessTree:
         raise PolicySyntaxError(str(exc), 0) from None
 
 
+def _fold(tree: AccessTree, leaf, gate):
+    """The root's value, from `leaf(node)` at each leaf and `gate(node,
+    child values in index order)` at each gate.  The nodes are taken in
+    reversed stored order, which by `check_level` reaches every child before
+    its parent, so a tree of any depth folds without recursion."""
+    values = {}
+    for level in reversed(tree.levels):
+        for node in reversed(level):
+            values[node.node_id] = (leaf(node) if node.is_leaf else gate(
+                node, [values.pop(c.node_id) for c in tree.children(node.node_id)]))
+    return values[tree.root.node_id]
+
+
 def format_policy(tree: AccessTree) -> str:
     """Canonical text for a tree.  parse(format(t)) reproduces a tree that
     `parse_policy` built; any other partition gives the same policy."""
 
-    def fmt(node: NodeDescriptor) -> str:
-        if node.is_leaf:
-            return node.attribute
-        kids = [fmt(c) for c in tree.children(node.node_id)]
+    def fmt(node: NodeDescriptor, kids: List[str]) -> str:
         n = len(kids)
         if node.threshold == n and n > 1:
             return "(" + " AND ".join(kids) + ")"
@@ -297,7 +307,7 @@ def format_policy(tree: AccessTree) -> str:
 
     if tree.wrapped:
         return tree.children(tree.root.node_id)[0].attribute
-    return fmt(tree.root)
+    return _fold(tree, lambda node: node.attribute, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +315,7 @@ def format_policy(tree: AccessTree) -> str:
 # ---------------------------------------------------------------------------
 
 def satisfies(tree: AccessTree, attrs: Iterable[str]) -> bool:
-    """Recursive threshold evaluation at the root."""
+    """Threshold evaluation at the root."""
     have = set(attrs)
-
-    def sat(node: NodeDescriptor) -> bool:
-        if node.is_leaf:
-            return node.attribute in have
-        return sum(1 for c in tree.children(node.node_id) if sat(c)) >= node.threshold
-
-    return sat(tree.root)
+    return _fold(tree, lambda node: node.attribute in have,
+                 lambda node, kids: sum(kids) >= node.threshold)

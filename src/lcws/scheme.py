@@ -472,24 +472,31 @@ class DecryptionState:
 
     def add_block(self, ctb: CiphertextBlock) -> None:
         """Ingest one block and open every block now reachable.  A repeat is
-        ignored; another block under a held index, a header unlike the held
-        blocks' and a block that, with the held ones, breaks the tree rule are
-        each a DecodeError naming a block, and a refused block sets nothing.
-        So is a block that fails to open.  Any held point may have given it a
-        wrong mask key, even one in the subgroup, so the block is dropped,
-        every node value is forgotten and every held block is suspect: its
-        next copy replaces it and is opened again.  A leaf component that
-        fails its validation drops only its own block."""
+        ignored; another block under a held index, a header unlike the other
+        held blocks' and a block that, with the held ones, breaks the tree rule
+        are each a DecodeError naming a block.  A refused block is not kept
+        and sets no header, but the held blocks, not it, may be the forged
+        ones, so every held block becomes suspect: its next copy replaces it
+        and is checked against the other held blocks only.  A block that
+        fails to open is a DecodeError too.  Any held point may have given it
+        a wrong mask key, even one in the subgroup, so the block is dropped,
+        every node value is forgotten and every held block is suspect.  A
+        leaf component that fails its validation drops only its own block."""
         i = ctb.index
-        if i in self.blocks and i not in self._suspects:
-            if self.blocks[i].descriptor != ctb.descriptor:
-                raise DecodeError(f"conflicting blocks for index {i}")
+        held = i in self.blocks and i not in self._suspects
+        if held and self.blocks[i].descriptor == ctb.descriptor:
             return
-        if self.blocks and (ctb.block_count, ctb.total_len) != (self.block_count, self.total_len):
-            raise DecodeError("inconsistent headers across blocks")
-        fault = tree_fault({j: b.descriptor for j, b in {**self.blocks, i: ctb}.items()})
+        if held:
+            fault = f"conflicting blocks for index {i}"
+        elif (self.blocks.keys() - {i}
+              and (ctb.block_count, ctb.total_len) != (self.block_count, self.total_len)):
+            fault = "inconsistent headers across blocks"
+        else:
+            fault = tree_fault({j: b.descriptor for j, b in {**self.blocks, i: ctb}.items()})
+            fault = fault and "block %d: %s" % fault
         if fault:
-            raise DecodeError("block %d: %s" % fault)
+            self._suspects = set(self.blocks)
+            raise DecodeError(fault)
         self.block_count, self.total_len = ctb.block_count, ctb.total_len
         if i == 1:
             self.commitment = ctb.commitment

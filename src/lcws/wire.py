@@ -9,11 +9,15 @@ Decoding checks structure; a source-group point is checked for its prefix,
 length, canonical identity and x < q here, and is proven to lie in the
 prime-order subgroup on its first arithmetic use (block 1's commitment at
 once), so a point no decryption reads costs no square root or subgroup check.
+A secret key is decoded once per key file for the life of the process (see
+`decode_secret_key`).
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Tuple
 
 from .algebra import G0_BYTES, GT_BYTES, SCALAR_BYTES, SUITE_ID, G0Element, GTElement, Scalar
@@ -288,7 +292,17 @@ def encode_secret_key(sk: SecretKey) -> bytes:
     return _key_frame(_KIND_SK, b"".join(parts))
 
 
+# key files a process keeps decoded; a receiver holds one or a few
+_KEY_MEMO = 16
+
+
+@lru_cache(maxsize=_KEY_MEMO)
 def decode_secret_key(data: bytes) -> SecretKey:
+    """The key in a key file, memoised on the file's bytes: decoding the
+    same bytes again returns the same key, whose points keep their checks
+    and whose d and d_hat keep their line tables, so a receiver pays for
+    them once per key file, not once per message.  A point that fails its
+    check keeps nothing and fails again on every use."""
     r = _Reader(_key_unframe(data, _KIND_SK))
     d = G0Element.deserialize(r.take(G0_BYTES))
     d_hat = G0Element.deserialize(r.take(G0_BYTES))
@@ -297,7 +311,8 @@ def decode_secret_key(data: bytes) -> SecretKey:
                                            G0Element.deserialize(r.take(G0_BYTES))))
         for _ in range(r.u32())])
     r.done()
-    return SecretKey(d=d, d_hat=d_hat, components=components)
+    # one key object serves every caller that decodes these bytes
+    return SecretKey(d=d, d_hat=d_hat, components=MappingProxyType(components))
 
 
 def encode_encryption_context(ctx: EncryptionContext) -> bytes:

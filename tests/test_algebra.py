@@ -414,25 +414,32 @@ def test_pair_and_pair_ratio_match_the_miller_loop_oracle():
 
 
 def test_lines_recorded_once_per_fixed_base_and_never_kept_on_a_plain_one(monkeypatch):
-    recorded = []
-    real_lines = alg._lines
-    monkeypatch.setattr(alg, "_lines", lambda p: recorded.append(p) or real_lines(p))
+    # a plain Miller point is walked once per pairing, in the loop that
+    # evaluates it, and keeps nothing; a fixed base's walk is recorded as
+    # its kept table on its first pairing only
+    walked, kept = [], []
+    real_walk, real_lines = alg._walk, alg._lines
+    monkeypatch.setattr(alg, "_walk", lambda p: walked.append(p) or real_walk(p))
+    monkeypatch.setattr(alg, "_lines", lambda p: kept.append(p) or real_lines(p))
     rng = random.Random(48)
     plain, other = (G ** alg.random_nonzero_scalar(rng) for _ in range(2))
     expected = alg.pair(plain, other)
-    recorded.clear()
+    walked.clear()
     for _ in range(3):
         assert alg.pair(plain, other) == expected
         assert alg.pair_ratio(other, plain, plain, other).is_identity()
-    assert len(recorded) == 9 and plain._line_table is other._line_table is None
+    assert len(walked) == 9 and not kept
+    assert plain._line_table is other._line_table is None
     fixed = plain.fixed_base()
     assert fixed._line_table is alg._NOT_BUILT
-    recorded.clear()
+    walked.clear()
     for _ in range(3):
         assert alg.pair(other, fixed) == expected
         assert alg.pair_ratio(fixed, other, other, fixed).is_identity()
-    assert recorded == [fixed._p]
+    assert walked == kept == [fixed._p]
     assert len(fixed._line_table) == len(alg._ORDER_BITS)
+    # kept lines are normalised to (a/c, b/c)
+    assert {len(line) for row in fixed._line_table for line in row if line} == {2}
     assert plain._line_table is None
     # the generator is one fixed base, so its lines are shared process-wide
     assert len(G._line_table) == len(alg._ORDER_BITS)

@@ -300,7 +300,7 @@ def test_bench_command_writes_reports(runner, tmp_path):
     primitives = report["primitives"]
     assert sorted(primitives) == ["final_exponentiation", "g0_pow_one_use", "g0_validate",
                                   "gt_pow", "hash_to_g0_uncached", "lines",
-                                  "verify_message"]
+                                  "pair_ratio_kept", "pair_ratio_one_use", "verify_message"]
     assert all(p["unit"] == "ms" and 0 < p["q1"] <= p["median"] <= p["q3"]
                for p in primitives.values())
 

@@ -373,6 +373,18 @@ def test_parentheses_nested_to_the_cap_parse_and_one_level_more_is_refused(shape
     assert info.value.position == offending
 
 
+@pytest.mark.parametrize("flat", [False, True], ids=["1500-levels", "one-level"])
+def test_hand_built_tree_of_any_depth_formats_and_is_evaluated(flat):
+    # 1499 one-child gates over a leaf, one level each or all in one level:
+    # far deeper than the parser's cap, and walked without recursion
+    N = NodeDescriptor
+    nodes = [N(k, k - 1, 1, None, 1) for k in range(1, 1500)] + [N(1500, 1499, 1, "a", None)]
+    tree = AccessTree([nodes] if flat else [[n] for n in nodes])
+    assert tree.depth == (1 if flat else 1500)
+    assert satisfies(tree, {"a"}) and not satisfies(tree, {"b"})
+    assert format_policy(tree) == "(1 of (" * 1499 + "a" + "))" * 1499
+
+
 # ---------------------------------------------------------------------------
 # Lagrange coefficients
 # ---------------------------------------------------------------------------

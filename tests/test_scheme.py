@@ -596,6 +596,7 @@ def test_secret_key_d_and_d_hat_keep_their_lines(bench_policy_blocks):
     # until their first pairing, and then keep their Miller-loop lines; the
     # attribute components, each paired at most once a message, keep none
     msg, ctbs, keys = bench_policy_blocks
+    wire.decode_secret_key.cache_clear()     # a freshly decoded key
     sk = wire.decode_secret_key(wire.encode_secret_key(keys["spread"]))
     assert sk == keys["spread"]
     assert sk.d._line_table is sk.d_hat._line_table is alg._NOT_BUILT
@@ -625,6 +626,7 @@ def test_bench_policy_validates_26_points(bench_policy_blocks, monkeypatch):
     real_root, real_check = alg._decompress, alg._in_prime_subgroup
     monkeypatch.setattr(alg, "_decompress", lambda data: roots.append(data) or real_root(data))
     monkeypatch.setattr(alg, "_in_prime_subgroup", lambda x: checked.append(x) or real_check(x))
+    wire.decode_secret_key.cache_clear()     # a freshly decoded key
     sk = wire.decode_secret_key(key_file)
     state = DecryptionState(sk)
     for blob in blobs:
@@ -632,6 +634,36 @@ def test_bench_policy_validates_26_points(bench_policy_blocks, monkeypatch):
     assert assemble_message(state, sk) == msg
     assert len(roots) == 26
     assert checked == [int.from_bytes(ctbs[0].commitment.serialize()[1:], "big")]
+
+
+def test_a_key_file_decoded_again_keeps_its_square_roots_and_tables(bench_policy_blocks,
+                                                                    monkeypatch):
+    # the second decode of the same bytes returns the key decoded first, so
+    # d, d_hat and the paired leaf's d_j and d_j' keep their square roots
+    # (4 fewer) and d and d_hat their kept tables (none recorded)
+    msg, ctbs, keys = bench_policy_blocks
+    key_file = wire.encode_secret_key(keys["spread"])
+    blobs = [wire.encode_ctb(ctb, "m") for ctb in ctbs]
+    roots, kept = [], []
+    real_root, real_lines = alg._decompress, alg._lines
+    monkeypatch.setattr(alg, "_decompress", lambda data: roots.append(data) or real_root(data))
+    monkeypatch.setattr(alg, "_lines", lambda p: kept.append(p) or real_lines(p))
+
+    def decrypt():
+        roots.clear()
+        kept.clear()
+        sk = wire.decode_secret_key(key_file)
+        state = DecryptionState(sk)
+        for blob in blobs:
+            state.add_block(wire.decode_ctb(blob)[0])
+        assert assemble_message(state, sk) == msg
+        return sk, len(roots), len(kept)
+
+    wire.decode_secret_key.cache_clear()
+    first, *first_costs = decrypt()
+    second, *second_costs = decrypt()
+    assert second is first
+    assert first_costs == [26, 2] and second_costs == [22, 0]
 
 
 # "(a OR (b AND c))": block 1 holds the root, block 2 leaf a and the gate
@@ -922,6 +954,35 @@ def test_block_whose_header_differs_is_refused_while_another_is_held(suite, held
         assert (state.block_count, state.total_len) == (3, 1000) and 2 not in state.blocks
     for ctb in ctbs:
         state.add_block(ctb)
+    assert assemble_message(state, sk) == msg
+
+
+@pytest.mark.parametrize("forgery", ["header", "root id"])
+def test_a_forged_block_1_held_first_is_replaced_by_a_resent_copy(suite, forgery):
+    # a forged block 1 is held first, with another total length but the
+    # same block length, or with another root id; each genuine block that
+    # disagrees with it is refused and makes it suspect, so the genuine
+    # block 1 sent again replaces it
+    pk, mk, ctx = suite
+    rng = random.Random(37)
+    msg = rng.randbytes(1000)
+    _, ctbs = _encrypt_all(msg, _HEADER_POLICY, pk, ctx, rng)
+    sk = scheme.keygen(pk, mk, {"a", "b"}, rng)
+    if forgery == "header":
+        forged = dataclasses.replace(ctbs[0], total_len=1002)
+    else:
+        root = dataclasses.replace(ctbs[0].descriptor[0], node_id=99)
+        forged = dataclasses.replace(ctbs[0], descriptor=(root,))
+    assert forged.block_len == ctbs[0].block_len and forged != ctbs[0]
+    state = DecryptionState(sk)
+    state.add_block(forged)
+    refused = []
+    for ctb in ctbs * 2:
+        try:
+            state.add_block(ctb)
+        except DecodeError:
+            refused.append(ctb.index)
+    assert refused == ([2, 3] if forgery == "header" else [1, 2])
     assert assemble_message(state, sk) == msg
 
 

@@ -197,6 +197,36 @@ def test_corrupt_key_file_point_fails_on_first_use(suite, three_blocks):
             use(decoded)
 
 
+def test_corrupt_key_file_point_fails_on_every_use_after_a_memo_hit(three_blocks):
+    # a point that fails its check keeps nothing, so the memoised key fails
+    # again however often its file is decoded and used
+    msg, ctbs, sk = three_blocks
+    sk_file = wire.encode_secret_key(sk)
+    for element in (sk.d, sk.d_hat, *sk.components["a"]):
+        bad = _corrupt(sk_file, element)
+        first = wire.decode_secret_key(bad)
+        for _ in range(3):
+            again = wire.decode_secret_key(bad)
+            assert again is first
+            with pytest.raises(DecodeError, match="curve|subgroup"):
+                _decrypt(ctbs, again)
+    assert _decrypt(ctbs, wire.decode_secret_key(sk_file)) == msg
+
+
+def test_key_memo_stays_at_its_bound(three_blocks):
+    _, _, sk = three_blocks
+    wire.decode_secret_key.cache_clear()
+    bound = wire.decode_secret_key.cache_info().maxsize
+    files = [wire.encode_secret_key(scheme.SecretKey(sk.d, sk.d_hat, {
+        f"a{i}": sk.components["a"]})) for i in range(bound + 5)]
+    keys = [wire.decode_secret_key(data) for data in files]
+    assert wire.decode_secret_key.cache_info().currsize == bound == 16
+    # the newest stay, the oldest were let go
+    assert wire.decode_secret_key(files[-1]) is keys[-1]
+    assert wire.decode_secret_key(files[0]) is not keys[0]
+    assert wire.decode_secret_key.cache_info().currsize == bound
+
+
 def _message_curve_point(msg):
     """The point R whose [COFACTOR]R is H(msg): the first counter's curve
     point, y even, recomputed from the hash's framing with hashlib alone."""
@@ -233,18 +263,21 @@ def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_bl
             return real(*args)
         monkeypatch.setattr(algebra, name, wrapper)
 
-    real_lines, real_product = algebra._lines, algebra._miller_product
+    real_walk, real_product = algebra._walk, algebra._miller_product
 
-    def lines(p):
-        out = real_lines(p)
-        seen.add(p)
-        return out
+    def walk(p):
+        # a Miller point's walk reaches its last row only once its loop
+        # has shown the point's order
+        for k, row in enumerate(real_walk(p), 1):
+            if k == len(algebra._ORDER_BITS):
+                seen.add(p)
+            yield row
 
     def miller_product(terms):
         evaluated.update(q for _, q, _ in terms)
         return real_product(terms)
 
-    monkeypatch.setattr(algebra, "_lines", lines)
+    monkeypatch.setattr(algebra, "_walk", walk)
     monkeypatch.setattr(algebra, "_miller_product", miller_product)
     # a mixed addition's affine operand, and a product's left factor: the
     # Jacobian operand with Z = 1

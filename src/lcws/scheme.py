@@ -459,7 +459,10 @@ class DecryptionState:
     element.  Node values are computed only for such an unlock, from the
     held subset with the fewest leaves still to pair.  The held blocks keep
     the tree rule of `policy.tree_fault`, so a satisfying key opens any tree
-    `AccessTree` accepts, and no parent id can loop."""
+    `AccessTree` accepts, and no parent id can loop.  An arrival checks it and
+    builds the plan once, and again only after an unlock adds node values: work
+    linear in the held nodes, so quadratic in the block count for a message the
+    key cannot open.  No cap bounds `block_count`; a tree may have any depth."""
 
     def __init__(self, sk: SecretKey):
         self.sk = sk
@@ -502,34 +505,35 @@ class DecryptionState:
             self.commitment = ctb.commitment
         self.blocks[i] = ctb
         self._suspects.discard(i)
-        # one ascending pass: opening block i only yields what blocks after i need
+        # one ascending pass: opening block i only yields what blocks after i need;
+        # opening changes nothing the plan reads, adding node values does
+        plan = None
         for idx, block in sorted(self.blocks.items()):
-            unlock = None if isinstance(block, _OpenedBlock) else self._unlock_for(block)
-            if unlock is not None:
-                try:
-                    payload, next_element = decrypt_block(block, self.sk, unlock)
-                except DecodeError:
-                    del self.blocks[idx]
-                    self.node_values.clear()
-                    self._suspects = set(self.blocks)
-                    raise
-                self.blocks[idx] = _OpenedBlock(block.descriptor, block.leaf_components,
-                                                payload, next_element)
-
-    def _unlock_for(self, ctb: CiphertextBlock) -> Optional[Unlock]:
-        prev = self.blocks.get(ctb.index - 1)
-        if isinstance(prev, _OpenedBlock):
-            return ChainUnlock(prev.next_element)
-        if isinstance(self.blocks.get(1), _OpenedBlock):
-            return None
-        plan = self._plan()
-        ids = [ctb.descriptor[0].node_id] if ctb.index == 1 else ctb.gate_links
-        ready = [nid for nid in ids if nid in plan and plan[nid][1] == ctb.index]
-        if not ready:
-            return None
-        nid = min(ready, key=lambda n: plan[n][0])
-        value = self._value(plan, nid)
-        return RootUnlock(value) if ctb.index == 1 else GateUnlock(nid, value)
+            if isinstance(block, _OpenedBlock):
+                continue
+            if isinstance(self.blocks.get(idx - 1), _OpenedBlock):
+                unlock = ChainUnlock(self.blocks[idx - 1].next_element)
+            elif isinstance(self.blocks.get(1), _OpenedBlock):
+                continue
+            else:
+                plan = self._plan() if plan is None else plan
+                ids = [block.descriptor[0].node_id] if idx == 1 else block.gate_links
+                ready = [nid for nid in ids if nid in plan and plan[nid][1] == idx]
+                if not ready:
+                    continue
+                nid = min(ready, key=lambda n: plan[n][0])
+                value = self._value(plan, nid)
+                unlock = RootUnlock(value) if idx == 1 else GateUnlock(nid, value)
+                plan = None
+            try:
+                payload, next_element = decrypt_block(block, self.sk, unlock)
+            except DecodeError:
+                del self.blocks[idx]
+                self.node_values.clear()
+                self._suspects = set(self.blocks)
+                raise
+            self.blocks[idx] = _OpenedBlock(block.descriptor, block.leaf_components,
+                                            payload, next_element)
 
     def _plan(self) -> Dict[int, tuple]:
         """(leaves to pair, block, descriptor, children) per satisfied node.

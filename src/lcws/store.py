@@ -70,9 +70,5 @@ class BlobStore:
         folder = self.root / check_message_id(message_id)
         if not folder.is_dir():
             raise StoreNotFoundError(message_id)
-        ids = [
-            f"{message_id}/{p.stem}"
-            for p in folder.iterdir()
-            if p.suffix == ".ctb" and p.stem.isdigit()
-        ]
-        return sorted(ids)
+        stems = [p.stem for p in folder.iterdir() if p.suffix == ".ctb" and p.stem.isdigit()]
+        return [f"{message_id}/{stem}" for stem in sorted(stems, key=int)]

@@ -462,12 +462,16 @@ def test_interrupt_stops_both_stages(signaller, at, slow):
             return item
         return call
 
+    # a process started with SIGINT ignored (as under `&` from a script) inherits
+    # that, so the test installs Python's own handler for its duration
+    old_handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     faulthandler.dump_traceback_later(20, exit=True)    # a deadlock ends the run
     try:
         with pytest.raises(KeyboardInterrupt):
             pl.run_two_stage(range(n), pl.ENC, stage("first"), stage("second"))
     finally:
         faulthandler.cancel_dump_traceback_later()
+        signal.signal(signal.SIGINT, old_handler)
     assert _stage_threads() == []
     calls_at_return = list(log)
     time.sleep(0.1)

@@ -591,6 +591,54 @@ def test_a_block_waits_for_the_block_before_once_block_1_is_open(bench_policy_bl
     assert _counting_decrypt(monkeypatch, arrival, keys["full"]) == in_order
 
 
+def _counting_plans(monkeypatch):
+    """A list that grows by one on each `DecryptionState._plan` build."""
+    builds, real_plan = [], DecryptionState._plan
+    monkeypatch.setattr(DecryptionState, "_plan",
+                        lambda state: builds.append(state) or real_plan(state))
+    return builds
+
+
+@pytest.fixture(scope="module")
+def gate_chain_blocks(suite):
+    """200 blocks of a hand-built chain of 1-of gates, one per level, with
+    leaf `a` at the bottom, and a key for {b}, which opens none of them."""
+    pk, mk, ctx = suite
+    rng = random.Random(27)
+    n = 200
+    tree = AccessTree([[NodeDescriptor(k, k - 1, 1, None, 1)] for k in range(1, n)]
+                      + [[NodeDescriptor(n, n - 1, 1, "a", None)]])
+    ctbs = list(scheme.encrypt_message(rng.randbytes(n), tree, pk, ctx, rng))
+    return ctbs, scheme.keygen(pk, mk, {"b"}, rng)
+
+
+@pytest.mark.parametrize("order", ["in-order", "reversed"])
+def test_an_arrival_builds_one_plan_on_a_chain_the_key_cannot_open(gate_chain_blocks,
+                                                                   monkeypatch, order):
+    # every block stays closed, so every arrival plans once; a plan for each
+    # closed block would make 20 100 builds here, cubic work in all
+    ctbs, sk = gate_chain_blocks
+    builds = _counting_plans(monkeypatch)
+    state = DecryptionState(sk)
+    for ctb in ctbs if order == "in-order" else ctbs[::-1]:
+        state.add_block(ctb)
+    assert len(builds) == len(ctbs) == 200
+    with pytest.raises(PolicyNotSatisfiedError):
+        assemble_message(state, sk)
+
+
+@pytest.mark.parametrize("order", ["in-order", "reversed"])
+def test_plan_is_rebuilt_only_after_a_root_or_gate_unlock(bench_policy_blocks, monkeypatch,
+                                                          order):
+    # a pass plans once, and once more after each unlock that adds node values
+    msg, ctbs, keys = bench_policy_blocks
+    arrival = ctbs if order == "in-order" else ctbs[::-1]
+    builds = _counting_plans(monkeypatch)
+    out, counts = _counting_decrypt(monkeypatch, arrival, keys["spread"])
+    assert out == msg
+    assert len(builds) <= len(arrival) + counts[RootUnlock] + counts[GateUnlock]
+
+
 def test_secret_key_d_and_d_hat_keep_their_lines(bench_policy_blocks):
     # a decoded key's d and d_hat are fixed bases that stay unvalidated
     # until their first pairing, and then keep their Miller-loop lines; the

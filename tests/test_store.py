@@ -47,6 +47,14 @@ def test_list_in_index_order(tmp_path):
     assert ids[0].endswith("00001") and ids[-1].endswith("00010")
 
 
+def test_list_orders_past_five_digit_indices_by_number(tmp_path):
+    # past 99 999 an id is wider than five digits, so its string sorts early
+    store = BlobStore(tmp_path / "s")
+    for i in (100000, 99999, 1):
+        store.put(make_object_id("m", i), bytes([i % 256]))
+    assert store.list("m") == ["m/00001", "m/99999", "m/100000"]
+
+
 def test_bad_object_id_rejected(tmp_path):
     store = BlobStore(tmp_path / "s")
     with pytest.raises(ValueError):

@@ -354,16 +354,17 @@ def decrypt_leaf(ctb: CiphertextBlock, sk: SecretKey, node_id: int) -> Optional[
     leaf's attribute.  The block's components are the Miller points, so a
     component outside the prime-order subgroup raises `DecodeError` here,
     as does the identity, which a pairing would skip; the key's, only
-    evaluated, need only lie on the curve."""
+    evaluated, need only lie on the curve.  An error names the leaf, not
+    the block: `add_block` passes open blocks too, which keep no index."""
     desc = next((d for d in ctb.descriptor if d.node_id == node_id and d.is_leaf), None)
     if desc is None:
-        raise ValueError(f"node {node_id} is not a leaf of block {ctb.index}")
+        raise ValueError(f"node {node_id} is not a leaf of this block")
     if desc.attribute not in sk.components:
         return None
     d_j, d_j_prime = sk.components[desc.attribute]
     c_hat, c_hat_prime = ctb.leaf_components[node_id]
     if c_hat.is_identity() or c_hat_prime.is_identity():
-        raise DecodeError(f"block {ctb.index}: leaf {node_id} component is the identity")
+        raise DecodeError(f"leaf {node_id} component is the identity")
     return pair_ratio(c_hat, d_j, c_hat_prime, d_j_prime)
 
 
@@ -477,14 +478,14 @@ class DecryptionState:
         """Ingest one block and open every block now reachable.  A repeat is
         ignored; another block under a held index, a header unlike the other
         held blocks' and a block that, with the held ones, breaks the tree rule
-        are each a DecodeError naming a block.  A refused block is not kept
-        and sets no header, but the held blocks, not it, may be the forged
-        ones, so every held block becomes suspect: its next copy replaces it
-        and is checked against the other held blocks only.  A block that
-        fails to open is a DecodeError too.  Any held point may have given it
-        a wrong mask key, even one in the subgroup, so the block is dropped,
-        every node value is forgotten and every held block is suspect.  A
-        leaf component that fails its validation drops only its own block."""
+        are each a DecodeError naming a block, and so are a leaf component that
+        fails its check and a block that fails to open.  Each fault follows the
+        one repair rule, `_fail`: a refused block is not kept and sets no
+        header, a held block that fails is dropped, every node value is
+        forgotten and every held block becomes suspect, since any held point,
+        not only the one that surfaced the fault, may be forged.  The next
+        copy of a suspect block replaces it and is checked against the other
+        held blocks only."""
         i = ctb.index
         held = i in self.blocks and i not in self._suspects
         if held and self.blocks[i].descriptor == ctb.descriptor:
@@ -498,7 +499,7 @@ class DecryptionState:
             fault = tree_fault({j: b.descriptor for j, b in {**self.blocks, i: ctb}.items()})
             fault = fault and "block %d: %s" % fault
         if fault:
-            self._suspects = set(self.blocks)
+            self._fail(None)
             raise DecodeError(fault)
         self.block_count, self.total_len = ctb.block_count, ctb.total_len
         if i == 1:
@@ -528,9 +529,7 @@ class DecryptionState:
             try:
                 payload, next_element = decrypt_block(block, self.sk, unlock)
             except DecodeError:
-                del self.blocks[idx]
-                self.node_values.clear()
-                self._suspects = set(self.blocks)
+                self._fail(idx)
                 raise
             self.blocks[idx] = _OpenedBlock(block.descriptor, block.leaf_components,
                                             payload, next_element)
@@ -571,13 +570,20 @@ class DecryptionState:
             if d.is_leaf:
                 try:
                     self.node_values[nid] = decrypt_leaf(self.blocks[j], self.sk, nid)
-                except DecodeError:
-                    del self.blocks[j]
-                    raise
+                except DecodeError as exc:
+                    self._fail(j)
+                    raise DecodeError(f"block {j}: {exc}") from None
             else:
                 shares = {k.index: self.node_values[k.node_id] for k in chosen}
                 self.node_values[nid] = decrypt_interior(shares, d.threshold)
         return self.node_values[node_id]
+
+    def _fail(self, j: Optional[int]) -> None:
+        """The one repair rule: drop block j if held, forget every node value
+        and make every held block suspect."""
+        self.blocks.pop(j, None)
+        self.node_values.clear()
+        self._suspects = set(self.blocks)
 
 
 def assemble_message(state: DecryptionState, sk: SecretKey) -> bytes:

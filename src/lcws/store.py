@@ -16,6 +16,8 @@ from typing import List
 from .errors import StoreNotFoundError
 
 _ID_RE = re.compile(r"[A-Za-z0-9_-]+")
+# a block index as make_object_id spells it, and no other way: one object per block
+_INDEX_RE = re.compile(r"[0-9]{5}|[1-9][0-9]{5,}")
 
 
 def check_message_id(message_id: str) -> str:
@@ -37,7 +39,7 @@ class BlobStore:
 
     def _path(self, object_id: str) -> Path:
         message_id, _, index = object_id.partition("/")
-        if not index.isdigit():
+        if not _INDEX_RE.fullmatch(index):
             raise ValueError(f"bad object id {object_id!r}")
         return self.root / check_message_id(message_id) / f"{index}.ctb"
 
@@ -70,5 +72,6 @@ class BlobStore:
         folder = self.root / check_message_id(message_id)
         if not folder.is_dir():
             raise StoreNotFoundError(message_id)
-        stems = [p.stem for p in folder.iterdir() if p.suffix == ".ctb" and p.stem.isdigit()]
+        stems = [p.stem for p in folder.iterdir()
+                 if p.suffix == ".ctb" and _INDEX_RE.fullmatch(p.stem)]
         return [f"{message_id}/{stem}" for stem in sorted(stems, key=int)]

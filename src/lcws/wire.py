@@ -16,7 +16,7 @@ A secret key is decoded once per key file for the life of the process (see
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Tuple
 
@@ -39,11 +39,7 @@ WIRE_VERSION = 1
 FLAG_COMMITMENT = 0x01
 FLAG_SENTINEL = 0x02
 
-_KIND_PK = 1
-_KIND_MK = 2
-_KIND_SK = 3
-_KIND_CTX = 4
-_KIND_VTUPLE = 5
+_KIND_SK = 3                     # the other key file kinds are rows of _KEY_LAYOUTS
 
 
 class _Reader:
@@ -255,32 +251,35 @@ def _key_unframe(data: bytes, kind: int) -> bytes:
     return body
 
 
-def encode_public_key(pk: PublicKey) -> bytes:
-    return _key_frame(_KIND_PK, pk.g.serialize() + pk.h.serialize() + pk.egg_alpha.serialize())
+# each fixed-width key file: its kind byte, then its (field, type) pairs in wire order
+_KEY_LAYOUTS = {
+    PublicKey: (1, (("g", G0Element), ("h", G0Element), ("egg_alpha", GTElement))),
+    MasterKey: (2, (("beta", Scalar), ("g_alpha", G0Element), ("q", Scalar), ("k", Scalar))),
+    EncryptionContext: (4, (("q", Scalar), ("k", Scalar))),
+    VerificationTuple: (5, (("v1", G0Element), ("v2", G0Element))),
+}
+_WIDTHS = {G0Element: G0_BYTES, GTElement: GT_BYTES, Scalar: SCALAR_BYTES}
 
 
-def decode_public_key(data: bytes) -> PublicKey:
-    r = _Reader(_key_unframe(data, _KIND_PK))
-    g = G0Element.deserialize(r.take(G0_BYTES))
-    h = G0Element.deserialize(r.take(G0_BYTES))
-    egg_alpha = GTElement.deserialize(r.take(GT_BYTES))
+def _encode_key_file(record) -> bytes:
+    kind, fields = _KEY_LAYOUTS[type(record)]
+    return _key_frame(kind, b"".join(getattr(record, name).serialize() for name, _ in fields))
+
+
+def _decode_key_file(record_type, data: bytes):
+    kind, fields = _KEY_LAYOUTS[record_type]
+    r = _Reader(_key_unframe(data, kind))
+    values = {name: cls.deserialize(r.take(_WIDTHS[cls])) for name, cls in fields}
     r.done()
-    return PublicKey(g=g, h=h, egg_alpha=egg_alpha)
+    return record_type(**values)
 
 
-def encode_master_key(mk: MasterKey) -> bytes:
-    return _key_frame(_KIND_MK, mk.beta.serialize() + mk.g_alpha.serialize()
-                      + mk.q.serialize() + mk.k.serialize())
-
-
-def decode_master_key(data: bytes) -> MasterKey:
-    r = _Reader(_key_unframe(data, _KIND_MK))
-    beta = Scalar.deserialize(r.take(SCALAR_BYTES))
-    g_alpha = G0Element.deserialize(r.take(G0_BYTES))
-    q = Scalar.deserialize(r.take(SCALAR_BYTES))
-    k = Scalar.deserialize(r.take(SCALAR_BYTES))
-    r.done()
-    return MasterKey(beta=beta, g_alpha=g_alpha, q=q, k=k)
+encode_public_key = encode_master_key = _encode_key_file
+encode_encryption_context = encode_verification_tuple = _encode_key_file
+decode_public_key = partial(_decode_key_file, PublicKey)
+decode_master_key = partial(_decode_key_file, MasterKey)
+decode_encryption_context = partial(_decode_key_file, EncryptionContext)
+decode_verification_tuple = partial(_decode_key_file, VerificationTuple)
 
 
 def encode_secret_key(sk: SecretKey) -> bytes:
@@ -313,27 +312,3 @@ def decode_secret_key(data: bytes) -> SecretKey:
     r.done()
     # one key object serves every caller that decodes these bytes
     return SecretKey(d=d, d_hat=d_hat, components=MappingProxyType(components))
-
-
-def encode_encryption_context(ctx: EncryptionContext) -> bytes:
-    return _key_frame(_KIND_CTX, ctx.q.serialize() + ctx.k.serialize())
-
-
-def decode_encryption_context(data: bytes) -> EncryptionContext:
-    r = _Reader(_key_unframe(data, _KIND_CTX))
-    q = Scalar.deserialize(r.take(SCALAR_BYTES))
-    k = Scalar.deserialize(r.take(SCALAR_BYTES))
-    r.done()
-    return EncryptionContext(q=q, k=k)
-
-
-def encode_verification_tuple(v: VerificationTuple) -> bytes:
-    return _key_frame(_KIND_VTUPLE, v.v1.serialize() + v.v2.serialize())
-
-
-def decode_verification_tuple(data: bytes) -> VerificationTuple:
-    r = _Reader(_key_unframe(data, _KIND_VTUPLE))
-    v1 = G0Element.deserialize(r.take(G0_BYTES))
-    v2 = G0Element.deserialize(r.take(G0_BYTES))
-    r.done()
-    return VerificationTuple(v1=v1, v2=v2)

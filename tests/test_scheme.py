@@ -920,6 +920,78 @@ def test_a_leaf_component_swapped_for_a_subgroup_point_is_repaired_by_a_resend(s
     assert assemble_message(state, sk) == msg
 
 
+def test_a_leaf_that_fails_its_check_forgets_the_values_paired_before_it(suite):
+    # block 2's leaf a is another subgroup point, paired first into a wrong
+    # value, and its leaf b is the identity, refused.  The refusal forgets
+    # leaf a's value as well, so the genuine block 2 re-pairs it and opens
+    # block 1 instead of failing it by a wrong root value
+    pk, mk, ctx = suite
+    rng = random.Random(41)
+    msg = rng.randbytes(300)
+    _, ctbs = _encrypt_all(msg, "(a AND b)", pk, ctx, rng)
+    sk = scheme.keygen(pk, mk, {"a", "b"}, rng)
+    leaf = {d.attribute: d.node_id for d in ctbs[1].descriptor}
+    components = dict(ctbs[1].leaf_components)
+    components[leaf["a"]] = (_in_subgroup(rng), components[leaf["a"]][1])
+    components[leaf["b"]] = (G0Element.identity(), components[leaf["b"]][1])
+    forged = dataclasses.replace(ctbs[1], leaf_components=components)
+    state = DecryptionState(sk)
+    state.add_block(ctbs[0])
+    with pytest.raises(DecodeError, match=f"block 2: leaf {leaf['b']} component is the identity"):
+        state.add_block(forged)
+    assert sorted(state.blocks) == [1] and not state.node_values
+    state.add_block(ctbs[1])
+    assert opened(state) == [1, 2]
+    assert assemble_message(state, sk) == msg
+
+
+def test_a_failing_leaf_of_an_open_block_names_that_block(suite):
+    # block 3 opens by its gate (c OR d) and does not read its leaf b, whose
+    # first component is the identity; block 2 then pairs b from the open
+    # block 3, which fails, is dropped and is named in the error
+    pk, mk, ctx = suite
+    rng = random.Random(42)
+    msg = rng.randbytes(400)
+    _, ctbs = _encrypt_all(msg, "(a OR (b AND (c OR d)))", pk, ctx, rng)
+    assert len(ctbs) == 4
+    sk = scheme.keygen(pk, mk, {"b", "c"}, rng)
+    leaf_b = next(d.node_id for d in ctbs[2].descriptor if d.attribute == "b")
+    forged = dataclasses.replace(ctbs[2], leaf_components={
+        **ctbs[2].leaf_components,
+        leaf_b: (G0Element.identity(), ctbs[2].leaf_components[leaf_b][1])})
+    state = DecryptionState(sk)
+    state.add_block(ctbs[3])
+    state.add_block(forged)
+    assert opened(state) == [3, 4]
+    with pytest.raises(DecodeError, match=f"^block 3: leaf {leaf_b} component is the identity$"):
+        state.add_block(ctbs[1])
+    assert sorted(state.blocks) == [2, 4] and not state.node_values
+    for ctb in ctbs:
+        state.add_block(ctb)
+    assert assemble_message(state, sk) == msg
+
+
+def test_a_refused_arrival_forgets_every_node_value(suite):
+    # blocks 1 and 2 are open by leaf a; a conflicting copy of block 2 is
+    # refused, forgets the root's and leaf a's values and makes both held
+    # blocks suspect, so the genuine blocks sent again are taken in
+    pk, mk, ctx = suite
+    rng = random.Random(43)
+    msg = rng.randbytes(300)
+    _, ctbs = _encrypt_all(msg, "(a OR (b AND c))", pk, ctx, rng)
+    sk = scheme.keygen(pk, mk, {"a"}, rng)
+    state = DecryptionState(sk)
+    state.add_block(ctbs[0])
+    state.add_block(ctbs[1])
+    assert opened(state) == [1, 2] and len(state.node_values) == 2
+    with pytest.raises(DecodeError, match="conflicting blocks for index 2"):
+        state.add_block(dataclasses.replace(ctbs[2], index=2))
+    assert sorted(state.blocks) == [1, 2] and not state.node_values
+    for ctb in ctbs:
+        state.add_block(ctb)
+    assert assemble_message(state, sk) == msg
+
+
 def test_gate_opens_block_2_before_block_1(suite, monkeypatch):
     # block 3 brings leaf a, so the gate (a OR x) opens block 2 and the chain
     # opens block 3; the root still needs b and c from block 4, whose chain

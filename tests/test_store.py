@@ -55,6 +55,21 @@ def test_list_orders_past_five_digit_indices_by_number(tmp_path):
     assert store.list("m") == ["m/00001", "m/99999", "m/100000"]
 
 
+def test_one_object_id_per_block_index(tmp_path):
+    # only make_object_id's spelling names a block, so a stray file under
+    # another spelling of index 7 is not listed and no id can write one
+    store = BlobStore(tmp_path / "s")
+    store.put("m/00007", b"x")
+    (tmp_path / "s" / "m" / "7.ctb").write_bytes(b"y")
+    (tmp_path / "s" / "m" / "000007.ctb").write_bytes(b"z")
+    assert store.list("m") == ["m/00007"]
+    for object_id in ("m/7", "m/000007", "m/0100000"):
+        with pytest.raises(ValueError):
+            store.put(object_id, b"x")
+    store.put("m/100000", b"x")
+    assert store.list("m") == ["m/00007", "m/100000"]
+
+
 def test_bad_object_id_rejected(tmp_path):
     store = BlobStore(tmp_path / "s")
     with pytest.raises(ValueError):

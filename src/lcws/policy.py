@@ -86,8 +86,10 @@ def tree_fault(levels: Mapping[int, Sequence[NodeDescriptor]]) -> Optional[Tuple
     """The first fault of levels keyed by 1-based position, some possibly
     missing, as (position, reason); None if there is none.  Each node fits
     the wire (index 0 is no sibling's: q(0) is the gate's own secret), no
-    node id repeats, and a level at 1 or after a held one passes `check_level`."""
+    node id and no (parent id, sibling index) repeats, and a level at 1 or
+    after a held one passes `check_level`."""
     seen: Set[int] = set()
+    siblings: Set[Tuple[int, int]] = set()
     for j in sorted(levels):
         try:
             for node in levels[j]:
@@ -104,6 +106,9 @@ def tree_fault(levels: Mapping[int, Sequence[NodeDescriptor]]) -> Optional[Tuple
                 if node.node_id in seen:
                     raise ValueError(f"node id {node.node_id} appears more than once")
                 seen.add(node.node_id)
+                if (node.parent_id, node.index) in siblings:
+                    raise ValueError(f"gate {node.parent_id} has two children of one index")
+                siblings.add((node.parent_id, node.index))
             if j == 1 or j - 1 in levels:
                 check_level(levels[j], levels.get(j - 1))
         except ValueError as exc:
@@ -114,8 +119,8 @@ def tree_fault(levels: Mapping[int, Sequence[NodeDescriptor]]) -> Optional[Tuple
 class AccessTree:
     """Immutable policy tree stored as its level partition: one tuple of
     descriptors per level, root level first, keeping the rule of
-    `tree_fault`.  Each gate has at least `threshold` children with
-    distinct indices, so some key opens the tree."""
+    `tree_fault`.  Each gate has at least `threshold` children, so some key
+    opens the tree."""
 
     def __init__(self, levels: Iterable[Iterable[NodeDescriptor]]):
         self.levels: Tuple[Tuple[NodeDescriptor, ...], ...] = tuple(map(tuple, levels))
@@ -129,10 +134,7 @@ class AccessTree:
             kids.setdefault(node.parent_id, []).append(node)
         self._children = {parent: tuple(nodes) for parent, nodes in kids.items()}
         for gate in (n for level in self.levels for n in level if not n.is_leaf):
-            children = self.children(gate.node_id)
-            if len({c.index for c in children}) != len(children):
-                raise ValueError(f"gate {gate.node_id} has two children of one index")
-            if len(children) < gate.threshold:
+            if len(self.children(gate.node_id)) < gate.threshold:
                 raise ValueError(f"gate {gate.node_id} has fewer children than its "
                                  f"threshold {gate.threshold}")
 

@@ -149,17 +149,15 @@ def _block_len(total_len: int, n: int) -> int:
     return -(-total_len // n)
 
 
-def _chain_segment(message: bytes, n: int, i: int):
-    """Chained payload for 1-based block i of n, as bytes or a memoryview:
-    segment 1 in the clear, every later block the XOR of two consecutive
-    segments.  Segments are slices of the message, zero-padded when short:
-    not only the last can be (1 byte in 3 blocks pads segments 2 and 3)."""
+def _chain_segment(message: bytes, n: int, i: int) -> bytes:
+    """Chained payload for 1-based block i of n: segment 1 in the clear,
+    every later block the XOR of two consecutive segments.  Segments are
+    slices of the message, zero-padded when short: not only the last can be
+    (1 byte in 3 blocks pads segments 2 and 3)."""
     block_len = _block_len(len(message), n)
-    view = memoryview(message)
 
     def segment(j):
-        piece = view[(j - 1) * block_len:j * block_len]
-        return piece if len(piece) == block_len else bytes(piece).ljust(block_len, b"\x00")
+        return message[(j - 1) * block_len:j * block_len].ljust(block_len, b"\x00")
 
     return segment(1) if i == 1 else xor_bytes(segment(i - 1), segment(i))
 
@@ -186,7 +184,7 @@ def data_verification(message: bytes, keys) -> G0Element:
 
 @dataclass(frozen=True)
 class CiphertextBlock:
-    """Everything a receiver gets for one tree level."""
+    """Everything a receiver gets for one tree level, in the one shape the owner writes."""
 
     index: int
     block_count: int
@@ -199,12 +197,19 @@ class CiphertextBlock:
     commitment: Optional[G0Element] = None
 
     def __post_init__(self):
+        if len(self.masked_payload) != self.block_len + G0_BYTES:
+            raise ValueError("masked payload length mismatch")
+        if not 1 <= self.index <= self.block_count:
+            raise ValueError(f"block index {self.index} outside 1..{self.block_count}")
         if (self.index == 1) != (self.commitment is not None):
             raise ValueError("commitment must be present exactly on block 1")
         if self.index == 1 and self.gate_links:
             raise ValueError("block 1 carries no gate links")
-        if len(self.masked_payload) != self.block_len + G0_BYTES:
-            raise ValueError("masked payload length mismatch")
+        gates = {d.node_id for d in self.descriptor if not d.is_leaf} if self.index > 1 else set()
+        leaves = {d.node_id for d in self.descriptor if d.is_leaf}
+        odd = (self.gate_links.keys() ^ gates) | (self.leaf_components.keys() ^ leaves)
+        if odd:
+            raise ValueError(f"node {min(odd)}: a gate link or leaf component is missing or stray")
 
     @property
     def block_len(self) -> int:
@@ -544,13 +549,12 @@ class DecryptionState:
             for d in reversed(ctb.descriptor):
                 if d.node_id in self.node_values:
                     plan[d.node_id] = (0, j, d, ())
-                elif (d.is_leaf and d.attribute in self.sk.components
-                      and d.node_id in ctb.leaf_components):
+                elif d.is_leaf and d.attribute in self.sk.components:
                     plan[d.node_id] = (1, j, d, ())
                 elif not d.is_leaf:
                     chosen = sorted(kids.get((j, d.node_id), ()),
                                     key=lambda k: (plan[k.node_id][0], k.index))[:d.threshold]
-                    if len({k.index for k in chosen}) == d.threshold:
+                    if len(chosen) == d.threshold:
                         plan[d.node_id] = (sum(plan[k.node_id][0] for k in chosen), j, d, chosen)
                 if d.node_id in plan:
                     for parent_block in (j, j - 1):

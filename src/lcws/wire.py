@@ -1,11 +1,13 @@
 """Bit-exact wire formats for ciphertext blocks and key files.
 
-All integers are big-endian; every variable-length section carries a
-4-byte length prefix.  Maps are sorted by node id or attribute, and a
-block's header states the block length its total length and block count
-give; decoding rejects anything else, so parse then serialize is identity.
+All integers are big-endian; every variable-length section carries a 4-byte
+length prefix.  Maps are sorted by node id or attribute, a block's flags byte
+is the one its position gives, and its header states the block length its
+total length and block count give; decoding rejects anything else, so parse
+then serialize is identity.
 
-Decoding checks structure; a source-group point is checked for its prefix,
+Decoding checks structure: a descriptor keeps `policy.tree_fault`, a block
+`CiphertextBlock`'s shape.  A source-group point is checked for its prefix,
 length, canonical identity and x < q here, and is proven to lie in the
 prime-order subgroup on its first arithmetic use (block 1's commitment at
 once), so a point no decryption reads costs no square root or subgroup check.
@@ -123,18 +125,19 @@ def _decode_descriptor(data: bytes) -> Tuple[NodeDescriptor, ...]:
     return tuple(out)
 
 
+def _flags(index: int, block_count: int) -> int:
+    """The flags byte a block's position gives: the commitment flag on block
+    1, the sentinel flag on the last block."""
+    return (FLAG_COMMITMENT if index == 1 else 0) | (FLAG_SENTINEL if index == block_count else 0)
+
+
 def encode_ctb(ctb: CiphertextBlock, message_id: str) -> bytes:
-    flags = 0
-    if ctb.commitment is not None:
-        flags |= FLAG_COMMITMENT
-    if ctb.is_last:
-        flags |= FLAG_SENTINEL
     parts = [
         CTB_MAGIC,
         struct.pack(">H", WIRE_VERSION),
         _section(SUITE_ID.encode("ascii")),
         _section(message_id.encode("ascii")),
-        struct.pack(">IIB", ctb.index, ctb.block_count, flags),
+        struct.pack(">IIB", ctb.index, ctb.block_count, _flags(ctb.index, ctb.block_count)),
         _section(struct.pack(">QI", ctb.total_len, ctb.block_len)),
         _section(_encode_descriptor(ctb.descriptor)),
         _section(ctb.masked_payload),
@@ -166,10 +169,8 @@ def decode_ctb(data: bytes) -> Tuple[CiphertextBlock, str]:
         raise DecodeError(f"unknown suite {suite!r}")
     message_id = _text(r.section(), "ascii")
     index, block_count, flags = struct.unpack(">IIB", r.take(9))
-    if flags & ~(FLAG_COMMITMENT | FLAG_SENTINEL):
-        raise DecodeError(f"unknown flag bits {flags:#04x}")
-    if not 1 <= index <= block_count:
-        raise DecodeError(f"block index {index} outside 1..{block_count}")
+    if flags != _flags(index, block_count):
+        raise DecodeError(f"flags {flags:#04x} do not fit block {index} of {block_count}")
     header = _Reader(r.section())
     total_len = header.u64()
     block_len = header.u32()
@@ -198,14 +199,6 @@ def decode_ctb(data: bytes) -> Tuple[CiphertextBlock, str]:
         for _ in range(leaves.u32())])
     leaves.done()
     r.done()
-    if bool(flags & FLAG_SENTINEL) != (index == block_count):
-        raise DecodeError("sentinel flag inconsistent with block index")
-    gate_ids = {d.node_id for d in descriptor if not d.is_leaf}
-    leaf_ids = {d.node_id for d in descriptor if d.is_leaf}
-    stray = (gate_links.keys() - gate_ids) | (leaf_components.keys() - leaf_ids)
-    if stray:
-        raise DecodeError(f"node {min(stray)} has a gate link or leaf component the "
-                          "block's descriptor does not give it")
     try:
         ctb = CiphertextBlock(
             index=index,

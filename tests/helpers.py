@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import contextlib
 import random
+import struct
 from typing import Dict, Iterator, List, Set, Tuple
 
-from lcws import algebra, scheme
+from lcws import algebra, scheme, wire
 from lcws.algebra import Scalar
 from lcws.policy import AccessTree, NodeDescriptor, satisfies
 
@@ -120,6 +121,21 @@ def partition_message(message: bytes, n: int) -> List[bytes]:
     segments = [padded[k * size:(k + 1) * size] for k in range(n)]
     return segments[:1] + [bytes(a ^ b for a, b in zip(prev, seg))
                            for prev, seg in zip(segments, segments[1:])]
+
+
+def without_leaf_component(data: bytes, node_id: int) -> bytes:
+    """A block's wire bytes with the leaf-component entry of `node_id`
+    dropped from its last section, as a forger would store them."""
+    entries = sorted(wire.decode_ctb(data)[0].leaf_components.items())
+
+    def section(entries):
+        body = struct.pack(">I", len(entries)) + b"".join(
+            struct.pack(">I", nid) + a.serialize() + b.serialize() for nid, (a, b) in entries)
+        return struct.pack(">I", len(body)) + body
+
+    old = section(entries)
+    assert data.endswith(old)
+    return data[:-len(old)] + section([e for e in entries if e[0] != node_id])
 
 
 def opened(state: scheme.DecryptionState) -> List[int]:

@@ -13,7 +13,7 @@ from lcws.errors import DecodeError
 from lcws.policy import MAX_NESTING
 from lcws.store import BlobStore
 
-from helpers import recording
+from helpers import recording, without_leaf_component
 
 
 @pytest.fixture()
@@ -339,6 +339,33 @@ def test_corrupt_block_is_format_error(runner, tmp_path, four_block_message, lin
     block.write_bytes(bytes(data))
     out = tmp_path / "o.bin"
     res = _dr_decrypt(runner, sk, store, mid, out, link_args)
+    assert res.exit_code == 4, res.output
+    assert "malformed input" in res.stderr
+    assert not out.exists()
+
+
+def test_block_missing_a_leaf_component_is_format_error(runner, tmp_path):
+    # policy (a AND b), key {a, b}: block 2 stored without leaf a's entry
+    # is malformed input (exit 4), not an unsatisfied policy (exit 2)
+    keys = _setup_keys(runner, tmp_path)
+    sk = tmp_path / "sk.lcws"
+    assert _keygen(runner, keys, "a,b", sk).exit_code == 0
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"two blocks " * 40)
+    store = tmp_path / "store"
+    res = runner.invoke(main, [
+        "do-encrypt", str(msg), "--pk", str(keys / "pk.lcws"),
+        "--enc-ctx", str(keys / "enc-ctx.lcws"), "--policy", "(a AND b)",
+        "--store", str(store), "--seed", "11",
+    ])
+    assert res.exit_code == 0, res.output
+    mid = res.output.strip().splitlines()[0]
+    block = store / mid / "00002.ctb"
+    ctb, _ = wire.decode_ctb(block.read_bytes())
+    leaf_a = next(d.node_id for d in ctb.descriptor if d.attribute == "a")
+    block.write_bytes(without_leaf_component(block.read_bytes(), leaf_a))
+    out = tmp_path / "o.bin"
+    res = _dr_decrypt(runner, sk, store, mid, out, [])
     assert res.exit_code == 4, res.output
     assert "malformed input" in res.stderr
     assert not out.exists()

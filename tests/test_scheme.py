@@ -27,7 +27,7 @@ from lcws.scheme import (
 
 from helpers import (affine_add, opened, partition_message, point_of_prime_order,
                      random_curve_point, random_policy, recording, satisfying_attrs,
-                     unsatisfying_attrs, verify_message_reference)
+                     unsatisfying_attrs, verify_message_reference, without_leaf_component)
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -193,6 +193,14 @@ def test_encrypt_and_gate_block_shapes(suite):
         dataclasses.replace(second, commitment=first.commitment)
     with pytest.raises(ValueError, match="block 1 carries no gate links"):
         dataclasses.replace(first, gate_links={first.descriptor[0].node_id: G})
+
+
+def test_a_block_index_outside_its_block_count_is_refused(suite):
+    pk, _, ctx = suite
+    _, ctbs = _encrypt_all(b"0123456789", "(a AND (b OR c))", pk, ctx, random.Random(39))
+    for index in (0, 4):
+        with pytest.raises(ValueError, match=f"block index {index} outside 1..3"):
+            dataclasses.replace(ctbs[1], index=index)
 
 
 def test_encrypt_unmask_with_fixture_exponents(suite):
@@ -499,20 +507,25 @@ def test_partial_decryption_gate_path(suite):
 
 
 def test_chain_completeness_without_leaf_components(suite):
-    # root satisfied purely from block 2's components; every deeper block
-    # stripped of leaf components and gate links still opens through the
-    # unlock chain seeded by block 1
+    # root satisfied purely from block 2's components; every deeper block,
+    # its leaf components and gate links all the identity, still opens
+    # through the unlock chain seeded by block 1.  A leaf read would refuse
+    # the identity, and a gate link read would give a wrong mask key
     pk, mk, ctx = suite
     rng = random.Random(19)
     msg = random.Random(3).randbytes(900)
     sk = scheme.keygen(pk, mk, {"a"}, rng)
     _, ctbs = _encrypt_all(msg, "(a OR (b AND (c AND d)))", pk, ctx, rng)
     assert len(ctbs) == 4
-    stripped = [ctbs[0], dataclasses.replace(ctbs[1], gate_links={})] + [
-        dataclasses.replace(ctb, leaf_components={}, gate_links={})
-        for ctb in ctbs[2:]
-    ]
-    assert _decrypt(stripped, sk) == msg
+    o = G0Element.identity()
+
+    def blank(ctb):
+        return dataclasses.replace(ctb, gate_links=dict.fromkeys(ctb.gate_links, o),
+                                   leaf_components=dict.fromkeys(ctb.leaf_components, (o, o)))
+
+    blanked = [ctbs[0], dataclasses.replace(ctbs[1], gate_links=blank(ctbs[1]).gate_links),
+               *map(blank, ctbs[2:])]
+    assert _decrypt(blanked, sk) == msg
 
 
 def _counting_decrypt(monkeypatch, ctbs, sk):
@@ -1111,12 +1124,14 @@ def test_node_ids_shared_across_blocks_rejected(suite):
     rng = random.Random(29)
     sk = scheme.keygen(pk, mk, {"a"}, rng)
     _, ctbs = _encrypt_all(b"0123456789", "(a AND b)", pk, ctx, rng)
-    clash = ctbs[1].descriptor[0]
+    clash, root_id = ctbs[1].descriptor[0], ctbs[0].descriptor[0].node_id
+    components = dict(ctbs[1].leaf_components)
+    components[root_id] = components.pop(clash.node_id)      # re-keyed with the leaf
     forged = dataclasses.replace(ctbs[1], descriptor=ctbs[1].descriptor[1:] + (
-        dataclasses.replace(clash, node_id=ctbs[0].descriptor[0].node_id),))
+        dataclasses.replace(clash, node_id=root_id),), leaf_components=components)
     state = DecryptionState(sk)
     state.add_block(ctbs[0])
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match=f"node id {root_id} appears more than once"):
         state.add_block(forged)
 
 
@@ -1149,6 +1164,27 @@ def test_block_with_index_0_or_an_id_twice_is_refused(suite, first):
         assert assemble_message(state, sk) == msg
 
 
+def test_a_stored_block_missing_a_leaf_component_is_refused_and_the_genuine_one_opens(suite):
+    # policy (a AND b), key {a, b}: block 2's stored bytes lose leaf a's
+    # entry.  A receiver that took such a block in planned without leaf a,
+    # found the policy unsatisfied, and ignored every genuine copy of block 2
+    # as a repeat; decode refuses it, so the genuine blocks assemble
+    pk, mk, ctx = suite
+    rng = random.Random(38)
+    msg = rng.randbytes(300)
+    _, ctbs = _encrypt_all(msg, "(a AND b)", pk, ctx, rng)
+    sk = scheme.keygen(pk, mk, {"a", "b"}, rng)
+    stored = [wire.encode_ctb(ctb, "m") for ctb in ctbs]
+    leaf_a = next(d.node_id for d in ctbs[1].descriptor if d.attribute == "a")
+    state = DecryptionState(sk)
+    state.add_block(wire.decode_ctb(stored[0])[0])
+    with pytest.raises(DecodeError, match=f"node {leaf_a}: a gate link or leaf component"):
+        wire.decode_ctb(without_leaf_component(stored[1], leaf_a))
+    for data in stored:
+        state.add_block(wire.decode_ctb(data)[0])
+    assert assemble_message(state, sk) == msg
+
+
 def _hang_gate_chain(ctbs, length):
     """Block 2 gains `length` gates, each the parent of the next, the first
     hung under the root."""
@@ -1157,7 +1193,10 @@ def _hang_gate_chain(ctbs, length):
     chain = tuple(NodeDescriptor(node_id=first + k, parent_id=first + k - 1 if k else root.node_id,
                                  index=1 if k else 99, attribute=None, threshold=1)
                   for k in range(length))
-    return [ctbs[0], dataclasses.replace(block_2, descriptor=block_2.descriptor + chain),
+    (link,) = block_2.gate_links.values()          # each added gate gets a link too
+    return [ctbs[0], dataclasses.replace(block_2, descriptor=block_2.descriptor + chain,
+                                         gate_links={**block_2.gate_links,
+                                                     **{d.node_id: link for d in chain}}),
             *ctbs[2:]]
 
 

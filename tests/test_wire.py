@@ -345,7 +345,7 @@ def test_ctb_rejects_sentinel_flag_off_the_last_block(corpus):
         data = bytearray(wire.encode_ctb(ctb, "m"))
         assert data[at] == flags
         data[at] ^= wire.FLAG_SENTINEL
-        with pytest.raises(DecodeError, match="sentinel flag inconsistent"):
+        with pytest.raises(DecodeError, match="flags 0x0[02] do not fit block"):
             wire.decode_ctb(bytes(data))
 
 
@@ -357,10 +357,16 @@ def test_ctb_rejects_bad_descriptors(corpus):
     zero[gate] = dataclasses.replace(zero[gate], threshold=0)
     twice = list(ctb.descriptor)
     twice[1] = dataclasses.replace(twice[1], node_id=twice[0].node_id)
-    for descriptor in (zero, twice):
-        data = wire.encode_ctb(dataclasses.replace(ctb, descriptor=tuple(descriptor)), "m")
-        with pytest.raises(DecodeError):
-            wire.decode_ctb(data)
+    for descriptor, message in ((zero, "threshold 0"), (twice, "appears more than once")):
+        # the maps re-keyed to the forged descriptor's nodes, so that the
+        # block is canonical and decode reaches the descriptor's check
+        point = ctb.encap
+        forged = dataclasses.replace(
+            ctb, descriptor=tuple(descriptor),
+            gate_links={d.node_id: point for d in descriptor if not d.is_leaf},
+            leaf_components={d.node_id: (point, point) for d in descriptor if d.is_leaf})
+        with pytest.raises(DecodeError, match=message):
+            wire.decode_ctb(wire.encode_ctb(forged, "m"))
     # a node kind byte other than 0 (leaf) or 1 (gate)
     d = ctb.descriptor[gate]
     gate_bytes = struct.pack(">IIHBH", d.node_id, d.parent_id, d.index, 1, d.threshold)
@@ -421,24 +427,48 @@ def test_ctb_rejects_map_entries_out_of_order_or_repeated(suite, field):
             wire.decode_ctb(_replaced(data, _map_body(entries), _map_body(bad)))
 
 
+def _map_section(entries):
+    """A gate-link or leaf-component section as encoded, length first."""
+    body = _map_body(entries)
+    return struct.pack(">I", len(body)) + body
+
+
 def test_ctb_rejects_links_and_components_of_nodes_not_its_own(suite):
-    # block 2 of this policy holds leaf 2 and gate 3: a gate link may name
-    # only gate 3 and a leaf component only leaf 2; a subset of those decodes
+    # block 2 of this policy holds leaf 2 and gate 3: its gate links name
+    # exactly gate 3 and its leaf components exactly leaf 2.  A stray entry
+    # is refused, and so is a missing one
     pk, _, ctx = suite
     tree = parse_policy("(a AND (b OR (c AND d)))")
     ctb = list(scheme.encrypt_message(b"m" * 40, tree, pk, ctx, random.Random(95)))[1]
     assert [(d.node_id, d.is_leaf) for d in ctb.descriptor] == [(2, True), (3, False)]
     (link,), (component,) = ctb.gate_links.values(), ctb.leaf_components.values()
-    for gate_links, leaf_components in (({3: link, 99: link}, {2: component}),
-                                        ({2: link, 3: link}, {2: component}),
-                                        ({3: link}, {2: component, 3: component}),
-                                        ({3: link}, {2: component, 99: component})):
-        forged = dataclasses.replace(ctb, gate_links=gate_links, leaf_components=leaf_components)
-        with pytest.raises(DecodeError, match="descriptor does not give it"):
-            wire.decode_ctb(wire.encode_ctb(forged, "m"))
-    for gate_links, leaf_components in (({}, {2: component}), ({3: link}, {}), ({}, {})):
-        subset = dataclasses.replace(ctb, gate_links=gate_links, leaf_components=leaf_components)
-        assert wire.decode_ctb(wire.encode_ctb(subset, "m"))[0] == subset
+    link = (link,)
+    data = wire.encode_ctb(ctb, "m")
+    maps = _map_section([(3, link)]) + _map_section([(2, component)])
+    assert data.endswith(maps)                  # the last two sections
+    for gate_links, leaf_components, node in (
+            ([(3, link), (99, link)], [(2, component)], 99),
+            ([(2, link), (3, link)], [(2, component)], 2),
+            ([(3, link)], [(2, component), (3, component)], 3),
+            ([(3, link)], [(2, component), (99, component)], 99),
+            ([], [(2, component)], 3),
+            ([(3, link)], [], 2),
+            ([], [], 2)):
+        forged = data[:-len(maps)] + _map_section(gate_links) + _map_section(leaf_components)
+        with pytest.raises(DecodeError, match=f"node {node}: a gate link or leaf component"):
+            wire.decode_ctb(forged)
+
+
+def test_ctb_rejects_two_children_of_one_gate_under_one_index(suite):
+    # block 2 of (a AND b) holds both children of gate 1; under one index
+    # they would take one share, and no set of two could interpolate
+    pk, _, ctx = suite
+    ctb = list(scheme.encrypt_message(b"m" * 30, parse_policy("(a AND b)"), pk, ctx,
+                                      random.Random(97)))[1]
+    leaf_a, leaf_b = ctb.descriptor
+    forged = dataclasses.replace(ctb, descriptor=(leaf_a, dataclasses.replace(leaf_b, index=1)))
+    with pytest.raises(DecodeError, match="block 2: gate 1 has two children of one index"):
+        wire.decode_ctb(wire.encode_ctb(forged, "m"))
 
 
 def test_key_file_rejects_attributes_out_of_order_or_repeated(suite):

@@ -53,25 +53,6 @@ class NodeDescriptor:
         return self.attribute is not None
 
 
-def check_level(level: Sequence[NodeDescriptor],
-                above: Optional[Sequence[NodeDescriptor]]) -> None:
-    """The partition rule, for a level and the one before it (None for the
-    root level), in stored order: the level holds a node, and each node's
-    parent id names a gate of `above` or one listed before it in `level`;
-    only the root level's first node, the root, has parent id 0."""
-    if not level:
-        raise ValueError("a level holds no node")
-    gates = {0} if above is None else {d.node_id for d in above if not d.is_leaf}
-    for node in level:
-        if node.parent_id not in gates:
-            raise ValueError(f"node {node.node_id} has no parent gate in the level above "
-                             "or earlier in its own")
-        if above is None:
-            gates.discard(0)
-        if not node.is_leaf:
-            gates.add(node.node_id)
-
-
 def check_attributes(attributes: Iterable[str]) -> None:
     """A non-empty attribute set, each attribute fitting the wire's 16-bit
     length field as UTF-8: the attributes a key or a leaf can name."""
@@ -84,15 +65,24 @@ def check_attributes(attributes: Iterable[str]) -> None:
 
 def tree_fault(levels: Mapping[int, Sequence[NodeDescriptor]]) -> Optional[Tuple[int, str]]:
     """The first fault of levels keyed by 1-based position, some possibly
-    missing, as (position, reason); None if there is none.  Each node fits
-    the wire (index 0 is no sibling's: q(0) is the gate's own secret), no
-    node id and no (parent id, sibling index) repeats, and a level at 1 or
-    after a held one passes `check_level`."""
+    missing, as (position, reason); None if there is none.  Each held level
+    is walked once, in stored order: it holds a node, each node fits the
+    wire (index 0 is no sibling's: q(0) is the gate's own secret), no node
+    id and no (parent id, sibling index) repeats, and only level 1's first
+    node, the root, has parent id 0.  The partition rule also needs the
+    level above, so at level 1 or after a held level a node's parent id
+    names a gate of the level above or one listed before it in its own."""
     seen: Set[int] = set()
     siblings: Set[Tuple[int, int]] = set()
+    gates: Set[int] = set()
     for j in sorted(levels):
+        # the parents the level above offers: 0 above level 1, None unheld
+        above = {0} if j == 1 else gates if j - 1 in levels else None
+        gates = set()
         try:
-            for node in levels[j]:
+            if not levels[j]:
+                raise ValueError("a level holds no node")
+            for k, node in enumerate(levels[j]):
                 for name, value, low, high in (
                         ("id", node.node_id, 1, MAX_NODE_ID),
                         ("parent id", node.parent_id, 0, MAX_NODE_ID),
@@ -109,8 +99,12 @@ def tree_fault(levels: Mapping[int, Sequence[NodeDescriptor]]) -> Optional[Tuple
                 if (node.parent_id, node.index) in siblings:
                     raise ValueError(f"gate {node.parent_id} has two children of one index")
                 siblings.add((node.parent_id, node.index))
-            if j == 1 or j - 1 in levels:
-                check_level(levels[j], levels.get(j - 1))
+                if node.parent_id == 0 and (j, k) != (1, 0) or above is not None and (
+                        node.parent_id not in above and node.parent_id not in gates):
+                    raise ValueError(f"node {node.node_id} has no parent gate in the level "
+                                     "above or earlier in its own")
+                if not node.is_leaf:
+                    gates.add(node.node_id)
         except ValueError as exc:
             return j, str(exc)
     return None
@@ -157,7 +151,7 @@ class AccessTree:
 
 def partition_levels(tree: AccessTree) -> Tuple[Tuple[NodeDescriptor, ...], ...]:
     """The tree's level partition, one block's worth of nodes per level:
-    root level first, each level in the stored order `check_level` walks."""
+    root level first, each level in the stored order `tree_fault` walks."""
     return tree.levels
 
 
@@ -285,8 +279,9 @@ def parse_policy(text: str) -> AccessTree:
 def _fold(tree: AccessTree, leaf, gate):
     """The root's value, from `leaf(node)` at each leaf and `gate(node,
     child values in index order)` at each gate.  The nodes are taken in
-    reversed stored order, which by `check_level` reaches every child before
-    its parent, so a tree of any depth folds without recursion."""
+    reversed stored order, which by the partition rule of `tree_fault`
+    reaches every child before its parent, so a tree of any depth folds
+    without recursion."""
     values = {}
     for level in reversed(tree.levels):
         for node in reversed(level):

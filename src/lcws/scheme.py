@@ -11,6 +11,7 @@ chain without touching deeper levels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set,
                     Tuple, Union)
@@ -290,19 +291,25 @@ def lagrange_coeff(i: int, index_set: Iterable[int], x: int) -> Scalar:
 def encrypt_block(state: EncryptState, pk: PublicKey, rng=None) -> CiphertextBlock:
     """Seal the next data block under its tree level and move the state on.
 
-    The level's nodes are walked once in stored order, so by `check_level`
-    a node's share is queued before it is spent.  A gate spends its pending
-    share on a fresh polynomial and queues shares for its children; a leaf
-    spends its share on the published component pair.  Every gate except
-    the root also gets a link element that lifts its recovered value to
-    the level secret.
+    The level's nodes are walked once in stored order, so by the partition
+    rule of `tree_fault` a node's share is queued before it is spent.  A
+    gate spends its pending share on a fresh polynomial and queues shares
+    for its children; a leaf spends its share on the published component
+    pair.  Every gate except the root also gets a link element that lifts
+    its recovered value to the level secret.  A state whose last block is
+    sealed refuses another with `ValueError`.
     """
     rng = _rng_or_default(rng)
     i = state.index
     tree = state.tree
-    level = partition_levels(tree)[i - 1]
     block_count = tree.depth
+    if i > block_count:
+        raise ValueError(f"all {block_count} blocks of this message are already sealed")
+    level = partition_levels(tree)[i - 1]
     s_i = state.level_secret
+    # one power of g per distinct exponent in the block: the leaves under an
+    # OR gate share one share, and sibling gates under it one link
+    g_pow = functools.cache(pk.g.__pow__)
 
     gate_links: Dict[int, G0Element] = {}
     leaf_components: Dict[int, Tuple[G0Element, G0Element]] = {}
@@ -310,18 +317,18 @@ def encrypt_block(state: EncryptState, pk: PublicKey, rng=None) -> CiphertextBlo
         share = state.pending_shares.pop(node.node_id)
         if node.is_leaf:
             leaf_components[node.node_id] = (
-                pk.g ** share,
+                g_pow(share),
                 hash_to_g0(TAG_ATTRIBUTE, node.attribute.encode()) ** share,
             )
         else:
             state.pending_shares.update(
                 _poly_shares(share, node.threshold, tree.children(node.node_id), rng))
             if i >= 2:
-                gate_links[node.node_id] = pk.g ** ((s_i - share) / state.q)
+                gate_links[node.node_id] = g_pow((s_i - share) / state.q)
 
     if i < block_count:
         state.level_secret = random_nonzero_scalar(rng)
-        next_unlock = pk.g ** (state.level_secret / state.q)
+        next_unlock = g_pow(state.level_secret / state.q)
     else:
         next_unlock = G0Element.identity()
 
@@ -541,8 +548,8 @@ class DecryptionState:
 
     def _plan(self) -> Dict[int, tuple]:
         """(leaves to pair, block, descriptor, children) per satisfied node.
-        Blocks go from the last and each in reversed stored order, so by
-        `check_level` a child is planned before its parent."""
+        Blocks go from the last and each in reversed stored order, so by the
+        partition rule of `tree_fault` a child is planned before its parent."""
         plan: Dict[int, tuple] = {}
         kids: Dict[Tuple[int, int], List[NodeDescriptor]] = {}
         for j, ctb in sorted(self.blocks.items(), reverse=True):

@@ -239,6 +239,36 @@ def test_owner_keeps_no_copy_of_the_message(suite):
     assert peak < 0.75 * size
 
 
+def test_owner_raises_g_once_per_distinct_exponent_in_a_block(suite, monkeypatch):
+    # the bench policy is a chain of OR gates: every leaf under one gate
+    # carries one share, so a message needs 9 leaf exponents, 8 gate links
+    # and 9 next unlocks, 26 powers of g where one per use would be 117
+    pk, _, ctx = suite
+    tree = parse_policy(bench.synthetic_policy(10, 100)[0])
+    powers = []
+    real_pow = G0Element.__pow__
+
+    def counting_pow(self, k):
+        if self is pk.g:
+            powers.append(k)
+        return real_pow(self, k)
+
+    monkeypatch.setattr(G0Element, "__pow__", counting_pow)
+    ctbs = list(scheme.encrypt_message(b"m" * 100, tree, pk, ctx, random.Random(40)))
+    assert len(ctbs) == 10
+    assert len(powers) == 26
+
+
+def test_a_finished_owner_state_refuses_another_block(suite):
+    pk, _, ctx = suite
+    rng = random.Random(41)
+    state = scheme.begin_encryption(b"0123456789", parse_policy("(a AND b)"), ctx, rng)
+    for _ in range(2):
+        scheme.encrypt_block(state, pk, rng)
+    with pytest.raises(ValueError, match="all 2 blocks of this message are already sealed"):
+        scheme.encrypt_block(state, pk, rng)
+
+
 # ---------------------------------------------------------------------------
 # leaf / interior / block decryption
 # ---------------------------------------------------------------------------
@@ -1278,6 +1308,38 @@ def test_empty_block_rejected(suite, index):
     with pytest.raises(DecodeError, match=f"block {index}: a level holds no node"):
         for ctb in ctbs:
             state.add_block(ctb)
+
+
+@pytest.mark.parametrize("forgery", ["empty", "second-root"])
+def test_a_forged_last_block_held_first_is_refused_and_the_genuine_blocks_assemble(
+        suite, forgery):
+    # policy (a AND (b OR c)), key {a, b}: a block 3 with no node, or one
+    # holding a second root, is refused on arrival, before block 2 is held.
+    # Kept, it made the receiver refuse a genuine block in its place, and
+    # the genuine blocks sent once did not assemble
+    pk, mk, ctx = suite
+    rng = random.Random(42)
+    msg = rng.randbytes(900)
+    _, ctbs = _encrypt_all(msg, _HEADER_POLICY, pk, ctx, rng)
+    sk = scheme.keygen(pk, mk, {"a", "b"}, rng)
+    last = ctbs[-1]
+    if forgery == "empty":
+        forged = dataclasses.replace(last, descriptor=(), leaf_components={})
+        message = "a level holds no node"
+    else:
+        forged = dataclasses.replace(
+            last, descriptor=last.descriptor + (NodeDescriptor(99, 0, 1, "b", None),),
+            leaf_components={**last.leaf_components, 99: last.leaf_components[4]})
+        message = "node 99 has no parent gate in the level above or earlier in its own"
+    state = DecryptionState(sk)
+    refused = []
+    for ctb in (forged, *ctbs):
+        try:
+            state.add_block(ctb)
+        except DecodeError as exc:
+            refused.append((ctb.index, str(exc)))
+    assert refused == [(3, f"block 3: {message}")]
+    assert assemble_message(state, sk) == msg
 
 
 _FUZZ_POLICY = "((a OR x) AND ((b AND c) OR y))"

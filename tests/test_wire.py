@@ -394,6 +394,27 @@ def test_ctb_rejects_a_descriptor_the_tree_rule_refuses(suite):
             wire.decode_ctb(wire.encode_ctb(forged, "m"))
 
 
+def test_ctb_rejects_a_level_that_breaks_the_partition_rule_on_its_own(suite):
+    # block 3 of this policy holds leaves 4 and 5; a level holds a node and
+    # only the root has parent id 0, which the level shows without the
+    # level above it, so decode refuses such a block at any index
+    pk, _, ctx = suite
+    ctb = list(scheme.encrypt_message(b"m" * 30, parse_policy("(a AND (b OR c))"), pk, ctx,
+                                      random.Random(98)))[2]
+    assert [d.node_id for d in ctb.descriptor] == [4, 5]
+    component = ctb.leaf_components[4]
+    empty = dataclasses.replace(ctb, descriptor=(), leaf_components={})
+    second_root = dataclasses.replace(
+        ctb, descriptor=ctb.descriptor + (dataclasses.replace(ctb.descriptor[0], node_id=99,
+                                                              parent_id=0, index=1),),
+        leaf_components={**ctb.leaf_components, 99: component})
+    for forged, message in ((empty, "block 3: a level holds no node"),
+                            (second_root, "block 3: node 99 has no parent gate in the level "
+                                          "above or earlier in its own")):
+        with pytest.raises(DecodeError, match=message):
+            wire.decode_ctb(wire.encode_ctb(forged, "m"))
+
+
 def test_ctb_rejects_header_block_length_its_total_length_does_not_give(corpus):
     ctb = next(c for c in corpus if c.block_count > 1)
     header = struct.pack(">IQI", 12, ctb.total_len, ctb.block_len)

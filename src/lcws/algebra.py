@@ -11,12 +11,12 @@ Everything here is a pure function of its inputs; elements are immutable
 and hashable (one made by `fixed_base()` also keeps the exponentiation
 table and the normalised Miller-loop lines it builds on first use, and a
 decoded source-group element keeps its coordinates once its first use
-has checked them).  A source-group power takes its method from the base:
-a fixed base uses its own wide comb, an attribute hash the shared narrow
-comb of its point, and any other base the x-only ladder.  A pairing takes
-its Miller point's lines the same way: a fixed base reads its kept table,
-and any other Miller point is walked in the loop that evaluates it, which
-keeps nothing.
+has checked them).  A source-group power walks the comb table its base
+holds: a fixed base's own wide one, or the shared narrow one `hash_to_g0`
+hands an attribute hash; a base with none takes the x-only ladder.  A
+pairing takes its Miller point's lines the same way: a fixed base reads
+its kept table, and any other Miller point is walked in the loop that
+evaluates it, which keeps nothing.
 
 A decoded point is checked as far as its use needs.  Arithmetic (a
 product, power, inverse or comb build) needs a point of the prime-order
@@ -111,7 +111,7 @@ class Scalar:
         if len(data) != SCALAR_BYTES:
             raise DecodeError(f"scalar must be {SCALAR_BYTES} bytes, got {len(data)}")
         v = int.from_bytes(data, "big")
-        if v >= ORDER:
+        if not 0 < v < ORDER:                # every stored scalar is nonzero
             raise DecodeError("scalar out of range")
         return cls(v)
 
@@ -272,10 +272,10 @@ def _ladder(p, k: int) -> Optional[Tuple[int, int]]:
 # set in b, so one exponentiation costs span - 1 doublings and at most span
 # additions.  The generator and the public key's g and h each keep a wide
 # 8 x 20 table (255 points, about 61 KB) from their first exponentiation
-# on; attribute hashes, which recur across keys and blocks, share the
-# 4 x 40 tables (15 points) of the `_comb_table` LRU, whose build costs
-# about one ladder power.  The same comb serves the target group, where the
-# public key's egg_alpha keeps an 8 x 20 table of products of its rows.
+# on; `hash_to_g0` hands each attribute hash, which recurs across keys and
+# blocks, its point's 4 x 40 table (15 points) in the `_comb_table` LRU,
+# whose build costs about one ladder power.  The same comb serves the target
+# group: the public key's egg_alpha keeps an 8 x 20 table of row products.
 
 _COMB_BITS = ORDER.bit_length()          # 160
 _COMB_TEETH = 4
@@ -552,14 +552,10 @@ def _final_exponentiation(f):
 # public element types
 # ---------------------------------------------------------------------------
 
-# The `_table` of an element made by `fixed_base()` before its first
-# exponentiation, and its `_line_table` before its first Miller loop.  Two
-# threads may both build a table; either copy is kept.
+# The `_table` of an element made by `fixed_base()`, which alone sets it,
+# before its first exponentiation, and its `_line_table` before its first
+# Miller loop.  Two threads may both build a table; either copy is kept.
 _NOT_BUILT = object()
-
-# The `_table` of an attribute hash: its powers use its point's entry in the
-# shared `_comb_table` LRU.
-_SHARED = object()
 
 # The `_point` of a decoded element whose first use has not yet validated it.
 _UNCHECKED = object()
@@ -639,7 +635,7 @@ class G0Element:
         own wide 8 x 20 comb table on its first exponentiation and the lines
         of its Miller loop on its first pairing, and keeps both.  A decoded
         element stays unvalidated until its first use."""
-        if self._table is not None and self._table is not _SHARED:
+        if self._line_table is not None:
             return self
         out = G0Element(self._point)
         out._curve, out._raw = self._curve, self._raw
@@ -660,9 +656,7 @@ class G0Element:
         table = self._table
         if table is None:
             return G0Element(_ladder(p, e))
-        if table is _SHARED:
-            table = _comb_table(p)
-        elif table is _NOT_BUILT:
+        if table is _NOT_BUILT:
             table = self._table = _build_comb(p, _WIDE_TEETH)
         return G0Element(_jac_to_affine(_comb_pow(table, e, _jac_double, _jac_add_affine, None)))
 
@@ -885,9 +879,9 @@ def _hash_to_curve(domain_tag: bytes, msg: bytes) -> Tuple[int, int]:
 
 
 # Attribute hashes recur across keys and blocks, so their points are cached
-# and their powers share the `_comb_table` LRU.  Message hashes are not
-# cached: an entry keyed by a whole plaintext would pin up to 4096 recent
-# messages in memory.
+# and each hash holds its point's `_comb_table` entry.  Message hashes are
+# not cached: an entry keyed by a whole plaintext would pin up to 4096
+# recent messages in memory.
 _hash_to_point = lru_cache(maxsize=4096)(_hash_to_curve)
 
 
@@ -897,7 +891,7 @@ def hash_to_g0(domain_tag: bytes, msg: bytes) -> G0Element:
     if domain_tag == TAG_MESSAGE:
         return G0Element(_hash_to_curve(domain_tag, bytes(msg)))
     out = G0Element(_hash_to_point(domain_tag, bytes(msg)))
-    out._table = _SHARED
+    out._table = _comb_table(out._point)
     return out
 
 
@@ -929,9 +923,8 @@ def generator() -> G0Element:
 # to the next counter there, while this check pairs with that R.  R lies
 # outside the prime-order subgroup, so as the Miller point its loop would
 # refuse it; it keeps no lines, so `_pairing_product` never swaps it there.
-# G' keeps its lines from the first check on and never gets a comb table.
-_G_PRIME = G0Element(_ladder(_GENERATOR._p, pow(COFACTOR, -1, ORDER)))
-_G_PRIME._line_table = _NOT_BUILT
+# G' is a fixed base never raised: it keeps its lines, never a comb table.
+_G_PRIME = G0Element(_ladder(_GENERATOR._p, pow(COFACTOR, -1, ORDER))).fixed_base()
 
 
 def check_message_pairing(msg: bytes, v1: G0Element, v2: G0Element) -> bool:

@@ -51,7 +51,9 @@ def synthetic_policy(levels: int, leaves: int) -> Tuple[str, List[str]]:
     bundles = [[next(names) for _ in range(count)] for count in per_gate]
     spread_key = [bundle[0] for bundle in bundles]
 
-    text = "(" + " OR ".join(bundles[-1]) + ")"
+    last = bundles[-1]
+    # a lone leaf in parentheses parses as a grouping, one level short
+    text = f"(1 of ({last[0]}))" if len(last) == 1 else "(" + " OR ".join(last) + ")"
     for bundle in reversed(bundles[:-1]):
         text = "(" + " OR ".join(bundle) + " OR " + text + ")"
     return text, spread_key

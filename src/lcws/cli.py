@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import math
 import random
 import secrets
 import sys
@@ -61,6 +62,12 @@ def _parse_sizes(ctx, param, value):
     if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise click.BadParameter("sizes must be at least one byte and strictly increasing")
     return sizes
+
+
+def _finite(ctx, param, value):
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
 
 
 def _check_message_id(ctx, param, value):
@@ -195,8 +202,9 @@ def do_encrypt(message_file, pk_path, ctx_path, policy, store_dir, message_id, s
 @click.option("--message-id", required=True, callback=_check_message_id)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 @click.option("--bandwidth", type=click.FloatRange(min=0, min_open=True), default=None,
+              callback=_finite,
               help="Bytes/s; when set, each download also crosses a simulated link.")
-@click.option("--latency", type=click.FloatRange(min=0), default=None,
+@click.option("--latency", type=click.FloatRange(min=0), default=None, callback=_finite,
               help="Simulated link latency, seconds; needs --bandwidth.")
 @_exit_codes
 def dr_decrypt(sk_path, store_dir, message_id, out_path, bandwidth, latency):
@@ -248,8 +256,8 @@ def dr_verify(message_file, v_path):
 @click.option("--levels", type=click.IntRange(min=1), default=10)
 @click.option("--leaves", type=click.IntRange(min=1), default=100)
 @click.option("--bandwidth", type=click.FloatRange(min=0, min_open=True), default=1048576.0,
-              help="Simulated link bytes/s.")
-@click.option("--latency", type=click.FloatRange(min=0), default=0.25,
+              callback=_finite, help="Simulated link bytes/s.")
+@click.option("--latency", type=click.FloatRange(min=0), default=0.25, callback=_finite,
               help="Simulated link latency, seconds.")
 @click.option("--runs", type=click.IntRange(min=1), default=5)
 @click.option("--seed", type=int, default=None)

@@ -10,6 +10,7 @@ side, first, second)` runs the stages themselves; both take the stages in
 order and return the same `ScheduleResult`.
 """
 
+import math
 import queue
 import threading
 import time
@@ -64,8 +65,8 @@ def schedule(side: str, first: Sequence[float], second: Sequence[float]) -> Sche
     first, second = tuple(map(float, first)), tuple(map(float, second))
     if len(first) != len(second):
         raise ValueError("stage duration lists must have equal length")
-    if any(x < 0 for x in first + second):
-        raise ValueError("durations must be nonnegative")
+    if not all(0 <= x < math.inf for x in first + second):
+        raise ValueError("durations must be finite and nonnegative")
     spans = []
     end1 = end2 = 0.0
     for a, b in zip(first, second):
@@ -84,10 +85,10 @@ class LinkModel:
     latency: float = 0.0         # seconds per message
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.latency < 0:
-            raise ValueError("latency must be non-negative")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be finite and positive")
+        if not 0 <= self.latency < math.inf:
+            raise ValueError("latency must be finite and non-negative")
 
     def transmit_seconds(self, nbytes: int) -> float:
         return self.latency + nbytes / self.bandwidth

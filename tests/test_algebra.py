@@ -142,6 +142,8 @@ def test_decode_rejects_bad_input():
         Scalar.deserialize(b"\x00" * 19)                      # truncated
     with pytest.raises(DecodeError):
         Scalar.deserialize(alg.ORDER.to_bytes(20, "big"))     # out of range
+    with pytest.raises(DecodeError):
+        Scalar.deserialize(bytes(20))                         # zero
     good = (G ** 5).serialize()
     with pytest.raises(DecodeError):
         G0Element.deserialize(good[:-1])
@@ -534,7 +536,9 @@ def test_one_use_power_equals_the_comb_power_and_builds_no_table(monkeypatch):
 def test_verifier_base_is_the_generator_over_the_cofactor():
     g_prime = alg._G_PRIME
     assert G0Element(g_prime._p) ** alg.COFACTOR == G
-    assert g_prime._table is None
+    # a fixed base that is never raised: its comb table is never built
+    assert g_prime.fixed_base() is g_prime
+    assert g_prime._table is alg._NOT_BUILT
 
 
 def test_unitary_pow_matches_the_naf_oracle():
@@ -612,18 +616,19 @@ def test_wide_gt_comb_matches_generic_path(suite):
 
 
 def test_cold_narrow_comb_matches_oracle():
-    # an attribute hash takes one miss of the shared LRU, then hits; a
-    # plain element on the same point takes the ladder and leaves it alone
+    # hashing a new attribute takes one miss of the shared LRU, and its
+    # powers walk the table it holds without a further lookup; a plain
+    # element on the same point takes the ladder and leaves the LRU alone
     rng = random.Random(43)
     for _ in range(3):
-        attribute = alg.hash_to_g0(alg.TAG_ATTRIBUTE, b"cold comb %d" % rng.getrandbits(64))
-        point = attribute._p
         misses = alg._comb_table.cache_info().misses
+        attribute = alg.hash_to_g0(alg.TAG_ATTRIBUTE, b"cold comb %d" % rng.getrandbits(64))
+        assert alg._comb_table.cache_info().misses == misses + 1
+        point = attribute._p
+        info = alg._comb_table.cache_info()
         for k in _exponents(44):
             assert (attribute ** k)._p == _oracle_pow(point, k)
-        assert alg._comb_table.cache_info().misses == misses + 1
         plain = G0Element(point)
-        info = alg._comb_table.cache_info()
         for k in _exponents(44):
             assert (plain ** k)._p == _oracle_pow(point, k)
         assert alg._comb_table.cache_info() == info

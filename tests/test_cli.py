@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import platform
 import random
@@ -392,6 +393,33 @@ def test_block_of_another_message_is_format_error(runner, tmp_path, four_block_m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["ta-keygen", "do-encrypt"])
+def test_key_file_with_a_zero_scalar_is_format_error(runner, tmp_path, command):
+    # beta = 0 in the master key, or k = 0 in the owner context, which
+    # used to seal a message under the identity commitment
+    keys = _setup_keys(runner, tmp_path)
+    if command == "ta-keygen":
+        path, decode, encode, field = (keys / "mk.lcws", wire.decode_master_key,
+                                       wire.encode_master_key, "beta")
+    else:
+        path, decode, encode, field = (keys / "enc-ctx.lcws", wire.decode_encryption_context,
+                                       wire.encode_encryption_context, "k")
+    path.write_bytes(encode(dataclasses.replace(decode(path.read_bytes()),
+                                                **{field: algebra.Scalar(0)})))
+    out = tmp_path / "out"
+    if command == "ta-keygen":
+        res = _keygen(runner, keys, "a", out)
+    else:
+        msg = tmp_path / "m.bin"
+        msg.write_bytes(b"message")
+        res = runner.invoke(main, [
+            "do-encrypt", str(msg), "--pk", str(keys / "pk.lcws"),
+            "--enc-ctx", str(path), "--policy", "a", "--store", str(out), "--seed", "3"])
+    assert res.exit_code == 4, res.output
+    assert "scalar out of range" in res.stderr
+    assert not out.exists()
+
+
 def test_challenge_for_a_block_of_another_message_is_format_error(runner, tmp_path,
                                                                   four_block_message):
     _, store, mid = four_block_message
@@ -516,8 +544,16 @@ _BAD_OPTIONS = [
     ("dr-decrypt", ["--bandwidth", "0"]),
     ("dr-decrypt", ["--bandwidth", "1e7", "--latency", "-1"]),
     ("dr-decrypt", ["--latency", "5"]),
+    ("dr-decrypt", ["--bandwidth", "nan"]),
+    ("dr-decrypt", ["--bandwidth", "inf"]),
+    ("dr-decrypt", ["--bandwidth", "1e6", "--latency", "nan"]),
+    ("dr-decrypt", ["--bandwidth", "1e6", "--latency", "inf"]),
     ("bench", ["--bandwidth", "0"]),
     ("bench", ["--latency", "-5"]),
+    ("bench", ["--bandwidth", "nan"]),
+    ("bench", ["--bandwidth", "inf"]),
+    ("bench", ["--latency", "nan"]),
+    ("bench", ["--latency", "inf"]),
     ("bench", ["--runs", "0"]),
     ("bench", ["--levels", "0"]),
     ("bench", ["--levels", "3", "--leaves", "1"]),

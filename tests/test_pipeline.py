@@ -1,6 +1,7 @@
 import faulthandler
 import heapq
 import itertools
+import math
 import random
 import signal
 import sys
@@ -79,6 +80,11 @@ def test_schedule_validation():
         pl.schedule(pl.ENC, [1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         pl.schedule(pl.ENC, [-1.0], [1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            pl.schedule(pl.ENC, [1.0, bad], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            pl.schedule(pl.DEC, [1.0], [bad])
     with pytest.raises(ValueError):
         pl.schedule("sideways", [1.0], [1.0])
 
@@ -196,6 +202,11 @@ def test_link_model():
         LinkModel(bandwidth=0)
     with pytest.raises(ValueError):
         LinkModel(bandwidth=1000.0, latency=-1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LinkModel(bandwidth=bad)
+        with pytest.raises(ValueError):
+            LinkModel(bandwidth=1000.0, latency=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,17 @@ def test_partition_ten_level_hundred_leaf_tree():
     assert sum(n.is_leaf for s in levels for n in s) == 100
 
 
+@pytest.mark.parametrize("levels", range(2, 8))
+def test_synthetic_policy_has_the_levels_and_leaves_it_is_asked_for(levels):
+    # down to one leaf in the innermost gate, which must stay a gate
+    for leaves in range(levels - 1, 3 * levels):
+        text, spread = synthetic_policy(levels, leaves)
+        tree = parse_policy(text)
+        assert tree.depth == len(partition_levels(tree)) == levels, text
+        assert len(tree.leaf_attributes()) == leaves
+        assert len(spread) == levels - 1 and satisfies(tree, spread)
+
+
 def test_synthetic_policy_needs_a_level():
     with pytest.raises(ValueError, match="levels must be >= 1"):
         synthetic_policy(0, 1)

@@ -528,6 +528,19 @@ def test_key_file_round_trips(suite):
     assert wire.decode_verification_tuple(wire.encode_verification_tuple(v)) == v
 
 
+def test_key_file_rejects_a_zero_scalar(suite):
+    # every scalar a key file carries is drawn nonzero; a zero one would
+    # divide by zero or make a commitment the identity
+    _, mk, ctx = suite
+    cases = ((mk, wire.encode_master_key, wire.decode_master_key, ("beta", "q", "k")),
+             (ctx, wire.encode_encryption_context, wire.decode_encryption_context, ("q", "k")))
+    for record, encode, decode, fields in cases:
+        for field in fields:
+            zeroed = dataclasses.replace(record, **{field: algebra.Scalar(0)})
+            with pytest.raises(DecodeError, match="scalar out of range"):
+                decode(encode(zeroed))
+
+
 def test_key_file_kind_mismatch(suite):
     pk, mk, ctx = suite
     data = wire.encode_public_key(pk)

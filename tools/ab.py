@@ -12,22 +12,27 @@ two owners encrypt it, in an order that alternates from one message to the
 next, and then the two receivers decrypt and verify it in that same order.
 So a slow spell of the machine lands on both trees alike.
 
-The plan holds ``--messages`` timed messages after perfbench's one warm-up
-message, whose latencies the roles do not keep.  For encrypt, decrypt and
-verify the report gives the median and quartiles of the per-message ratio
-change/parent and how many messages the change won.  It also says whether
+The plan holds ``--messages`` timed messages after perfbench's warm-up
+messages, whose latencies the roles do not keep; the count of those is read
+from each tree's ``perfbench/workloads.py``, and the two trees must agree.
+For encrypt, decrypt and verify the report gives the median and quartiles
+of the per-message ratio change/parent and how many messages the change
+won.  It also says whether
 every stored ``.ctb`` file is byte-identical across the two trees.  A run of
-one tree against itself (A/A) sizes the noise of the ratios.
+one tree against itself (A/A) sizes the noise of the ratios.  Set-up runs
+once per tree, outside the alternation, so its time is not reported.
 
 The report is printed as JSON and, with ``--json``, written there too.  The
 exit status is 0 when the bytes match and no operation failed, 1 when they
-do not, and 2 when the comparison could not run; every role process is
-killed and reaped on any error.
+do not, and 2 when the comparison could not run or a role timed fewer or
+more messages than asked; every role process is killed and reaped on any
+error or after ``TIMEOUT_S`` seconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import signal
@@ -41,7 +46,7 @@ from pathlib import Path
 
 TREES = ("parent", "change")
 KINDS = {"owner": ("encrypt",), "receiver": ("decrypt", "verify")}
-WARMUP_MESSAGES = 1       # perfbench's untimed first message of a pass
+TIMEOUT_S = 3600.0        # the whole comparison, set-up included
 
 
 class ABError(RuntimeError):
@@ -56,8 +61,6 @@ def parse_args(argv):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--messages", type=int, required=True, help="timed messages, at least 1")
     p.add_argument("--json", type=Path, default=None, help="also write the report here")
-    p.add_argument("--timeout", type=float, default=3600.0,
-                   help="seconds before every role is killed (default 3600)")
     args = p.parse_args(argv)
     if args.messages < 1:
         p.error("--messages must be at least 1")
@@ -67,15 +70,26 @@ def parse_args(argv):
     return args
 
 
+def warmup_messages(root: Path):
+    """``WARMUP_MESSAGES`` of the tree's perfbench/workloads.py, read without
+    importing it (it imports that tree's ``lcws``)."""
+    path = root / "perfbench" / "workloads.py"
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "WARMUP_MESSAGES"):
+            return ast.literal_eval(node.value)
+    raise ABError(f"{path} sets no WARMUP_MESSAGES")
+
+
 class Tree:
     """One source tree's roles, working in their own directory."""
 
-    def __init__(self, root: Path, workdir: Path, args):
+    def __init__(self, root: Path, workdir: Path, args, warmup):
         self.root = root.resolve()
         self.workdir = workdir
         self.workdir.mkdir()
         self.base = {"workload": args.workload, "seed": args.seed,
-                     "messages": args.messages + WARMUP_MESSAGES, "traced": False,
+                     "messages": warmup + args.messages, "traced": False,
                      "workdir": str(workdir), "suffix": "", "spans_path": None}
         self.procs = {}
 
@@ -136,10 +150,14 @@ class Tree:
 
 def run(args, scratch: Path):
     """Both trees' roles, message by message; returns each tree's role results."""
-    trees = {name: Tree(root, scratch / name, args)
-             for name, root in zip(TREES, (args.parent, args.change))}
-    deadline = time.monotonic() + args.timeout
-    watchdog = threading.Timer(args.timeout, lambda: [
+    roots = dict(zip(TREES, (args.parent, args.change)))
+    warmups = {name: warmup_messages(root) for name, root in roots.items()}
+    if warmups["parent"] != warmups["change"]:
+        raise ABError(f"the trees keep different warm-up messages: {warmups}")
+    warmup = warmups["parent"]
+    trees = {name: Tree(root, scratch / name, args, warmup) for name, root in roots.items()}
+    deadline = time.monotonic() + TIMEOUT_S
+    watchdog = threading.Timer(TIMEOUT_S, lambda: [
         proc.kill() for tree in trees.values() for proc in list(tree.procs.values())])
     watchdog.start()
     try:
@@ -150,7 +168,7 @@ def run(args, scratch: Path):
         for role in KINDS:
             for tree in trees.values():
                 tree.start(role)
-        for i in range(args.messages + WARMUP_MESSAGES):
+        for i in range(warmup + args.messages):
             order = TREES if i % 2 == 0 else TREES[::-1]
             for role in KINDS:
                 for name in order:
@@ -168,7 +186,7 @@ def run(args, scratch: Path):
 def ratios(parent, change, messages):
     """Median and quartiles of change/parent per message, and the change's wins."""
     if not len(parent) == len(change) == messages:
-        return None
+        raise ABError(f"timed {len(parent)} and {len(change)} messages, not {messages}")
     r = [c / p for p, c in zip(parent, change)]
     q1, median, q3 = statistics.quantiles(r, n=4) if len(r) > 1 else (r[0],) * 3
     return {"median": median, "q1": q1, "q3": q3,
@@ -179,8 +197,7 @@ def report(args, results, blocks):
     failures = {name: [f for role in roles.values() for f in role["failures"]]
                 for name, roles in results.items()}
     out = {"workload": args.workload, "seed": args.seed, "messages": args.messages,
-           "parent": str(args.parent), "change": str(args.change),
-           "setup_s": {name: roles["ta"]["setup_s"] for name, roles in results.items()}}
+           "parent": str(args.parent), "change": str(args.change)}
     for role, kinds in KINDS.items():
         for kind in kinds:
             lat = [results[name][role]["latencies"].get(kind, []) for name in TREES]
@@ -205,10 +222,11 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="lcws-ab-") as scratch:
         try:
             results, blocks = run(args, Path(scratch))
-        except (ABError, OSError, ValueError, subprocess.TimeoutExpired) as exc:
+            out = report(args, results, blocks)
+        except (ABError, OSError, ValueError, SyntaxError,
+                subprocess.TimeoutExpired) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        out = report(args, results, blocks)
     text = json.dumps(out, indent=2)
     print(text)
     if args.json is not None:

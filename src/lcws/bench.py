@@ -59,6 +59,15 @@ def synthetic_policy(levels: int, leaves: int) -> Tuple[str, List[str]]:
     return text, spread_key
 
 
+def check_sizes(sizes: Sequence[int]) -> Sequence[int]:
+    """The message sizes themselves when there is one or more, each of at
+    least one byte, strictly increasing; a ValueError otherwise."""
+    if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be one or more, each at least one byte,"
+                         " strictly increasing")
+    return sizes
+
+
 @dataclass(frozen=True)
 class BenchRow:
     size: int
@@ -79,11 +88,6 @@ class BenchReport:
     runs: int
     rows: Tuple[BenchRow, ...]
     primitives: Dict[str, Tuple[float, float, float]]  # name -> quartiles, ms per call
-
-    def __post_init__(self):
-        sizes = [r.size for r in self.rows]
-        if sizes != sorted(set(sizes)):
-            raise ValueError("sizes must be strictly increasing")
 
     # (JSON key, BenchRow attribute) of each row field, in the order written
     _FIELDS = (("size_bytes", "size"), ("enc_tx_sequential_s", "enc_seq"),
@@ -250,7 +254,9 @@ def measure_primitives(rng: random.Random) -> Dict[str, Tuple[float, float, floa
 def run_bench(sizes: Sequence[int], levels: int, leaves: int, link: LinkModel,
               runs: int = 5, seed: Optional[int] = None) -> BenchReport:
     """Sweep message sizes over the synthetic policy with its spread key;
-    report median sequential and pipelined totals for both protocol sides."""
+    report median sequential and pipelined totals for both protocol sides.
+    Sizes `check_sizes` refuses are refused before any set-up."""
+    check_sizes(sizes)
     rng = random.Random(seed)
     policy_text, spread = synthetic_policy(levels, leaves)
     tree = parse_policy(policy_text)

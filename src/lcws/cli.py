@@ -9,9 +9,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
-import math
 import random
-import secrets
 import sys
 from pathlib import Path
 
@@ -27,10 +25,20 @@ from .store import BlobStore, check_message_id, make_object_id
 EXIT_POLICY = 2
 EXIT_IO = 3
 EXIT_FORMAT = 4
+_LINK_OPTIONS = "'--bandwidth' / '--latency'"
 
 
 def _rng(seed):
-    return random.Random(seed) if seed is not None else secrets.SystemRandom()
+    return None if seed is None else random.Random(seed)
+
+
+def _usage(fn, *args, hint=None):
+    """fn(*args), a ValueError or OverflowError of which is a usage error
+    (exit 2) of the options `hint`, or of the parameter whose callback this is."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        raise click.BadParameter(str(exc), param_hint=hint) from None
 
 
 def _exit_codes(fn):
@@ -54,27 +62,13 @@ def _exit_codes(fn):
 
 
 def _parse_sizes(ctx, param, value):
-    """Message sizes in MiB, comma separated, as strictly increasing byte counts."""
-    try:
-        sizes = [int(float(s) * 1048576) for s in value.split(",") if s.strip()]
-    except (ValueError, OverflowError):
-        raise click.BadParameter(f"{value!r} is not a comma-separated list of numbers") from None
-    if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
-        raise click.BadParameter("sizes must be at least one byte and strictly increasing")
-    return sizes
-
-
-def _finite(ctx, param, value):
-    if value is not None and not math.isfinite(value):
-        raise click.BadParameter(f"{value} is not a finite number")
-    return value
+    """Message sizes in MiB, comma separated, as byte counts."""
+    sizes = _usage(lambda: [int(float(s) * 1048576) for s in value.split(",") if s.strip()])
+    return _usage(bench_mod.check_sizes, sizes)
 
 
 def _check_message_id(ctx, param, value):
-    try:
-        return None if value is None else check_message_id(value)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
+    return None if value is None else _usage(check_message_id, value)
 
 
 def _derive_message_id(message: bytes) -> str:
@@ -126,10 +120,7 @@ def ta_setup(out_dir: Path, seed):
 def ta_keygen(pk_path, mk_path, attrs, out_path, seed):
     """Issue a receiver key for an attribute set."""
     attr_set = {a.strip() for a in attrs.split(",") if a.strip()}
-    try:
-        check_attributes(attr_set)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    _usage(check_attributes, attr_set, hint="'--attrs'")
     pk = wire.decode_public_key(pk_path.read_bytes())
     mk = wire.decode_master_key(mk_path.read_bytes())
     sk = scheme.keygen(pk, mk, attr_set, _rng(seed))
@@ -201,10 +192,9 @@ def do_encrypt(message_file, pk_path, ctx_path, policy, store_dir, message_id, s
 @click.option("--store", "store_dir", type=click.Path(path_type=Path), required=True)
 @click.option("--message-id", required=True, callback=_check_message_id)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
-@click.option("--bandwidth", type=click.FloatRange(min=0, min_open=True), default=None,
-              callback=_finite,
+@click.option("--bandwidth", type=float, default=None,
               help="Bytes/s; when set, each download also crosses a simulated link.")
-@click.option("--latency", type=click.FloatRange(min=0), default=None, callback=_finite,
+@click.option("--latency", type=float, default=None,
               help="Simulated link latency, seconds; needs --bandwidth.")
 @_exit_codes
 def dr_decrypt(sk_path, store_dir, message_id, out_path, bandwidth, latency):
@@ -212,12 +202,13 @@ def dr_decrypt(sk_path, store_dir, message_id, out_path, bandwidth, latency):
     block while the next ones download."""
     if bandwidth is None and latency is not None:
         raise click.BadParameter("a latency needs --bandwidth", param_hint="'--latency'")
+    link = None if bandwidth is None else _usage(pipeline_mod.LinkModel, bandwidth,
+                                                 latency or 0.0, hint=_LINK_OPTIONS)
     sk = wire.decode_secret_key(sk_path.read_bytes())
     store = BlobStore(store_dir)
     object_ids = store.list(message_id)
     if not object_ids:
         raise StoreNotFoundError(message_id)
-    link = None if bandwidth is None else pipeline_mod.LinkModel(bandwidth, latency or 0.0)
     state = scheme.DecryptionState(sk)
 
     def download(index, object_id):
@@ -253,12 +244,10 @@ def dr_verify(message_file, v_path):
 @main.command("bench")
 @click.option("--sizes", default="1,2,4,8,16", callback=_parse_sizes,
               help="Message sizes in MiB, comma separated, increasing.")
-@click.option("--levels", type=click.IntRange(min=1), default=10)
-@click.option("--leaves", type=click.IntRange(min=1), default=100)
-@click.option("--bandwidth", type=click.FloatRange(min=0, min_open=True), default=1048576.0,
-              callback=_finite, help="Simulated link bytes/s.")
-@click.option("--latency", type=click.FloatRange(min=0), default=0.25, callback=_finite,
-              help="Simulated link latency, seconds.")
+@click.option("--levels", type=int, default=10)
+@click.option("--leaves", type=int, default=100)
+@click.option("--bandwidth", type=float, default=1048576.0, help="Simulated link bytes/s.")
+@click.option("--latency", type=float, default=0.25, help="Simulated link latency, seconds.")
 @click.option("--runs", type=click.IntRange(min=1), default=5)
 @click.option("--seed", type=int, default=None)
 @click.option("--json", "json_path", type=click.Path(path_type=Path), required=True,
@@ -267,11 +256,8 @@ def dr_verify(message_file, v_path):
 @_exit_codes
 def bench(sizes, levels, leaves, bandwidth, latency, runs, seed, json_path):
     """Sweep message sizes and compare sequential vs pipelined totals."""
-    try:
-        bench_mod.synthetic_policy(levels, leaves)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--levels' / '--leaves'") from None
-    link = pipeline_mod.LinkModel(bandwidth=bandwidth, latency=latency)
+    _usage(bench_mod.synthetic_policy, levels, leaves, hint="'--levels' / '--leaves'")
+    link = _usage(pipeline_mod.LinkModel, bandwidth, latency, hint=_LINK_OPTIONS)
     report = bench_mod.run_bench(sizes, levels, leaves, link, runs=runs, seed=seed)
     report.write_json(json_path)
     for row in report.rows:

@@ -85,10 +85,12 @@ class LinkModel:
     latency: float = 0.0         # seconds per message
 
     def __post_init__(self):
-        if not 0 < self.bandwidth < math.inf:
-            raise ValueError("bandwidth must be finite and positive")
-        if not 0 <= self.latency < math.inf:
-            raise ValueError("latency must be finite and non-negative")
+        # time.sleep waits at most threading.TIMEOUT_MAX, about 9.2e9 s: within
+        # these bounds any block under about 8 GiB crosses in less than that
+        if not 1 <= self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be finite and at least 1 byte/s")
+        if not 0 <= self.latency <= 86400:
+            raise ValueError("latency must be from 0 to 86400 seconds")
 
     def transmit_seconds(self, nbytes: int) -> float:
         return self.latency + nbytes / self.bandwidth

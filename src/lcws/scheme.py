@@ -531,7 +531,8 @@ class DecryptionState:
             else:
                 plan = self._plan() if plan is None else plan
                 ids = [block.descriptor[0].node_id] if idx == 1 else block.gate_links
-                ready = [nid for nid in ids if nid in plan and plan[nid][1] == idx]
+                # ids are this block's nodes, and no node id is in two held blocks
+                ready = [nid for nid in ids if nid in plan]
                 if not ready:
                     continue
                 nid = min(ready, key=lambda n: plan[n][0])

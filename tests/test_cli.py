@@ -249,11 +249,16 @@ def test_ten_level_policy_uploads_ten_blocks(runner, tmp_path):
     assert len(list((tmp_path / "store" / mid).glob("*.ctb"))) == 10
 
 
-def test_bench_report_refuses_sizes_out_of_order():
-    from lcws.bench import BenchReport, BenchRow
-    rows = tuple(BenchRow(size, *[0.0] * 8) for size in (131072, 65536))
-    with pytest.raises(ValueError, match="sizes must be strictly increasing"):
-        BenchReport(levels=3, leaves=4, runs=1, rows=rows, primitives={})
+def test_bench_report_refuses_sizes_out_of_order(monkeypatch):
+    # refused before any set-up, not once the sweep has run
+    from lcws import bench
+
+    def setup(rng=None):
+        raise AssertionError("set up before the sizes were checked")
+
+    monkeypatch.setattr(bench.scheme, "setup", setup)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        bench.run_bench([131072, 65536], 3, 4, pipeline.LinkModel(1e6), runs=1)
 
 
 def test_decrypt_through_simulated_link(runner, tmp_path):
@@ -548,12 +553,16 @@ _BAD_OPTIONS = [
     ("dr-decrypt", ["--bandwidth", "inf"]),
     ("dr-decrypt", ["--bandwidth", "1e6", "--latency", "nan"]),
     ("dr-decrypt", ["--bandwidth", "1e6", "--latency", "inf"]),
+    ("dr-decrypt", ["--bandwidth", "1e-300"]),
+    ("dr-decrypt", ["--bandwidth", "1e6", "--latency", "1e10"]),
     ("bench", ["--bandwidth", "0"]),
     ("bench", ["--latency", "-5"]),
     ("bench", ["--bandwidth", "nan"]),
     ("bench", ["--bandwidth", "inf"]),
     ("bench", ["--latency", "nan"]),
     ("bench", ["--latency", "inf"]),
+    ("bench", ["--bandwidth", "1e-300"]),
+    ("bench", ["--bandwidth", "1e6", "--latency", "1e10"]),
     ("bench", ["--runs", "0"]),
     ("bench", ["--levels", "0"]),
     ("bench", ["--levels", "3", "--leaves", "1"]),
@@ -578,6 +587,20 @@ def test_out_of_range_option_is_usage_error(runner, tmp_path, four_block_message
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert "Invalid value" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bandwidth, code", [("0", 2), ("1e-300", 2), ("1e7", 4)])
+def test_bad_link_is_refused_before_the_key_file_is_read(runner, tmp_path, four_block_message,
+                                                          bandwidth, code):
+    # the key file is corrupt (exit 4 once read), so a refused link exits 2
+    # only if it is checked first
+    sk, store, mid = four_block_message
+    sk.write_bytes(b"not a key file at all")
+    out = tmp_path / "o.bin"
+    res = _dr_decrypt(runner, sk, store, mid, out, ["--bandwidth", bandwidth])
+    assert res.exit_code == code, res.output
+    assert isinstance(res.exception, SystemExit)
     assert not out.exists()
 
 

@@ -207,6 +207,11 @@ def test_link_model():
             LinkModel(bandwidth=bad)
         with pytest.raises(ValueError):
             LinkModel(bandwidth=1000.0, latency=bad)
+    # past these, a block's time on the link is longer than time.sleep takes
+    for bandwidth, latency in ((1e-300, 0.0), (1e6, 1e10), (1e6, 1e300)):
+        with pytest.raises(ValueError):
+            LinkModel(bandwidth=bandwidth, latency=latency)
+    assert LinkModel(bandwidth=1.0, latency=86400).transmit_seconds(2) == 86402
 
 
 # ---------------------------------------------------------------------------

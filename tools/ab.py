@@ -2,7 +2,7 @@
 """Drift-free A/B of two source trees, message by message.
 
     python3 tools/ab.py PARENT_TREE CHANGE_TREE --workload many-policies \\
-        --seed 1 --messages 60 [--json ab.json]
+        --seed 1 --messages 60 > ab.json
 
 Each tree runs its own ``perfbench/roles.py``, which imports ``lcws`` from
 that tree's ``src/``; nothing under ``perfbench/`` is edited.  One
@@ -22,11 +22,12 @@ every stored ``.ctb`` file is byte-identical across the two trees.  A run of
 one tree against itself (A/A) sizes the noise of the ratios.  Set-up runs
 once per tree, outside the alternation, so its time is not reported.
 
-The report is printed as JSON and, with ``--json``, written there too.  The
-exit status is 0 when the bytes match and no operation failed, 1 when they
-do not, and 2 when the comparison could not run or a role timed fewer or
-more messages than asked; every role process is killed and reaped on any
-error or after ``TIMEOUT_S`` seconds.
+The report, as JSON, is the whole of standard output; the set-up's own
+output goes to standard error.  The exit status is 0 when the bytes match
+and no operation failed, 1 when they do not, and 2 when the comparison
+could not run or a role timed fewer or more messages than asked; every
+role process is killed and reaped on any error or after ``TIMEOUT_S``
+seconds.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ def parse_args(argv):
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--messages", type=int, required=True, help="timed messages, at least 1")
-    p.add_argument("--json", type=Path, default=None, help="also write the report here")
     args = p.parse_args(argv)
     if args.messages < 1:
         p.error("--messages must be at least 1")
@@ -227,10 +227,7 @@ def main(argv=None):
                 subprocess.TimeoutExpired) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    text = json.dumps(out, indent=2)
-    print(text)
-    if args.json is not None:
-        args.json.write_text(text + "\n")
+    print(json.dumps(out, indent=2))
     ok = out["identical_bytes"] and not any(out["failures"].values())
     return 0 if ok else 1
 

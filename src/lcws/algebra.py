@@ -15,18 +15,32 @@ has checked them).  A source-group power walks the comb table its base
 holds: a fixed base's own wide one, or the shared narrow one `hash_to_g0`
 hands an attribute hash; a base with none takes the x-only ladder.  A
 pairing takes its Miller point's lines the same way: a fixed base reads
-its kept table, and any other Miller point is walked in the loop that
-evaluates it, which keeps nothing.
+its kept table, a recurring Miller point (`unreduced_pair_ratio`'s, a
+receiver's key components) reads the one `_kept_lines` holds for it, and
+any other Miller point is walked in the loop that evaluates it, which
+keeps nothing.  Every kept table is packed the same way, as one `bytes`
+object of 160 lines, 20 KiB, and `_kept_lines` holds at most
+`_KEPT_TABLES` of them, so their memory is bounded however many keys a
+process reads.
 
 A decoded point is checked as far as its use needs.  Arithmetic (a
 product, power, inverse or comb build) needs a point of the prime-order
 subgroup, and runs the x-only subgroup test.  A pairing's Miller point
 needs the same, and its own loop proves it: `_walk` refuses a point
-whose multiple [ORDER]P is not the identity.  The point a pairing only
-evaluates needs to lie on the curve with x != 0, no more: with a Miller
-point of order ORDER the reduced Tate pairing is bilinear in its second
-argument over all of E(F_q) (Galbraith, Paterson and Smart, "Pairings for
-cryptographers", 2008), so a component of any other order pairs to 1.
+whose multiple [ORDER]P is not the identity, and a kept table is only
+recorded from a walk that ends.  The point a pairing only evaluates needs
+to lie on the curve with x != 0, no more: with a Miller point of order
+ORDER the reduced Tate pairing is bilinear in its second argument over
+all of E(F_q) (Galbraith, Paterson and Smart, "Pairings for
+cryptographers", 2008), so a component of any other order pairs to 1,
+and the point pairs as its order-ORDER part.
+
+The final exponentiation is an easy part, which lands in the norm-1
+group of F_q^2, and a hard part, the power by COFACTOR, which maps that
+group onto the target group and is a homomorphism.  So a value that is
+only combined with others by products and powers can stay after its easy
+part, as an `Unreduced`, and the one quotient that uses it takes the
+hard part once (`pair` and `pair_ratio` with `over`).
 """
 
 from __future__ import annotations
@@ -395,17 +409,22 @@ def _fq2_inv(u):
 _HALF = (_Q + 1) // 2
 
 
-def _unitary_pow(u, k: int):
-    """u^k for u of norm 1 and k >= 0, by a Lucas ladder (as in Scott and
-    Barreto, "Compressed Pairings", CRYPTO 2004).  Since u^-1 = conj(u),
-    V_k = u^k + u^-k = 2 Re(u^k) lies in F_q, and the ladder keeps
-    (V_k, V_k+1) through V_2k = V_k^2 - 2 and V_2k+1 = V_k V_k+1 - V_1, at
-    two reductions a bit.  With u^k = c + d*i, c = V_k / 2 and
-    V_k+1 = 2(a c - b d) give d = (a V_k - V_k+1) / (2b)."""
+def _unitary_pow(u, k: int, n: int = 1):
+    """(u/n)^k for u/n of norm 1, n in F_q nonzero and k >= 0, by a Lucas
+    ladder (as in Scott and Barreto, "Compressed Pairings", CRYPTO 2004).
+    Write u/n = a + b*i.  Since (u/n)^-1 = conj(u/n), V_k = (u/n)^k +
+    (u/n)^-k = 2 Re((u/n)^k) lies in F_q, and the ladder keeps (V_k, V_k+1)
+    through V_2k = V_k^2 - 2 and V_2k+1 = V_k V_k+1 - V_1, at two
+    reductions a bit.  With (u/n)^k = c + d*i, c = V_k / 2 and V_k+1 =
+    2(a c - b d) give d = (a V_k - V_k+1) / (2b).  The ladder's 1/n and that
+    last 1/(2b) share one inversion."""
     a, b = u
     if b == 0:
-        # u = +-1
-        return _FQ2_ONE if a == 1 or not k & 1 else u
+        # u/n = +-1
+        return _FQ2_ONE if a == n % _Q or not k & 1 else (_Q - 1, 0)
+    inv = pow(2 * b * n, -1, _Q)             # 1/(2b n): a/n = a 2b inv, n/(2b) = n^2 inv
+    half_over_b = n * n % _Q * inv % _Q      # 1/(2 (b/n))
+    a = a * 2 * b % _Q * inv % _Q
     v1 = 2 * a % _Q
     v, w = 2, v1
     for bit in bin(k)[2:]:
@@ -413,7 +432,7 @@ def _unitary_pow(u, k: int):
             v, w = (v * w - v1) % _Q, (w * w - 2) % _Q
         else:
             v, w = (v * v - 2) % _Q, (v * w - v1) % _Q
-    return (v * _HALF % _Q, (a * v - w) * pow(2 * b, -1, _Q) % _Q)
+    return (v * _HALF % _Q, (a * v - w) * half_over_b % _Q)
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +447,24 @@ def _unitary_pow(u, k: int):
 # need no inversion, the vertical ones are left out, and each term is
 # scaled once by 1/ny, ny = -y: at x' = x_bar/ny and n' = 1/ny a line is
 # (a*x' + b*n') + c*i.  A Miller point used once is walked in the loop
-# that evaluates it and keeps nothing.  A source element made by
-# `fixed_base()` keeps the lines of its first walk as (A, B) = (a/c, b/c),
-# normalised with one batched inversion, so each later pairing with it
-# costs L = A*x' + B*n' and the sparse product f * (L + i) per line
-# (Costello and Stebila, "Fixed argument pairings", LATINCRYPT 2010; Scott,
-# "Implementing cryptographic pairings", Pairing 2007).
+# that evaluates it and keeps nothing.  A kept Miller point records the
+# lines of its first walk as (A, B) = (a/c, b/c), normalised with one
+# batched inversion, so each later pairing with it costs L = A*x' + B*n'
+# and the sparse product f * (L + i) per line (Costello and Stebila, "Fixed
+# argument pairings", LATINCRYPT 2010; Scott, "Implementing cryptographic
+# pairings", Pairing 2007).  The table is packed as one `bytes` object,
+# each coefficient in 64 bytes, in the walk's order: a tangent for each of
+# the 159 rows and a secant at each one bit of ORDER below the top but the
+# last, whose secant is vertical, so 160 lines in 20 KiB (tuples of ints
+# would take about twice that).
 #
 # A product of pairings shares one squaring of f per step among its terms
 # and one final exponentiation (Granger and Smart, ePrint 2006/172).  An
 # inverted term is evaluated at -Q, whose lines are the conjugates, since
 # fe(f1 * conj(f2)) = fe(f1) / fe(f2).
+
+_SECANT_ROWS = (*_ORDER_BITS[:-1], 0)
+
 
 def _walk(p):
     """The lines of f_{ORDER, p} for a curve point p, one (tangent, secant
@@ -459,11 +485,11 @@ def _walk(p):
         Z2 = Z * Z % _Q
         W = (3 * X * X + Z2 * Z2) % _Q
         Y2 = Y * Y % _Q
-        tangent = (W * Z2 % _Q, (2 * Y2 - W * X) % _Q, 2 * Y * Z2 % _Q * Z % _Q)
+        Zn = 2 * Y * Z % _Q
+        tangent = (W * Z2 % _Q, (2 * Y2 - W * X) % _Q, Zn * Z2 % _Q)
         S = 4 * X * Y2 % _Q
         Xn = (W * W - 2 * S) % _Q
-        Y, Z = (W * (S - Xn) - 8 * Y2 * Y2) % _Q, 2 * Y * Z % _Q
-        X = Xn
+        X, Y, Z = Xn, (W * (S - Xn) - 8 * Y2 * Y2) % _Q, Zn
         secant = None
         if d:
             Z1Z1 = Z * Z % _Q
@@ -495,57 +521,94 @@ def _walk(p):
     raise DecodeError("point not in the prime-order subgroup")
 
 
-def _lines(p):
-    """The kept line table of a curve point: its walk, each line (a, b, c)
-    as (a/c, b/c) with one batched inversion of every c; raises
-    `DecodeError` unless p has order ORDER, which makes every c nonzero."""
-    rows = list(_walk(p))
-    inverses = iter(_batch_inverse([line[2] for row in rows for line in row if line]))
+def _lines(p) -> bytes:
+    """The packed kept table of a curve point: its walk's lines, each
+    (a, b, c) as (a/c, b/c) with one batched inversion of every c; raises
+    `DecodeError` unless p has order ORDER, which makes every c nonzero and
+    gives every table the rows `_SECANT_ROWS` describes."""
+    lines = [line for row in _walk(p) for line in row if line]
+    inverses = _batch_inverse([c for _, _, c in lines])
+    return b"".join(
+        (a * ci % _Q).to_bytes(_FQ_BYTES, "big") + (b * ci % _Q).to_bytes(_FQ_BYTES, "big")
+        for (a, b, _), ci in zip(lines, inverses))
 
-    def normalised(line):
-        if line is None:
-            return None
-        ci = next(inverses)
-        return (line[0] * ci % _Q, line[1] * ci % _Q)
 
-    return tuple(tuple(map(normalised, row)) for row in rows)
+def _coefficients(table: bytes) -> list:
+    """A packed table's coefficients, A and B of each line in turn."""
+    return [int.from_bytes(table[i:i + _FQ_BYTES], "big") for i in range(0, len(table), _FQ_BYTES)]
+
+
+# The kept tables of recurring Miller points that are not fixed bases: a
+# receiver's key components, each paired by the leaves of its attribute in
+# message after message.  A table is recorded on the point's first pairing,
+# by the walk that also shows the point's order, and the least recently
+# used one goes when a new one comes, so the memory stays at most
+# _KEPT_TABLES x 20 KiB, 1.9 MiB, however many keys a process reads.
+# Recording costs about 1 ms more than a walk in the loop, and each later
+# pairing from the table saves about 2.5 ms.  Replaying the component
+# pairings of 60 `many-policies` messages (seeds 1, 4 and 11: 394, 374 and
+# 382 pairings of 128, 124 and 122 distinct components), an LRU of 72
+# tables hit 156, 184 and 162 times, and one of 96 hit 216, 236 and 222.
+_KEPT_TABLES = 96
+
+
+@lru_cache(maxsize=_KEPT_TABLES)
+def _kept_lines(point) -> bytes:
+    return _lines(point)
 
 
 def _miller_product(terms):
-    """The final exponentiation of the product of f_{ORDER, p} at the
-    distorted image of q over `terms`, each (lines of p, q, inverted): the
-    lines are p's kept table or its walk, which raises `DecodeError` unless
-    p has order ORDER.  An inverted term contributes the inverse of its
-    pairing."""
+    """The product of f_{ORDER, p} at the distorted image of q over `terms`,
+    each (lines of p, q, inverted), before the final exponentiation: the
+    lines are p's packed kept table or its walk, which raises `DecodeError`
+    unless p has order ORDER.  An inverted term is conjugated."""
     # ny = -y, or y to conjugate an inverted term's lines; each term is
     # evaluated at (x_bar/ny, 1/ny)
     nys = [q[1] if inverted else _Q - q[1] for _, q, inverted in terms]
     points = [((_Q - q[0]) * n % _Q, n) for (_, q, _), n in zip(terms, _batch_inverse(nys))]
+    kept, walked = [], []
+    for (lines, _, _), (xs, ns) in zip(terms, points):
+        if isinstance(lines, bytes):
+            kept.append((_coefficients(lines), xs, ns))
+        else:
+            walked.append((lines, xs, ns))
     f0, f1 = _FQ2_ONE
-    for row in zip(*(lines for lines, _, _ in terms)):
+    j = 0                                    # every kept table's next line
+    for secant in _SECANT_ROWS:
         f0, f1 = (f0 + f1) * (f0 - f1) % _Q, 2 * f0 * f1 % _Q
-        for step, (xs, ns) in zip(row, points):
-            for line in step:
+        for c, xs, ns in kept:
+            # a kept line, c = 1
+            L = (c[j] * xs + c[j + 1] * ns) % _Q
+            f0, f1 = (f0 * L - f1) % _Q, (f1 * L + f0) % _Q
+            if secant:
+                L = (c[j + 2] * xs + c[j + 3] * ns) % _Q
+                f0, f1 = (f0 * L - f1) % _Q, (f1 * L + f0) % _Q
+        j += 4 if secant else 2
+        for rows, xs, ns in walked:
+            for line in next(rows):
                 if line is None:
                     continue
-                if len(line) == 2:
-                    # a kept line, c = 1
-                    L = (line[0] * xs + line[1] * ns) % _Q
-                    f0, f1 = (f0 * L - f1) % _Q, (f1 * L + f0) % _Q
-                else:
-                    a, b, c = line
-                    l0 = (a * xs + b * ns) % _Q
-                    t0 = f0 * l0 % _Q
-                    t1 = f1 * c % _Q
-                    f0, f1 = (t0 - t1) % _Q, ((f0 + f1) * (l0 + c) - t0 - t1) % _Q
-    return _final_exponentiation((f0, f1))
+                a, b, c = line
+                l0 = (a * xs + b * ns) % _Q
+                t0 = f0 * l0 % _Q
+                t1 = f1 * c % _Q
+                f0, f1 = (t0 - t1) % _Q, ((f0 + f1) * (l0 + c) - t0 - t1) % _Q
+    return f0, f1
 
 
-def _final_exponentiation(f):
-    # f^((q^2-1)/ORDER) = (conj(f)/f)^COFACTOR; the first factor lands in
-    # the norm-1 subgroup where conjugation inverts.
-    g = _fq2_mul(_fq2_conj(f), _fq2_inv(f))
-    return _unitary_pow(g, COFACTOR)
+def _easy_part(f):
+    """conj(f)/f, of norm 1: the first factor of the final exponentiation."""
+    return _fq2_mul(_fq2_conj(f), _fq2_inv(f))
+
+
+def _final_exponentiation(f, over=_FQ2_ONE):
+    """f^((q^2-1)/ORDER) = (conj(f)/f)^COFACTOR, divided by the reduction of
+    the norm-1 value `over`.  conj(f)/f = conj(f)^2 / N(f), so the hard
+    part, the power by COFACTOR, takes conj(f)^2 conj(over) over the
+    denominator N(f), and N(f) shares the ladder's one inversion."""
+    a, b = f
+    easy = ((a + b) * (a - b) % _Q, -2 * a * b % _Q)
+    return _unitary_pow(_fq2_mul(easy, _fq2_conj(over)), COFACTOR, (a * a + b * b) % _Q)
 
 
 # ---------------------------------------------------------------------------
@@ -782,46 +845,103 @@ class GTElement:
         return cls(_FQ2_ONE)
 
 
-def _pairing_product(pairs) -> GTElement:
-    """The product of pair(u, v), or of its inverse where `inverted`, over
-    (u, v, inverted) triples, with one final exponentiation.  The pairing
-    is symmetric, so a fixed base on either side is the Miller point; it
-    records its lines on its first pairing and keeps them, and any other
-    Miller point is walked in the product's own loop.  Both points are read
-    as curve points; the Miller point's walk then refuses it outside the
-    prime-order subgroup and marks it validated otherwise, and the other
-    point, only evaluated, needs no more (module docstring)."""
+class Unreduced:
+    """A product of pairings before the hard part of its final
+    exponentiation: an element of the norm-1 group of F_q^2, whose image
+    under the power by COFACTOR is the target-group value.  That power is a
+    homomorphism, so products and powers (exponents taken mod ORDER, since
+    the group's order q + 1 is COFACTOR * ORDER) commute with it.  It has no
+    encoding and no equality: only the quotient that uses it, through
+    `over`, reduces it."""
+
+    __slots__ = ("_v",)
+
+    def __init__(self, value: Tuple[int, int]):
+        self._v = value
+
+    def __mul__(self, other: "Unreduced") -> "Unreduced":
+        return Unreduced(_fq2_mul(self._v, other._v))
+
+    def __pow__(self, k) -> "Unreduced":
+        e = _exponent(k)
+        return self if e == 1 else Unreduced(_unitary_pow(self._v, e))
+
+
+def _miller_value(pairs, recurring: bool = False):
+    """The product of f_{ORDER, p} at the distorted image of q over (u, v,
+    inverted) triples, or of its conjugate where `inverted`, before the
+    final exponentiation; a pair with the identity is left out.  The
+    pairing is symmetric, so either side can be the Miller point p.  With
+    `recurring`, u is, and reads its table from `_kept_lines`.  Otherwise a
+    fixed base on either side is, and records its lines on its first
+    pairing and keeps them, and any other Miller point is walked in the
+    product's own loop.  Both points are read as curve points; the Miller
+    point's walk then refuses it outside the prime-order subgroup and marks
+    it validated otherwise, and the other point, only evaluated, needs no
+    more (module docstring)."""
     terms, walked = [], []
     for u, v, inverted in pairs:
         p, q = u._on_curve, v._on_curve      # both read, even beside the identity
         if p is None or q is None:
             continue
-        if u._line_table is None and v._line_table is not None:
-            u, p, q = v, q, p
-        lines = u._line_table
-        if lines is None:
-            lines = _walk(p)
-            walked.append((u, p))
-        elif lines is _NOT_BUILT:
-            lines = u._line_table = _lines(p)
+        if recurring:
+            lines = _kept_lines(p)
             u._point = p
+        else:
+            if u._line_table is None and v._line_table is not None:
+                u, p, q = v, q, p
+            lines = u._line_table
+            if lines is None:
+                lines = _walk(p)
+                walked.append((u, p))
+            elif lines is _NOT_BUILT:
+                lines = u._line_table = _lines(p)
+                u._point = p
         terms.append((lines, q, inverted))
     if not terms:
-        return GTElement.one()
-    out = GTElement(_miller_product(terms))
+        return _FQ2_ONE
+    out = _miller_product(terms)
     for u, p in walked:
         u._point = p                         # its walk showed p has order ORDER
     return out
 
 
-def pair(u: G0Element, v: G0Element) -> GTElement:
-    """Symmetric bilinear map into the target group."""
-    return _pairing_product(((u, v, False),))
+def _reduced(pairs, over: Optional[Unreduced]) -> GTElement:
+    return GTElement(_final_exponentiation(_miller_value(pairs),
+                                           _FQ2_ONE if over is None else over._v))
 
 
-def pair_ratio(a: G0Element, b: G0Element, c: G0Element, d: G0Element) -> GTElement:
-    """pair(a, b) / pair(c, d), with one final exponentiation."""
-    return _pairing_product(((a, b, False), (c, d, True)))
+def pair(u: G0Element, v: G0Element, over: Optional[Unreduced] = None) -> GTElement:
+    """Symmetric bilinear map into the target group, divided by the
+    reduction of `over` if given, with one final exponentiation."""
+    return _reduced(((u, v, False),), over)
+
+
+def pair_ratio(a: G0Element, b: G0Element, c: G0Element, d: G0Element,
+               over: Optional[Unreduced] = None) -> GTElement:
+    """pair(a, b) / pair(c, d), divided by the reduction of `over` if
+    given, with one final exponentiation."""
+    return _reduced(((a, b, False), (c, d, True)), over)
+
+
+def unreduced_pair_ratio(a: G0Element, b: G0Element, c: G0Element, d: G0Element) -> Unreduced:
+    """pair(a, b) / pair(c, d) before the hard part, for Miller points a
+    and c that recur across calls: each reads its packed table from
+    `_kept_lines`, recorded there by its first pairing, so each must be the
+    identity or a prime-order subgroup point (`DecodeError` otherwise).  b
+    and d are only evaluated."""
+    return Unreduced(_easy_part(_miller_value(((a, b, False), (c, d, True)), recurring=True)))
+
+
+def keep_lines(u: G0Element) -> None:
+    """Read u as `unreduced_pair_ratio` reads a Miller point, so that a
+    fault in u shows apart from the points it is paired with: its table is
+    found in `_kept_lines` or recorded there now, and `DecodeError` is
+    raised unless u is the identity or a prime-order subgroup point."""
+    p = u._on_curve
+    if p is not None:
+        _kept_lines(p)
+        u._point = p
 
 
 # ---------------------------------------------------------------------------
@@ -922,19 +1042,20 @@ def generator() -> G0Element:
 # R has [h]R = O, a chance of 1/ORDER (about 2^-160): `hash_to_g0` moves on
 # to the next counter there, while this check pairs with that R.  R lies
 # outside the prime-order subgroup, so as the Miller point its loop would
-# refuse it; it keeps no lines, so `_pairing_product` never swaps it there.
+# refuse it; it keeps no lines, so `_miller_value` never swaps it there.
 # G' is a fixed base never raised: it keeps its lines, never a comb table.
 _G_PRIME = G0Element(_ladder(_GENERATOR._p, pow(COFACTOR, -1, ORDER))).fixed_base()
 
 
 def check_message_pairing(msg: bytes, v1: G0Element, v2: G0Element) -> bool:
     """Whether pair(hash_to_g0(TAG_MESSAGE, msg), v2) == pair(v1, generator()),
-    up to the 2^-160 case above, with one final exponentiation.  A corrupt
-    v1 or v2 raises `DecodeError`: v2's own Miller loop refuses it, and v1,
-    which the product only evaluates, is validated first."""
-    v1.validate()
+    up to the 2^-160 case above, with one final exponentiation.  v2 is the
+    Miller point of its pairing, whose loop refuses it outside the
+    prime-order subgroup, and v1 is only evaluated, against G', so a v1 off
+    the curve raises `DecodeError` and any other v1 is judged by its
+    order-ORDER part (module docstring)."""
     r = G0Element(next(_curve_points(TAG_MESSAGE, bytes(msg))))
-    return _pairing_product(((v2, r, False), (v1, _G_PRIME, True))).is_identity()
+    return _reduced(((v2, r, False), (v1, _G_PRIME, True)), None).is_identity()
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import algebra, pipeline, scheme, wire
 from .pipeline import LinkModel
-from .policy import AccessTree, parse_policy
+from .policy import MAX_NESTING, AccessTree, parse_policy
 from .scheme import DecryptionState, EncryptionContext, PublicKey, SecretKey
 
 
@@ -37,6 +37,9 @@ def synthetic_policy(levels: int, leaves: int) -> Tuple[str, List[str]]:
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
+    if levels > MAX_NESTING:
+        # a tree of L levels nests up to L parentheses deep
+        raise ValueError(f"levels must be <= {MAX_NESTING}, the parser's deepest nesting")
     if levels == 1:
         if leaves != 1:
             raise ValueError("a depth-1 policy holds exactly one leaf")
@@ -190,9 +193,9 @@ def measure_primitives(rng: random.Random) -> Dict[str, Tuple[float, float, floa
     check of a 16 KiB message against its verification tuple, the
     recording and normalisation of one fixed base's line table, a power of
     a plain source-group point, which takes the ladder, and a quotient of
-    two pairings as a receiver makes it: a leaf's, whose two Miller points
-    are walked in its own loop, and a chain unlock's, on the two kept
-    tables of a key's d and d_hat."""
+    two pairings: on two Miller points walked in its own loop, and on two
+    kept tables, as a chain unlock makes it on a key's d and d_hat and a
+    leaf on two key components whose tables are kept."""
     q = algebra.FIELD_PRIME
     calls = _PRIMITIVE_CALLS
     g = algebra.generator()

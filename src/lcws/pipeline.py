@@ -21,7 +21,7 @@ ENC = "enc"
 DEC = "dec"
 # side -> (stage one, stage two), naming the BlockSchedule fields of each stage
 _STAGES = {ENC: ("enc", "tx"), DEC: ("tx", "dec")}
-_HANDOFF_BLOCKS = 4            # blocks stage one may run ahead of stage two
+_HANDOFF_BLOCKS = 1            # blocks stage one may run ahead of stage two
 
 
 @dataclass
@@ -107,6 +107,11 @@ def run_two_stage(items: Iterable, side: str, first: Callable[[int, object], obj
     stage one in a worker thread at most `_HANDOFF_BLOCKS` blocks ahead,
     stage two in the caller's thread; rows are wall-clock seconds from the
     call, and stage one's span of an item includes drawing it from `items`.
+    One block ahead keeps stage two fed whenever stage one is the faster
+    stage, and when it is the slower one no depth fills.  A deeper hand-off
+    only lets the worker hold the GIL while a sleeping link stage wakes:
+    the woken thread then waits out the interpreter's switch interval
+    (5 ms by default) before its block is done.
     If a stage raises or the caller is interrupted, neither stage starts
     another block, and the first exception is re-raised here once the
     worker has ended.  An unknown side is refused before either stage runs.

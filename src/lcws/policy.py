@@ -26,7 +26,9 @@ from .errors import PolicySyntaxError
 
 # punctuation, a word (keyword, integer or attribute), or any other
 # non-space character, which is an error
-_TOKEN_RE = re.compile(r"([(),])|([A-Za-z0-9_:-]+)|(\S)")
+_WORD = r"[A-Za-z0-9_:-]+"
+_TOKEN_RE = re.compile(rf"([(),])|({_WORD})|(\S)")
+_WORD_RE = re.compile(_WORD)
 _KEYWORDS = frozenset({"AND", "OR", "of"})
 # deepest parenthesis nesting a policy may use: the parser recurses once per
 # level, far below Python's recursion limit
@@ -54,13 +56,20 @@ class NodeDescriptor:
 
 
 def check_attributes(attributes: Iterable[str]) -> None:
-    """A non-empty attribute set, each attribute fitting the wire's 16-bit
-    length field as UTF-8: the attributes a key or a leaf can name."""
+    """A non-empty attribute set, each attribute one the grammar's ATTR can
+    write, so one a policy can name: a word of the tokenizer that is no
+    keyword and no integer, within the wire's 16-bit length field."""
     if not attributes:
         raise ValueError("attribute set must be non-empty")
     size = max(len(attribute.encode("utf-8")) for attribute in attributes)
     if size > MAX_FIELD:
         raise ValueError(f"attribute of {size} bytes is over {MAX_FIELD}")
+    for attribute in attributes:
+        if (not _WORD_RE.fullmatch(attribute) or attribute in _KEYWORDS
+                or attribute.isdigit()):
+            raise ValueError(f"attribute {attribute!r} is no name a policy can use: "
+                             "a word of A-Z, a-z, 0-9, '_', ':' and '-', "
+                             "not AND, OR, of or a number")
 
 
 def tree_fault(levels: Mapping[int, Sequence[NodeDescriptor]]) -> Optional[Tuple[int, str]]:
@@ -141,9 +150,6 @@ class AccessTree:
     def children(self, node_id: int) -> Tuple[NodeDescriptor, ...]:
         """A gate's children in index order; () for a leaf."""
         return self._children.get(node_id, ())
-
-    def leaf_attributes(self) -> Set[str]:
-        return {n.attribute for level in self.levels for n in level if n.is_leaf}
 
     def __len__(self) -> int:
         return sum(map(len, self.levels))

@@ -12,6 +12,7 @@ chain without touching deeper levels.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set,
                     Tuple, Union)
@@ -26,13 +27,16 @@ from .algebra import (
     Scalar,
     TAG_ATTRIBUTE,
     TAG_MESSAGE,
+    Unreduced,
     check_message_pairing,
     generator,
     hash_to_g0,
     kdf_mask,
+    keep_lines,
     pair,
     pair_ratio,
     random_nonzero_scalar,
+    unreduced_pair_ratio,
     xor_bytes,
 )
 from .errors import DecodeError, PolicyNotSatisfiedError
@@ -88,7 +92,8 @@ class SecretKey:
     def __post_init__(self):
         # every block's mask key pairs d, and every block after the first
         # d_hat, so each keeps the lines of its Miller loop from its first
-        # pairing on
+        # pairing on; a component's lines are kept, within a bound, by the
+        # leaf pairing that reads them (`decrypt_leaf`)
         for name in ("d", "d_hat"):
             object.__setattr__(self, name, getattr(self, name).fixed_base())
 
@@ -361,13 +366,15 @@ def encrypt_message(message: bytes, tree: AccessTree, pk: PublicKey,
 # decryption
 # ---------------------------------------------------------------------------
 
-def decrypt_leaf(ctb: CiphertextBlock, sk: SecretKey, node_id: int) -> Optional[GTElement]:
-    """Blinded share value for one leaf, or None when the key lacks the
-    leaf's attribute.  The block's components are the Miller points, so a
-    component outside the prime-order subgroup raises `DecodeError` here,
-    as does the identity, which a pairing would skip; the key's, only
-    evaluated, need only lie on the curve.  An error names the leaf, not
-    the block: `add_block` passes open blocks too, which keep no index."""
+def decrypt_leaf(ctb: CiphertextBlock, sk: SecretKey, node_id: int) -> Optional[Unreduced]:
+    """Blinded share value for one leaf, before the hard part of its final
+    exponentiation, or None when the key lacks the leaf's attribute.  The
+    key's components are the Miller points, whose tables recur across
+    messages (`algebra.unreduced_pair_ratio`), so a component outside the
+    prime-order subgroup raises `DecodeError` here.  The block's, only
+    evaluated, need only lie on the curve; either as the identity, which a
+    pairing would skip, raises `DecodeError` too.  An error names the leaf,
+    not the block: `add_block` passes open blocks too, which keep no index."""
     desc = next((d for d in ctb.descriptor if d.node_id == node_id and d.is_leaf), None)
     if desc is None:
         raise ValueError(f"node {node_id} is not a leaf of this block")
@@ -377,11 +384,12 @@ def decrypt_leaf(ctb: CiphertextBlock, sk: SecretKey, node_id: int) -> Optional[
     c_hat, c_hat_prime = ctb.leaf_components[node_id]
     if c_hat.is_identity() or c_hat_prime.is_identity():
         raise DecodeError(f"leaf {node_id} component is the identity")
-    return pair_ratio(c_hat, d_j, c_hat_prime, d_j_prime)
+    return unreduced_pair_ratio(d_j, c_hat, d_j_prime, c_hat_prime)
 
 
-def decrypt_interior(children: Mapping[int, GTElement], threshold: int) -> Optional[GTElement]:
-    """Interpolate a gate's value from child values keyed by child index.
+def decrypt_interior(children: Mapping[int, Unreduced], threshold: int) -> Optional[Unreduced]:
+    """Interpolate a gate's value from child values keyed by child index:
+    the product of their powers by the Lagrange coefficients at 0.
 
     Returns None when fewer than `threshold` children are available; with
     more, the lowest indices are used (any size-threshold subset agrees).
@@ -389,23 +397,21 @@ def decrypt_interior(children: Mapping[int, GTElement], threshold: int) -> Optio
     if len(children) < threshold:
         return None
     chosen = sorted(children)[:threshold]
-    acc = GTElement.one()
-    for idx in chosen:
-        acc = acc * children[idx] ** lagrange_coeff(idx, chosen, 0)
-    return acc
+    return functools.reduce(operator.mul, (children[idx] ** lagrange_coeff(idx, chosen, 0)
+                                           for idx in chosen))
 
 
 @dataclass(frozen=True)
 class RootUnlock:
     """Recovered root value; only valid for block 1."""
-    value: GTElement
+    value: Unreduced
 
 
 @dataclass(frozen=True)
 class GateUnlock:
     """Recovered value of one gate in the block's level."""
     node_id: int
-    value: GTElement
+    value: Unreduced
 
 
 @dataclass(frozen=True)
@@ -423,7 +429,9 @@ def decrypt_block(ctb: CiphertextBlock, sk: SecretKey, unlock: Unlock
 
     All three unlock paths reconstruct the same blinded level secret; the
     keystream key is then the quotient of the encapsulation pairing by
-    that value, one product of pairings for a gate or chain unlock.
+    that value, one product of pairings for a gate or chain unlock, with
+    one final exponentiation: a root or gate value is divided out before
+    its hard part.
     Returns the chained payload and the next block's chain unlock element
     (None on the last block, whose slot holds the identity sentinel).  A
     slot that is no point, the sentinel before the last block or anything
@@ -434,9 +442,9 @@ def decrypt_block(ctb: CiphertextBlock, sk: SecretKey, unlock: Unlock
         case RootUnlock(value):
             if ctb.index != 1:
                 raise ValueError("root unlock only applies to block 1")
-            mask_key = pair(ctb.encap, sk.d) / value
+            mask_key = pair(ctb.encap, sk.d, over=value)
         case GateUnlock(node_id, value):
-            mask_key = pair_ratio(ctb.encap, sk.d, ctb.gate_links[node_id], sk.d_hat) / value
+            mask_key = pair_ratio(ctb.encap, sk.d, ctb.gate_links[node_id], sk.d_hat, over=value)
         case ChainUnlock(element):
             mask_key = pair_ratio(ctb.encap, sk.d, element, sk.d_hat)
         case _:
@@ -482,7 +490,7 @@ class DecryptionState:
         self.block_count: Optional[int] = None
         self.total_len: Optional[int] = None
         self.commitment: Optional[G0Element] = None
-        self.node_values: Dict[int, GTElement] = {}
+        self.node_values: Dict[int, Unreduced] = {}
         self.blocks: Dict[int, Union[CiphertextBlock, _OpenedBlock]] = {}
         self._suspects: Set[int] = set()
 
@@ -569,8 +577,11 @@ class DecryptionState:
                         kids.setdefault((parent_block, d.parent_id), []).append(d)
         return plan
 
-    def _value(self, plan: Dict[int, tuple], node_id: int) -> GTElement:
-        """Evaluate a planned node, children first, pairing only unknown leaves."""
+    def _value(self, plan: Dict[int, tuple], node_id: int) -> Unreduced:
+        """Evaluate a planned node, children first, pairing only unknown
+        leaves.  A leaf's key components are read first, so a fault in them
+        is a `DecodeError` naming the attribute, and no held block is
+        dropped or made suspect for it."""
         order, todo = [], [node_id]
         while todo:
             nid = todo.pop()
@@ -580,6 +591,12 @@ class DecryptionState:
         for nid in reversed(order):
             _, j, d, chosen = plan[nid]
             if d.is_leaf:
+                try:
+                    for component in self.sk.components[d.attribute]:
+                        keep_lines(component)
+                except DecodeError as exc:
+                    raise DecodeError(f"key component of attribute {d.attribute!r}: {exc}"
+                                      ) from None
                 try:
                     self.node_values[nid] = decrypt_leaf(self.blocks[j], self.sk, nid)
                 except DecodeError as exc:

@@ -24,7 +24,7 @@ from typing import Tuple
 
 from .algebra import G0_BYTES, GT_BYTES, SCALAR_BYTES, SUITE_ID, G0Element, GTElement, Scalar
 from .errors import DecodeError
-from .policy import NodeDescriptor, tree_fault
+from .policy import NodeDescriptor, check_attributes, tree_fault
 from .scheme import (
     CiphertextBlock,
     EncryptionContext,
@@ -294,7 +294,9 @@ def decode_secret_key(data: bytes) -> SecretKey:
     same bytes again returns the same key, whose points keep their checks
     and whose d and d_hat keep their line tables, so a receiver pays for
     them once per key file, not once per message.  A point that fails its
-    check keeps nothing and fails again on every use."""
+    check keeps nothing and fails again on every use.  The attributes keep
+    the rule `keygen` applies (`policy.check_attributes`): a key no policy
+    can name is refused here, as a block naming such a leaf is."""
     r = _Reader(_key_unframe(data, _KIND_SK))
     d = G0Element.deserialize(r.take(G0_BYTES))
     d_hat = G0Element.deserialize(r.take(G0_BYTES))
@@ -303,5 +305,9 @@ def decode_secret_key(data: bytes) -> SecretKey:
                                            G0Element.deserialize(r.take(G0_BYTES))))
         for _ in range(r.u32())])
     r.done()
+    try:
+        check_attributes(components)
+    except ValueError as exc:
+        raise DecodeError(str(exc)) from None
     # one key object serves every caller that decodes these bytes
     return SecretKey(d=d, d_hat=d_hat, components=MappingProxyType(components))

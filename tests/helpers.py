@@ -1,5 +1,6 @@
 """Shared generators for random scalars, curve points of any order and
-randomized policy/key trials, a recorder of the secrets keygen and
+randomized policy/key trials, a tree's leaf attributes, the reduction of
+an unreduced pairing value, a recorder of the secrets keygen and
 encryption draw, point addition and negation on points of any order, the
 plain NAF exponentiations that tests compare the package's ladders and
 combs against, the verifier's check as the scheme defines it, the owner's
@@ -103,6 +104,12 @@ def fq2_pow_naf(u, naf_digits_msb):
         elif d == -1:
             acc = algebra._fq2_mul(acc, inv)
     return acc
+
+
+def reduced(value: algebra.Unreduced) -> algebra.GTElement:
+    """The target-group value of an unreduced one: the hard part of the
+    final exponentiation, the power by COFACTOR."""
+    return algebra.GTElement(algebra._unitary_pow(value._v, algebra.COFACTOR))
 
 
 def verify_message_reference(message: bytes, v: scheme.VerificationTuple) -> bool:
@@ -237,9 +244,18 @@ def satisfying_attrs(tree: AccessTree, rng: random.Random) -> Set[str]:
     return attrs
 
 
+# attributes no policy can name: a space, punctuation, a keyword, an
+# integer, a letter outside ASCII and a comma
+UNNAMEABLE_ATTRIBUTES = ["a b", "c(d)", "AND", "of", "123", "é", "a,b"]
+
+
+def leaf_attributes(tree: AccessTree) -> Set[str]:
+    return {n.attribute for level in tree.levels for n in level if n.is_leaf}
+
+
 def unsatisfying_attrs(tree: AccessTree, rng: random.Random) -> Set[str]:
     """A non-empty attribute set that fails the tree's policy."""
-    leaf_attrs = sorted(tree.leaf_attributes())
+    leaf_attrs = sorted(leaf_attributes(tree))
     for _ in range(64):
         subset = {a for a in leaf_attrs if rng.random() < 0.3}
         if rng.random() < 0.3:

@@ -9,7 +9,7 @@ from lcws.algebra import G0Element, GTElement, Scalar
 from lcws.errors import DecodeError
 
 from helpers import (affine_add, affine_mul_naf, affine_neg, fq2_pow_naf, is_zero, naf_msb,
-                     random_curve_point, random_scalar)
+                     random_curve_point, random_scalar, reduced)
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -415,6 +415,48 @@ def test_pair_and_pair_ratio_match_the_miller_loop_oracle():
             assert alg.pair_ratio(x, y, z, w).serialize() == (ab / cd).serialize()
 
 
+def test_unreduced_values_take_their_hard_part_once():
+    # unreduced_pair_ratio is pair_ratio before the hard part: its products
+    # and powers reduce to the target group's, and pair and pair_ratio
+    # divide one out before their own hard part
+    rng = random.Random(49)
+    a, b, c, d, e, f = (G ** alg.random_nonzero_scalar(rng) for _ in range(6))
+    one = G0Element.identity()
+    u = alg.unreduced_pair_ratio(a, b, c, d)
+    w = alg.unreduced_pair_ratio(e, f, one, f)
+    ab_cd, ef = alg.pair_ratio(a, b, c, d), alg.pair(e, f)
+    assert reduced(u) == ab_cd and reduced(w) == ef
+    k = alg.random_nonzero_scalar(rng)
+    assert reduced(u ** k * w) == ab_cd ** k * ef
+    assert u ** 1 is u and reduced(u ** 0) == GTElement.one()
+    assert alg.pair(e, f, over=u) == ef / ab_cd
+    assert alg.pair_ratio(a, b, c, d, over=u).is_identity()
+    assert alg.pair(one, f, over=w) == ef.inverse()
+    # a and c are the Miller points, whose tables the bounded cache keeps
+    alg._kept_lines.cache_clear()
+    alg.unreduced_pair_ratio(a, f, c, f)
+    assert alg._kept_lines.cache_info().currsize == 2
+    alg.keep_lines(a)
+    assert alg._kept_lines.cache_info().hits == 1
+
+
+def test_unitary_pow_over_a_denominator():
+    # (u/n)^k from u and n, with one inversion for both
+    rng = random.Random(50)
+    q = alg.FIELD_PRIME
+    for _ in range(4):
+        f = (rng.randrange(1, q), rng.randrange(1, q))
+        u = alg._easy_part(f)
+        n = rng.randrange(1, q)
+        scaled = (u[0] * n % q, u[1] * n % q)
+        for k in (0, 1, 2, alg.ORDER, alg.COFACTOR, rng.randrange(alg.ORDER)):
+            assert alg._unitary_pow(scaled, k, n) == alg._unitary_pow(u, k), k
+    for sign in (1, q - 1):
+        n = rng.randrange(1, q)
+        assert alg._unitary_pow((sign * n % q, 0), 3, n) == (sign, 0)
+        assert alg._unitary_pow((sign * n % q, 0), 2, n) == (1, 0)
+
+
 def test_lines_recorded_once_per_fixed_base_and_never_kept_on_a_plain_one(monkeypatch):
     # a plain Miller point is walked once per pairing, in the loop that
     # evaluates it, and keeps nothing; a fixed base's walk is recorded as
@@ -439,12 +481,15 @@ def test_lines_recorded_once_per_fixed_base_and_never_kept_on_a_plain_one(monkey
         assert alg.pair(other, fixed) == expected
         assert alg.pair_ratio(fixed, other, other, fixed).is_identity()
     assert walked == kept == [fixed._p]
-    assert len(fixed._line_table) == len(alg._ORDER_BITS)
-    # kept lines are normalised to (a/c, b/c)
-    assert {len(line) for row in fixed._line_table for line in row if line} == {2}
+    # kept lines are normalised to (a/c, b/c) and packed: 160 lines, 20 KiB
+    q = alg.FIELD_PRIME
+    assert len(fixed._line_table) == 160 * 2 * 64
+    assert alg._coefficients(fixed._line_table) == [
+        v for row in real_walk(fixed._p) for line in row if line
+        for v in (line[0] * pow(line[2], -1, q) % q, line[1] * pow(line[2], -1, q) % q)]
     assert plain._line_table is None
     # the generator is one fixed base, so its lines are shared process-wide
-    assert len(G._line_table) == len(alg._ORDER_BITS)
+    assert len(G._line_table) == 160 * 2 * 64
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from lcws.errors import DecodeError
 from lcws.policy import MAX_NESTING
 from lcws.store import BlobStore
 
-from helpers import recording, without_leaf_component
+from helpers import UNNAMEABLE_ATTRIBUTES, recording, without_leaf_component
 
 
 @pytest.fixture()
@@ -165,6 +165,17 @@ def test_attribute_too_long_for_the_wire_exits_2_and_writes_nothing(runner, tmp_
     assert not store.exists() and not out.exists()
 
 
+# a comma separates the attributes of --attrs, so "a,b" names two good ones there
+@pytest.mark.parametrize("name", [n for n in UNNAMEABLE_ATTRIBUTES if "," not in n])
+def test_keygen_refuses_an_attribute_no_policy_can_name(runner, tmp_path, name):
+    keys = _setup_keys(runner, tmp_path)
+    out = tmp_path / "sk.lcws"
+    res = _keygen(runner, keys, f"b,{name}", out)
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--attrs'" in res.output and "no name a policy can use" in res.output
+    assert not out.exists()
+
+
 def test_policy_nested_past_the_cap_exits_2_and_stores_nothing(runner, tmp_path):
     keys = _setup_keys(runner, tmp_path)
     msg = tmp_path / "m.bin"
@@ -215,22 +226,36 @@ def test_corrupt_key_file_is_format_error(runner, tmp_path):
 
 
 def test_corrupt_verification_tuple_point_is_format_error(runner, tmp_path):
-    # the tuple decodes; its point off the subgroup fails on the first pairing
+    # the tuple decodes with either point moved off the subgroup.  v2, its
+    # pairing's Miller point, then fails on the first pairing, a format
+    # error; v1, only evaluated, pairs as its order-ORDER part, so the
+    # check is False
     _, mk = scheme.setup(random.Random(10))
     msg = tmp_path / "m.bin"
     msg.write_bytes(b"attested content")
     v = scheme.make_challenge(scheme.data_verification(msg.read_bytes(), mk), mk,
                               random.Random(11))
-    raw = v.v1.serialize()
     data = wire.encode_verification_tuple(v)
-    bad = data.replace(raw, raw[:-1] + bytes([raw[-1] ^ 0x01]))
-    wire.decode_verification_tuple(bad)
+
+    def corrupt(name):
+        # the first flip of the point's last byte that keeps x on the curve
+        raw = getattr(v, name).serialize()
+        for bit in range(1, 256):
+            bad = data.replace(raw, raw[:-1] + bytes([raw[-1] ^ bit]))
+            try:
+                getattr(wire.decode_verification_tuple(bad), name).validate()
+            except DecodeError as exc:
+                if "subgroup" in str(exc):
+                    return bad
+
     v_path = tmp_path / "v.lcws"
-    for content, code in ((data, 0), (bad, 4)):
+    for content, code, output in ((data, 0, "True"), (corrupt("v2"), 4, ""),
+                                  (corrupt("v1"), 2, "False")):
         v_path.write_bytes(content)
         res = runner.invoke(main, ["dr-verify", str(msg), "--v", str(v_path)])
-        assert res.exit_code == code, res.output
-    assert "malformed input" in res.stderr
+        assert res.exit_code == code and res.stdout.strip() == output, res.output
+        if code == 4:
+            assert "malformed input" in res.stderr
 
 
 def test_ten_level_policy_uploads_ten_blocks(runner, tmp_path):
@@ -567,6 +592,7 @@ _BAD_OPTIONS = [
     ("bench", ["--levels", "0"]),
     ("bench", ["--levels", "3", "--leaves", "1"]),
     ("bench", ["--levels", "1", "--leaves", "2"]),
+    ("bench", ["--levels", "200", "--leaves", "200"]),
     ("bench", ["--sizes", "0"]),
     ("bench", ["--sizes", "0.01,0.01"]),
     ("bench", ["--sizes", "abc"]),

@@ -12,6 +12,7 @@ from lcws.policy import (
     MAX_NESTING,
     AccessTree,
     NodeDescriptor,
+    check_attributes,
     format_policy,
     parse_policy,
     partition_levels,
@@ -19,7 +20,7 @@ from lcws.policy import (
 )
 from lcws.scheme import lagrange_coeff
 
-from helpers import random_policy
+from helpers import UNNAMEABLE_ATTRIBUTES, leaf_attributes, random_policy
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +134,7 @@ def test_satisfaction_monotonicity_random_trees():
     rng = random.Random(31)
     for _ in range(60):
         tree = parse_policy(random_policy(rng, max_depth=4, max_leaves=12))
-        attrs = {a for a in tree.leaf_attributes() if rng.random() < 0.5}
+        attrs = {a for a in leaf_attributes(tree) if rng.random() < 0.5}
         grown = attrs | {"extra:1", "extra:2"}
         if satisfies(tree, attrs):
             assert satisfies(tree, grown)
@@ -179,13 +180,36 @@ def test_synthetic_policy_has_the_levels_and_leaves_it_is_asked_for(levels):
         text, spread = synthetic_policy(levels, leaves)
         tree = parse_policy(text)
         assert tree.depth == len(partition_levels(tree)) == levels, text
-        assert len(tree.leaf_attributes()) == leaves
+        assert len(leaf_attributes(tree)) == leaves
         assert len(spread) == levels - 1 and satisfies(tree, spread)
 
 
 def test_synthetic_policy_needs_a_level():
     with pytest.raises(ValueError, match="levels must be >= 1"):
         synthetic_policy(0, 1)
+
+
+def test_synthetic_policy_is_text_the_parser_reads():
+    # a tree of L levels nests up to L parentheses, and the parser reads
+    # MAX_NESTING deep, so one level more is refused by synthetic_policy
+    # itself, not by the parser's error about text the caller never wrote
+    text, spread = synthetic_policy(MAX_NESTING, MAX_NESTING)
+    assert parse_policy(text).depth == MAX_NESTING and len(spread) == MAX_NESTING - 1
+    with pytest.raises(ValueError, match=f"levels must be <= {MAX_NESTING}"):
+        synthetic_policy(MAX_NESTING + 1, MAX_NESTING + 1)
+
+
+@pytest.mark.parametrize("name", UNNAMEABLE_ATTRIBUTES)
+def test_an_attribute_is_a_name_a_policy_can_use(name):
+    # check_attributes states the parser's rule, so what one refuses the
+    # other refuses; a name the parser reads passes both
+    with pytest.raises(PolicySyntaxError):
+        parse_policy(f"(x OR {name})")
+    with pytest.raises(ValueError, match="no name a policy can use"):
+        check_attributes({"x", name})
+    check_attributes({"x", "a-b_c:9", "ANDy", "of1", "9x"})
+    assert leaf_attributes(parse_policy("(x OR a-b_c:9 OR ANDy OR of1 OR 9x)")) == {
+        "x", "a-b_c:9", "ANDy", "of1", "9x"}
 
 
 def test_partition_complete_and_disjoint():

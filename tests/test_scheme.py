@@ -25,9 +25,11 @@ from lcws.scheme import (
     verify_message,
 )
 
-from helpers import (affine_add, opened, partition_message, point_of_prime_order,
-                     random_curve_point, random_policy, recording, satisfying_attrs,
-                     unsatisfying_attrs, verify_message_reference, without_leaf_component)
+from helpers import (UNNAMEABLE_ATTRIBUTES, affine_add, leaf_attributes, opened,
+                     partition_message,
+                     point_of_prime_order, random_curve_point, random_policy, recording,
+                     reduced, satisfying_attrs, unsatisfying_attrs, verify_message_reference,
+                     without_leaf_component)
 
 G = alg.generator()
 E_GG = alg.pair(G, G)
@@ -284,7 +286,7 @@ def test_decrypt_leaf_fixture_value(suite):
     leaf_ids = sorted(ctbs[1].leaf_components)
     for nid in leaf_ids:
         value = decrypt_leaf(ctbs[1], sk, nid)
-        assert value == E_GG ** (key_drawn.r * shares[nid])
+        assert reduced(value) == E_GG ** (key_drawn.r * shares[nid])
 
 
 def test_decrypt_leaf_absent_attribute(suite):
@@ -321,7 +323,7 @@ def test_decrypt_leaf_independent_of_attribute_blinding(suite):
     )
     _, ctbs = _encrypt_all(b"payload!", "(a AND b)", pk, ctx, rng)
     nid = sorted(ctbs[1].leaf_components)[0]
-    assert decrypt_leaf(ctbs[1], sk, nid) == decrypt_leaf(ctbs[1], forged, nid)
+    assert reduced(decrypt_leaf(ctbs[1], sk, nid)) == reduced(decrypt_leaf(ctbs[1], forged, nid))
 
 
 def test_decrypt_interior_singleton():
@@ -560,7 +562,8 @@ def test_chain_completeness_without_leaf_components(suite):
 
 def _counting_decrypt(monkeypatch, ctbs, sk):
     """Decrypt in arrival order, counting Miller-loop terms (one per
-    pairing), final exponentiations, leaf evaluations and unlock kinds."""
+    pairing), final exponentiations (each one hard part), leaf evaluations
+    and unlock kinds."""
     counts = {"terms": 0, "final_exp": 0, "leaf": 0, RootUnlock: 0, GateUnlock: 0,
               ChainUnlock: 0}
     real_product, real_final = alg._miller_product, alg._final_exponentiation
@@ -570,9 +573,9 @@ def _counting_decrypt(monkeypatch, ctbs, sk):
         counts["terms"] += len(terms)
         return real_product(terms)
 
-    def final_exponentiation(f):
+    def final_exponentiation(f, *over):
         counts["final_exp"] += 1
-        return real_final(f)
+        return real_final(f, *over)
 
     def decrypt_leaf(ctb, key, node_id):
         counts["leaf"] += 1
@@ -597,7 +600,7 @@ def bench_policy_blocks(suite):
     msg = rng.randbytes(1000)
     tree, ctbs = _encrypt_all(msg, text, pk, ctx, rng)
     keys = {"spread": scheme.keygen(pk, mk, spread, rng),
-            "full": scheme.keygen(pk, mk, tree.leaf_attributes(), rng)}
+            "full": scheme.keygen(pk, mk, leaf_attributes(tree), rng)}
     return msg, ctbs, keys
 
 
@@ -608,15 +611,16 @@ def test_bench_policy_costs_21_pairings_and_one_leaf(bench_policy_blocks, monkey
     # one leaf (2 pairings) opens the first block to open; every other block
     # costs 2 pairings (chain: unlock element and mask key; gate: link and
     # mask key, its value read from the gate below) and block 1 by the root
-    # costs 1, so 21 on 10 blocks; each quotient of two pairings shares one
-    # final exponentiation, so 11
+    # costs 1, so 21 on 10 blocks.  Each opening takes one final
+    # exponentiation, so 10: the leaf's value stays unreduced until the
+    # opening it serves divides it out before the hard part
     msg, ctbs, keys = bench_policy_blocks
     arrival = ctbs if order == "in-order" else ctbs[::-1]
     out, counts = _counting_decrypt(monkeypatch, arrival, keys[key])
     assert out == msg
     unlocks = ({RootUnlock: 1, GateUnlock: 0, ChainUnlock: 9} if order == "in-order"
                else {RootUnlock: 1, GateUnlock: 8, ChainUnlock: 1})
-    assert counts == {"terms": 21, "final_exp": 11, "leaf": 1, **unlocks}
+    assert counts == {"terms": 21, "final_exp": 10, "leaf": 1, **unlocks}
 
 
 def test_a_block_waits_for_the_block_before_once_block_1_is_open(bench_policy_blocks,
@@ -684,8 +688,9 @@ def test_plan_is_rebuilt_only_after_a_root_or_gate_unlock(bench_policy_blocks, m
 
 def test_secret_key_d_and_d_hat_keep_their_lines(bench_policy_blocks):
     # a decoded key's d and d_hat are fixed bases that stay unvalidated
-    # until their first pairing, and then keep their Miller-loop lines; the
-    # attribute components, each paired at most once a message, keep none
+    # until their first pairing, and then keep their Miller-loop lines,
+    # packed as 160 lines of two 64-byte coefficients; the attribute
+    # components keep none on themselves: the bounded `_kept_lines` does
     msg, ctbs, keys = bench_policy_blocks
     wire.decode_secret_key.cache_clear()     # a freshly decoded key
     sk = wire.decode_secret_key(wire.encode_secret_key(keys["spread"]))
@@ -693,7 +698,7 @@ def test_secret_key_d_and_d_hat_keep_their_lines(bench_policy_blocks):
     assert sk.d._line_table is sk.d_hat._line_table is alg._NOT_BUILT
     assert sk.d._point is sk.d_hat._point is alg._UNCHECKED
     assert _decrypt(ctbs, sk) == msg
-    assert len(sk.d._line_table) == len(sk.d_hat._line_table) == len(alg._ORDER_BITS)
+    assert len(sk.d._line_table) == len(sk.d_hat._line_table) == 160 * 2 * 64
     assert all(c._line_table is None for pair in sk.components.values() for c in pair)
 
 
@@ -703,8 +708,9 @@ def test_bench_policy_validates_26_points(bench_policy_blocks, monkeypatch):
     # d_hat, one leaf's two key and two block components, the 10
     # encapsulations and the 9 chain elements, and decode checks block 1's
     # commitment: 26 square roots.  Only the commitment takes the x-only
-    # subgroup test: d, d_hat and the leaf's block components are Miller
-    # points, whose own loops show membership, and the other 21 are only
+    # subgroup test: d, d_hat and the leaf's two key components are Miller
+    # points, whose walks show membership when their tables are recorded,
+    # and the other 21, the leaf's block components among them, are only
     # evaluated, which needs no more than the curve
     msg, ctbs, keys = bench_policy_blocks
     key_file = wire.encode_secret_key(keys["spread"])
@@ -731,7 +737,8 @@ def test_a_key_file_decoded_again_keeps_its_square_roots_and_tables(bench_policy
                                                                     monkeypatch):
     # the second decode of the same bytes returns the key decoded first, so
     # d, d_hat and the paired leaf's d_j and d_j' keep their square roots
-    # (4 fewer) and d and d_hat their kept tables (none recorded)
+    # (4 fewer) and d and d_hat their kept tables; d_j and d_j' find theirs
+    # in `_kept_lines`, so no table is recorded
     msg, ctbs, keys = bench_policy_blocks
     key_file = wire.encode_secret_key(keys["spread"])
     blobs = [wire.encode_ctb(ctb, "m") for ctb in ctbs]
@@ -751,10 +758,11 @@ def test_a_key_file_decoded_again_keeps_its_square_roots_and_tables(bench_policy
         return sk, len(roots), len(kept)
 
     wire.decode_secret_key.cache_clear()
+    alg._kept_lines.cache_clear()
     first, *first_costs = decrypt()
     second, *second_costs = decrypt()
     assert second is first
-    assert first_costs == [26, 2] and second_costs == [22, 0]
+    assert first_costs == [26, 4] and second_costs == [22, 0]
 
 
 # "(a OR (b AND c))": block 1 holds the root, block 2 leaf a and the gate
@@ -771,11 +779,11 @@ def _plus_small_order(element, order, rng):
 
 @pytest.mark.parametrize("order", [3, 17])
 def test_points_a_pairing_only_evaluates_need_only_lie_on_the_curve(suite, monkeypatch, order):
-    # an encapsulation, a gate link, a chain element and a key's d_j and
-    # d_j' are each only evaluated by the product that reads them, so each
-    # plus a point of small order opens its block to the same plaintext; a
-    # block's leaf component is its pairing's Miller point, and its own loop
-    # refuses the same addition
+    # an encapsulation, a gate link, a chain element and a block's leaf
+    # components are each only evaluated by the product that reads them, so
+    # each plus a point of small order opens its block to the same
+    # plaintext; a key's d_j and d_j' are its leaf pairing's Miller points,
+    # whose table's walk refuses the same addition
     pk, mk, ctx = suite
     rng = random.Random(40 + order)
     msg = rng.randbytes(300)
@@ -804,28 +812,151 @@ def test_points_a_pairing_only_evaluates_need_only_lie_on_the_curve(suite, monke
     element = state.blocks[1].next_element
     assert (decrypt_block(ctbs[1], key_a, ChainUnlock(plus(element)))
             == decrypt_block(ctbs[1], key_a, ChainUnlock(element)))
-    # the key's component pair for the leaf it reads
-    d_j, d_j_prime = key_a.components["a"]
-    assert _decrypt(ctbs, scheme.SecretKey(key_a.d, key_a.d_hat,
-                                           {"a": (plus(d_j), plus(d_j_prime))})) == msg
-    # either of the block's components for that leaf, or either one as the
-    # identity, which a pairing would skip: refused before any node value is
-    # kept, and the block is dropped, so a genuine copy sent again is taken in
+    # either of the block's components for the leaf key {a} reads
     leaf = next(d.node_id for d in ctbs[1].descriptor if d.attribute == "a")
     c_hat, c_hat_prime = ctbs[1].leaf_components[leaf]
+    for components in ((plus(c_hat), c_hat_prime), (c_hat, plus(c_hat_prime))):
+        forged = dataclasses.replace(
+            ctbs[1], leaf_components={**ctbs[1].leaf_components, leaf: components})
+        assert _decrypt([ctbs[0], forged, ctbs[2]], key_a) == msg
+    # either one as the identity, which a pairing would skip: refused before
+    # any node value is kept, and the block is dropped, so a genuine copy
+    # sent again is taken in
     one = G0Element.identity()
-    for components in ((plus(c_hat), c_hat_prime), (c_hat, plus(c_hat_prime)),
-                       (one, c_hat_prime), (c_hat, one)):
+    for components in ((one, c_hat_prime), (c_hat, one)):
         forged = dataclasses.replace(
             ctbs[1], leaf_components={**ctbs[1].leaf_components, leaf: components})
         state = DecryptionState(key_a)
         state.add_block(ctbs[0])
-        with pytest.raises(DecodeError, match="subgroup|is the identity"):
+        with pytest.raises(DecodeError, match="is the identity"):
             state.add_block(forged)
         assert not state.node_values and 2 not in state.blocks
         for ctb in ctbs[1:]:
             state.add_block(ctb)
         assert assemble_message(state, key_a) == msg
+
+
+@pytest.mark.parametrize("name", UNNAMEABLE_ATTRIBUTES)
+def test_keygen_refuses_an_attribute_no_policy_can_name(suite, name):
+    pk, mk, _ = suite
+    with pytest.raises(ValueError, match="no name a policy can use"):
+        scheme.keygen(pk, mk, {"b", name}, random.Random(44))
+
+
+def _reference_opening(ctbs, sk):
+    """Each block's payload as a full final exponentiation per pairing
+    opens it, apart from `DecryptionState`: every leaf value is a reduced
+    `pair_ratio`, every gate value a Lagrange product in the target group,
+    and a block opens by its root value, by the chain element of the block
+    before, or by a gate of its level, whichever it has first."""
+    nodes = {d.node_id: d for ctb in ctbs for d in ctb.descriptor}
+    components = {nid: c for ctb in ctbs for nid, c in ctb.leaf_components.items()}
+    kids = {}
+    for d in nodes.values():
+        kids.setdefault(d.parent_id, []).append(d)
+
+    def value(d):
+        if d.is_leaf:
+            if d.attribute not in sk.components:
+                return None
+            (c_hat, c_hat_prime), (d_j, d_j_prime) = (components[d.node_id],
+                                                      sk.components[d.attribute])
+            return alg.pair_ratio(c_hat, d_j, c_hat_prime, d_j_prime)
+        known = {k.index: v for k in kids.get(d.node_id, []) if (v := value(k)) is not None}
+        return decrypt_interior(known, d.threshold)
+
+    payloads, chain = {}, {}
+    for ctb in sorted(ctbs, key=lambda c: c.index):
+        i = ctb.index
+        if i in chain:
+            mask = alg.pair_ratio(ctb.encap, sk.d, chain[i], sk.d_hat)
+        elif i == 1:
+            root = value(ctb.descriptor[0])
+            mask = root and alg.pair(ctb.encap, sk.d) / root
+        else:
+            gates = [(nid, v) for nid in ctb.gate_links if (v := value(nodes[nid])) is not None]
+            mask = gates and (alg.pair_ratio(ctb.encap, sk.d, ctb.gate_links[gates[0][0]],
+                                             sk.d_hat) / gates[0][1])
+        if not mask:
+            continue
+        plain = alg.xor_bytes(ctb.masked_payload, alg.kdf_mask(mask, len(ctb.masked_payload)))
+        payloads[i] = plain[:ctb.block_len]
+        if not ctb.is_last:
+            chain[i + 1] = G0Element.deserialize(plain[ctb.block_len:])
+    return payloads
+
+
+def test_every_opened_payload_equals_a_reference_opening(suite):
+    # leaf and gate values stay unreduced until the opening that uses them
+    # takes its one hard part; on random policies, keys and arrival orders
+    # every block the receiver opens holds the reference's payload
+    pk, mk, ctx = suite
+    rng = random.Random(45)
+    for _ in range(6):
+        tree, ctbs = _encrypt_all(rng.randbytes(rng.randint(50, 300)),
+                                  random_policy(rng, max_depth=4, max_leaves=10), pk, ctx, rng)
+        for attrs in (satisfying_attrs(tree, rng), unsatisfying_attrs(tree, rng)):
+            sk = scheme.keygen(pk, mk, attrs, rng)
+            reference = _reference_opening(ctbs, sk)
+            arrival = rng.sample(ctbs, len(ctbs))
+            state = DecryptionState(sk)
+            for ctb in arrival:
+                state.add_block(ctb)
+            assert {i: state.blocks[i].payload for i in opened(state)} == reference
+
+
+def test_a_wide_key_keeps_at_most_the_bound_of_component_tables(suite):
+    # a key of 200 attributes pairs each of 64 leaves: 128 component tables
+    # are recorded, and the cache keeps the most recent `_KEPT_TABLES`, so
+    # the memory it holds stays within _KEPT_TABLES x 20 KiB and its keys
+    pk, mk, ctx = suite
+    rng = random.Random(46)
+    attrs = [f"wide:{i:03d}" for i in range(200)]
+    msg = rng.randbytes(100)
+    _, ctbs = _encrypt_all(msg, "(" + " AND ".join(attrs[:64]) + ")", pk, ctx, rng)
+    sk = scheme.keygen(pk, mk, attrs, rng)
+    alg._kept_lines.cache_clear()
+    tracemalloc.start()
+    try:
+        assert _decrypt(ctbs, sk) == msg
+        grown, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    info = alg._kept_lines.cache_info()
+    assert info.misses == 128 and info.currsize == alg._KEPT_TABLES == 96
+    assert grown <= alg._KEPT_TABLES * 20 * 1024 + 128 * 1024
+
+
+@pytest.mark.parametrize("fault", ["off the curve", "outside the subgroup"])
+def test_a_corrupt_key_component_is_blamed_on_the_key_not_a_block(suite, fault):
+    # policy (a AND b) and a key for {a, b} whose a component is corrupt: the
+    # key's components are read before the block's, so the error names the
+    # attribute, and both genuine blocks stay held, neither dropped nor
+    # suspect, since no re-sent block could repair the key
+    pk, mk, ctx = suite
+    rng = random.Random(42)
+    msg = rng.randbytes(200)
+    _, ctbs = _encrypt_all(msg, "(a AND b)", pk, ctx, rng)
+    sk = scheme.keygen(pk, mk, {"a", "b"}, rng)
+    d_j, d_j_prime = sk.components["a"]
+    if fault == "off the curve":
+        q = alg.FIELD_PRIME
+        x = next(x for x in range(1, 100) if pow(x * x * x + x, (q - 1) // 2, q) != 1)
+        bad = G0Element.deserialize(b"\x02" + x.to_bytes(64, "big"))
+        match = "x is not on the curve"
+    else:
+        bad = _plus_small_order(d_j, 3, rng)
+        match = "point not in the prime-order subgroup"
+    key = wire.decode_secret_key(wire.encode_secret_key(
+        scheme.SecretKey(sk.d, sk.d_hat, {"a": (bad, d_j_prime), "b": sk.components["b"]})))
+    state = DecryptionState(key)
+    state.add_block(ctbs[0])
+    with pytest.raises(DecodeError, match=f"key component of attribute 'a': {match}"):
+        state.add_block(ctbs[1])
+    assert sorted(state.blocks) == [1, 2] and opened(state) == [] and not state._suspects
+    for ctb in ctbs:
+        state.add_block(ctb)                 # repeats, ignored
+    assert sorted(state.blocks) == [1, 2] and not state._suspects
 
 
 @pytest.mark.parametrize("text", ["(a AND b)", "(a AND (b OR c))", "(2 of (a, b, c))"])

@@ -11,7 +11,7 @@ from lcws.bench import synthetic_policy
 from lcws.errors import DecodeError
 from lcws.policy import parse_policy
 
-from helpers import affine_mul_naf, naf_msb, opened, random_policy
+from helpers import UNNAMEABLE_ATTRIBUTES, affine_mul_naf, naf_msb, opened, random_policy
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,16 @@ def _corrupt(data, element):
     coordinate then leaves the curve or at best the prime-order subgroup."""
     raw = element.serialize()
     return _replaced(data, raw, raw[:-1] + bytes([raw[-1] ^ 0x01]))
+
+
+def _off_curve(data, element):
+    """`data` with the first flip of the last byte of `element`'s encoding
+    that moves its x off the curve."""
+    raw = element.serialize()
+    q, x = algebra.FIELD_PRIME, int.from_bytes(raw[1:], "big")
+    flip = next(bit for bit in range(1, 256)
+                if pow(((x ^ bit) ** 3 + (x ^ bit)) % q, (q - 1) // 2, q) == q - 1)
+    return _replaced(data, raw, raw[:-1] + bytes([raw[-1] ^ flip]))
 
 
 def test_ctb_rejects_corrupt_element(corpus):
@@ -170,7 +180,10 @@ def test_block_whose_point_fails_is_dropped_so_a_resent_copy_decrypts(three_bloc
 
 
 def _key_file_cases(suite, three_blocks):
-    """(encoded file, element to corrupt, decode, first use) per decoded point kind."""
+    """(encoded file, the file corrupt, decode, first use) per decoded point
+    kind.  A point is corrupt as `_corrupt` makes it, but the verification
+    tuple's v1 off the curve: it is only evaluated, so outside the
+    prime-order subgroup it pairs as its order-ORDER part."""
     pk, mk, _ = suite
     msg, ctbs, sk = three_blocks
     v = scheme.make_challenge(scheme.data_verification(msg, mk), mk, random.Random(94))
@@ -179,20 +192,21 @@ def _key_file_cases(suite, three_blocks):
     # the public key's g and h, and the secret key's d and d_hat, become
     # fixed bases, which leaves them unvalidated until their first use
     return [
-        (pk_file, pk.g, wire.decode_public_key, lambda bad: bad.g ** 2),
-        (pk_file, pk.h, wire.decode_public_key, lambda bad: bad.h ** 2),
-        (mk_file, mk.g_alpha, wire.decode_master_key,
+        (pk_file, _corrupt(pk_file, pk.g), wire.decode_public_key, lambda bad: bad.g ** 2),
+        (pk_file, _corrupt(pk_file, pk.h), wire.decode_public_key, lambda bad: bad.h ** 2),
+        (mk_file, _corrupt(mk_file, mk.g_alpha), wire.decode_master_key,
          lambda bad: scheme.keygen(pk, bad, {"a"}, random.Random(95))),
-        *((sk_file, element, wire.decode_secret_key, lambda bad: _decrypt(ctbs, bad))
-          for element in (sk.d, sk.d_hat, *sk.components["a"])),
-        *((v_file, element, wire.decode_verification_tuple,
-           lambda bad: scheme.verify_message(msg, bad)) for element in (v.v1, v.v2)),
+        *((sk_file, _corrupt(sk_file, element), wire.decode_secret_key,
+           lambda bad: _decrypt(ctbs, bad)) for element in (sk.d, sk.d_hat, *sk.components["a"])),
+        *((v_file, corrupt, wire.decode_verification_tuple,
+           lambda bad: scheme.verify_message(msg, bad))
+          for corrupt in (_off_curve(v_file, v.v1), _corrupt(v_file, v.v2))),
     ]
 
 
 def test_corrupt_key_file_point_fails_on_first_use(suite, three_blocks):
-    for data, element, decode, use in _key_file_cases(suite, three_blocks):
-        decoded = decode(_corrupt(data, element))
+    for _, corrupt, decode, use in _key_file_cases(suite, three_blocks):
+        decoded = decode(corrupt)
         with pytest.raises(DecodeError, match="curve|subgroup"):
             use(decoded)
 
@@ -292,9 +306,9 @@ def test_no_unvalidated_point_reaches_curve_or_pairing_internals(suite, three_bl
     blobs[1] = _corrupt(blobs[1], _leaf_components(ctbs[1], "a")[0])
     with pytest.raises(DecodeError):
         _decrypt([wire.decode_ctb(blob)[0] for blob in blobs], sk)
-    for data, element, decode, use in _key_file_cases(suite, three_blocks):
+    for data, corrupt, decode, use in _key_file_cases(suite, three_blocks):
         with pytest.raises(DecodeError):
-            use(decode(_corrupt(data, element)))
+            use(decode(corrupt))
         use(decode(data))
     assert _decrypt([wire.decode_ctb(wire.encode_ctb(ctb, "m"))[0] for ctb in ctbs], sk) == msg
     monkeypatch.undo()                      # the oracle below adds points too
@@ -321,6 +335,23 @@ def test_ctb_rejects_non_text_fields(corpus):
     data = wire.encode_ctb(dataclasses.replace(ctb, descriptor=tuple(descriptor)), "m")
     with pytest.raises(DecodeError):
         wire.decode_ctb(_replaced(data, b"attribute:text", b"\xffttribute:text"))
+
+
+@pytest.mark.parametrize("name", UNNAMEABLE_ATTRIBUTES)
+def test_decode_refuses_an_attribute_no_policy_can_name(corpus, name):
+    # no owner writes a leaf, and no authority a key component, under such a
+    # name, so a block or a key file holding one is refused as malformed
+    ctb = next(c for c in corpus if any(d.is_leaf for d in c.descriptor))
+    leaf = next(i for i, d in enumerate(ctb.descriptor) if d.is_leaf)
+    descriptor = list(ctb.descriptor)
+    descriptor[leaf] = dataclasses.replace(descriptor[leaf], attribute=name)
+    data = wire.encode_ctb(dataclasses.replace(ctb, descriptor=tuple(descriptor)), "m")
+    with pytest.raises(DecodeError, match="no name a policy can use"):
+        wire.decode_ctb(data)
+    g = algebra.generator()
+    key_file = wire.encode_secret_key(scheme.SecretKey(g, g, {"b": (g, g), name: (g, g)}))
+    with pytest.raises(DecodeError, match="no name a policy can use"):
+        wire.decode_secret_key(key_file)
 
 
 def test_ctb_rejects_index_outside_block_range(corpus):

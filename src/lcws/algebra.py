@@ -8,20 +8,18 @@ E(F_q^2), which makes the exposed map symmetric: pair(u, v) == pair(v, u)
 for all source-group elements.  Scalars live in Z mod `ORDER`.
 
 Everything here is a pure function of its inputs; elements are immutable
-and hashable (one made by `fixed_base()` also keeps the exponentiation
-table and the normalised Miller-loop lines it builds on first use, and a
-decoded source-group element keeps its coordinates once its first use
-has checked them).  A source-group power walks the comb table its base
-holds: a fixed base's own wide one, or the shared narrow one `hash_to_g0`
-hands an attribute hash; a base with none takes the x-only ladder.  A
-pairing takes its Miller point's lines the same way: a fixed base reads
-its kept table, a recurring Miller point (`unreduced_pair_ratio`'s, a
-receiver's key components) reads the one `_kept_lines` holds for it, and
-any other Miller point is walked in the loop that evaluates it, which
-keeps nothing.  Every kept table is packed the same way, as one `bytes`
-object of 160 lines, 20 KiB, and `_kept_lines` holds at most
-`_KEPT_TABLES` of them, so their memory is bounded however many keys a
-process reads.
+and hashable (a decoded source-group element keeps its coordinates once
+its first use has checked them, and a target-group fixed base its comb
+table).  A source-group element carries only its point and a mark of the
+comb it recurs with: none, the attribute comb that `hash_to_g0` marks an
+attribute hash with, or the wide one of `fixed_base()`.  Every table of
+a source-group point lives in one of two bounded caches keyed by the
+point: a marked element's power walks its comb from `_comb_table`, and a
+pairing with a marked Miller point reads its packed lines, 20 KiB, from
+`_kept_lines`.  An unmarked base takes the x-only ladder, and an
+unmarked Miller point is walked in the loop that evaluates it; neither
+keeps anything.  So the memory of source-group tables is bounded however
+many keys a process reads.
 
 A decoded point is checked as far as its use needs.  Arithmetic (a
 product, power, inverse or comb build) needs a point of the prime-order
@@ -284,12 +282,13 @@ def _ladder(p, k: int) -> Optional[Tuple[int, int]]:
 # below 2^160 is cut into `teeth` rows of 160 / teeth bits, and entry b of
 # the base's table is the sum of the row bases [2^(span*j)]P over the bits j
 # set in b, so one exponentiation costs span - 1 doublings and at most span
-# additions.  The generator and the public key's g and h each keep a wide
-# 8 x 20 table (255 points, about 61 KB) from their first exponentiation
-# on; `hash_to_g0` hands each attribute hash, which recurs across keys and
-# blocks, its point's 4 x 40 table (15 points) in the `_comb_table` LRU,
-# whose build costs about one ladder power.  The same comb serves the target
-# group: the public key's egg_alpha keeps an 8 x 20 table of row products.
+# additions.  A marked element's table is built on its first power and
+# kept in `_comb_table`, an LRU of 512 tables keyed by point and width: a
+# fixed base's (the generator, the public key's g and h) is the wide 8 x 20
+# one (255 points, about 61 KB), and an attribute hash's, which recurs
+# across keys and blocks, the 4 x 40 one (15 points), whose build costs
+# about one ladder power.  The same comb serves the target group: the
+# public key's egg_alpha keeps an 8 x 20 table of row products.
 
 _COMB_BITS = ORDER.bit_length()          # 160
 _COMB_TEETH = 4
@@ -352,8 +351,8 @@ def _build_comb(point, teeth: int) -> tuple:
 
 
 @lru_cache(maxsize=512)
-def _comb_table(point):
-    return _build_comb(point, _COMB_TEETH)
+def _comb_table(point, teeth: int) -> tuple:
+    return _build_comb(point, teeth)
 
 
 def _comb_columns(k: int, teeth: int) -> list:
@@ -446,9 +445,9 @@ def _unitary_pow(u, k: int, n: int = 1):
 # exponentiation (Barreto, Kim, Lynn and Scott, CRYPTO 2002), so the lines
 # need no inversion, the vertical ones are left out, and each term is
 # scaled once by 1/ny, ny = -y: at x' = x_bar/ny and n' = 1/ny a line is
-# (a*x' + b*n') + c*i.  A Miller point used once is walked in the loop
-# that evaluates it and keeps nothing.  A kept Miller point records the
-# lines of its first walk as (A, B) = (a/c, b/c), normalised with one
+# (a*x' + b*n') + c*i.  An unmarked Miller point is walked in the loop
+# that evaluates it and keeps nothing.  A marked one records the lines of
+# its first walk as (A, B) = (a/c, b/c), normalised with one
 # batched inversion, so each later pairing with it costs L = A*x' + B*n'
 # and the sparse product f * (L + i) per line (Costello and Stebila, "Fixed
 # argument pairings", LATINCRYPT 2010; Scott, "Implementing cryptographic
@@ -538,18 +537,21 @@ def _coefficients(table: bytes) -> list:
     return [int.from_bytes(table[i:i + _FQ_BYTES], "big") for i in range(0, len(table), _FQ_BYTES)]
 
 
-# The kept tables of recurring Miller points that are not fixed bases: a
-# receiver's key components, each paired by the leaves of its attribute in
-# message after message.  A table is recorded on the point's first pairing,
-# by the walk that also shows the point's order, and the least recently
-# used one goes when a new one comes, so the memory stays at most
-# _KEPT_TABLES x 20 KiB, 1.9 MiB, however many keys a process reads.
-# Recording costs about 1 ms more than a walk in the loop, and each later
-# pairing from the table saves about 2.5 ms.  Replaying the component
-# pairings of 60 `many-policies` messages (seeds 1, 4 and 11: 394, 374 and
-# 382 pairings of 128, 124 and 122 distinct components), an LRU of 72
-# tables hit 156, 184 and 162 times, and one of 96 hit 216, 236 and 222.
-_KEPT_TABLES = 96
+# The kept tables of every marked Miller point: the generator, the
+# verifier's G', and a receiver's d, d_hat and key components, each
+# component paired by the leaves of its attribute in message after message.
+# A table is recorded on the point's first pairing, by the walk that also
+# shows the point's order, and the least recently used one goes when a new
+# one comes, so the memory stays at most _KEPT_TABLES x 20 KiB, 2.1 MiB,
+# however many keys a process reads.  Recording costs about 1 ms more than
+# a walk in the loop, and each later pairing from the table saves about
+# 2.5 ms.  Replaying the receiver's pairings of 60 `many-policies` messages
+# (seeds 1, 4 and 11: 394, 374 and 382 component pairings of 128, 124 and
+# 122 distinct components), 96 tables of components alone hit 216, 236 and
+# 222 times; the LRU also holds 9 other tables there, the d and d_hat of 4
+# keys and G', so it is 9 larger, which keeps those hits (96 shared: 192,
+# 230 and 200).
+_KEPT_TABLES = 105
 
 
 @lru_cache(maxsize=_KEPT_TABLES)
@@ -615,9 +617,9 @@ def _final_exponentiation(f, over=_FQ2_ONE):
 # public element types
 # ---------------------------------------------------------------------------
 
-# The `_table` of an element made by `fixed_base()`, which alone sets it,
-# before its first exponentiation, and its `_line_table` before its first
-# Miller loop.  Two threads may both build a table; either copy is kept.
+# The `_table` of a target-group element made by `fixed_base()`, which
+# alone sets it, before its first exponentiation.  Two threads may both
+# build the table; either copy is kept.
 _NOT_BUILT = object()
 
 # The `_point` of a decoded element whose first use has not yet validated it.
@@ -654,16 +656,19 @@ class G0Element:
     subgroup test); a pairing needs only a curve point with x != 0 (square
     root) where it evaluates the element, and where the element is the
     Miller point its loop shows membership and marks it validated.
-    Encoding, equality, hashing and `is_identity` need no check."""
+    Encoding, equality, hashing and `is_identity` need no check.
 
-    __slots__ = ("_point", "_curve", "_raw", "_table", "_line_table")
+    `_teeth` marks the comb the element recurs with, 0 for none: a marked
+    element's powers and pairings read the tables the module's caches keep
+    for its point, an unmarked one keeps none (module docstring)."""
 
-    def __init__(self, point: Optional[Tuple[int, int]]):
+    __slots__ = ("_point", "_curve", "_raw", "_teeth")
+
+    def __init__(self, point: Optional[Tuple[int, int]], teeth: int = 0):
         self._point = point
         self._curve = None
         self._raw = None
-        self._table = None
-        self._line_table = None
+        self._teeth = teeth
 
     @property
     def _p(self) -> Optional[Tuple[int, int]]:
@@ -694,15 +699,14 @@ class G0Element:
         self._p
 
     def fixed_base(self) -> "G0Element":
-        """An equal element, for bases that recur throughout: it builds its
-        own wide 8 x 20 comb table on its first exponentiation and the lines
-        of its Miller loop on its first pairing, and keeps both.  A decoded
-        element stays unvalidated until its first use."""
-        if self._line_table is not None:
+        """An equal element, for bases that recur throughout: its powers walk
+        the wide 8 x 20 comb of its point, and it is the Miller point of its
+        pairings, which read the lines kept for its point.  A decoded element
+        stays unvalidated until its first use."""
+        if self._teeth == _WIDE_TEETH:
             return self
-        out = G0Element(self._point)
+        out = G0Element(self._point, _WIDE_TEETH)
         out._curve, out._raw = self._curve, self._raw
-        out._table = out._line_table = _NOT_BUILT
         return out
 
     def __mul__(self, other: "G0Element") -> "G0Element":
@@ -716,11 +720,9 @@ class G0Element:
         e = _exponent(k)
         if p is None or e == 0:
             return G0Element(None)
-        table = self._table
-        if table is None:
+        if not self._teeth:
             return G0Element(_ladder(p, e))
-        if table is _NOT_BUILT:
-            table = self._table = _build_comb(p, _WIDE_TEETH)
+        table = _comb_table(p, self._teeth)
         return G0Element(_jac_to_affine(_comb_pow(table, e, _jac_double, _jac_add_affine, None)))
 
     def is_identity(self) -> bool:
@@ -867,36 +869,30 @@ class Unreduced:
         return self if e == 1 else Unreduced(_unitary_pow(self._v, e))
 
 
-def _miller_value(pairs, recurring: bool = False):
+def _miller_value(pairs):
     """The product of f_{ORDER, p} at the distorted image of q over (u, v,
     inverted) triples, or of its conjugate where `inverted`, before the
     final exponentiation; a pair with the identity is left out.  The
-    pairing is symmetric, so either side can be the Miller point p.  With
-    `recurring`, u is, and reads its table from `_kept_lines`.  Otherwise a
-    fixed base on either side is, and records its lines on its first
-    pairing and keeps them, and any other Miller point is walked in the
-    product's own loop.  Both points are read as curve points; the Miller
-    point's walk then refuses it outside the prime-order subgroup and marks
-    it validated otherwise, and the other point, only evaluated, needs no
-    more (module docstring)."""
+    pairing is symmetric, so either side can be the Miller point p: u,
+    unless only v is marked.  A marked Miller point reads its table from
+    `_kept_lines`, recorded there by its point's first pairing, and an
+    unmarked one is walked in the product's own loop.  Both points are read
+    as curve points; the Miller point's walk then refuses it outside the
+    prime-order subgroup and marks it validated otherwise, and the other
+    point, only evaluated, needs no more (module docstring)."""
     terms, walked = [], []
     for u, v, inverted in pairs:
         p, q = u._on_curve, v._on_curve      # both read, even beside the identity
         if p is None or q is None:
             continue
-        if recurring:
+        if not u._teeth and v._teeth:
+            u, p, q = v, q, p
+        if u._teeth:
             lines = _kept_lines(p)
             u._point = p
         else:
-            if u._line_table is None and v._line_table is not None:
-                u, p, q = v, q, p
-            lines = u._line_table
-            if lines is None:
-                lines = _walk(p)
-                walked.append((u, p))
-            elif lines is _NOT_BUILT:
-                lines = u._line_table = _lines(p)
-                u._point = p
+            lines = _walk(p)
+            walked.append((u, p))
         terms.append((lines, q, inverted))
     if not terms:
         return _FQ2_ONE
@@ -925,19 +921,15 @@ def pair_ratio(a: G0Element, b: G0Element, c: G0Element, d: G0Element,
 
 
 def unreduced_pair_ratio(a: G0Element, b: G0Element, c: G0Element, d: G0Element) -> Unreduced:
-    """pair(a, b) / pair(c, d) before the hard part, for Miller points a
-    and c that recur across calls: each reads its packed table from
-    `_kept_lines`, recorded there by its first pairing, so each must be the
-    identity or a prime-order subgroup point (`DecodeError` otherwise).  b
-    and d are only evaluated."""
-    return Unreduced(_easy_part(_miller_value(((a, b, False), (c, d, True)), recurring=True)))
+    """pair(a, b) / pair(c, d) before the hard part."""
+    return Unreduced(_easy_part(_miller_value(((a, b, False), (c, d, True)))))
 
 
 def keep_lines(u: G0Element) -> None:
-    """Read u as `unreduced_pair_ratio` reads a Miller point, so that a
-    fault in u shows apart from the points it is paired with: its table is
-    found in `_kept_lines` or recorded there now, and `DecodeError` is
-    raised unless u is the identity or a prime-order subgroup point."""
+    """Read u as a pairing reads a marked Miller point, so that a fault in
+    u shows apart from the points it is paired with: its table is found in
+    `_kept_lines` or recorded there now, and `DecodeError` is raised unless
+    u is the identity or a prime-order subgroup point."""
     p = u._on_curve
     if p is not None:
         _kept_lines(p)
@@ -999,9 +991,9 @@ def _hash_to_curve(domain_tag: bytes, msg: bytes) -> Tuple[int, int]:
 
 
 # Attribute hashes recur across keys and blocks, so their points are cached
-# and each hash holds its point's `_comb_table` entry.  Message hashes are
-# not cached: an entry keyed by a whole plaintext would pin up to 4096
-# recent messages in memory.
+# and each hash is marked with the attribute comb.  Message hashes are not
+# cached: an entry keyed by a whole plaintext would pin up to 4096 recent
+# messages in memory.
 _hash_to_point = lru_cache(maxsize=4096)(_hash_to_curve)
 
 
@@ -1010,9 +1002,7 @@ def hash_to_g0(domain_tag: bytes, msg: bytes) -> G0Element:
     domain_tag = bytes(domain_tag)
     if domain_tag == TAG_MESSAGE:
         return G0Element(_hash_to_curve(domain_tag, bytes(msg)))
-    out = G0Element(_hash_to_point(domain_tag, bytes(msg)))
-    out._table = _comb_table(out._point)
-    return out
+    return G0Element(_hash_to_point(domain_tag, bytes(msg)), _COMB_TEETH)
 
 
 def kdf_mask(k_gt: GTElement, out_len: int) -> bytes:
@@ -1042,8 +1032,8 @@ def generator() -> G0Element:
 # R has [h]R = O, a chance of 1/ORDER (about 2^-160): `hash_to_g0` moves on
 # to the next counter there, while this check pairs with that R.  R lies
 # outside the prime-order subgroup, so as the Miller point its loop would
-# refuse it; it keeps no lines, so `_miller_value` never swaps it there.
-# G' is a fixed base never raised: it keeps its lines, never a comb table.
+# refuse it; it is unmarked, so `_miller_value` never swaps it there.
+# G' is a fixed base never raised: it has kept lines, never a comb table.
 _G_PRIME = G0Element(_ladder(_GENERATOR._p, pow(COFACTOR, -1, ORDER))).fixed_base()
 
 

@@ -205,7 +205,7 @@ def measure_primitives(rng: random.Random) -> Dict[str, Tuple[float, float, floa
         return g ** algebra.random_nonzero_scalar(rng)
 
     d, d_hat = (subgroup_point().fixed_base() for _ in range(2))
-    algebra.pair_ratio(g, d, g, d_hat)                   # records both tables
+    algebra.pair_ratio(d, g, d_hat, g)                   # records both tables
 
     def verification_case():
         message = rng.randbytes(_VERIFY_MESSAGE_BYTES)

@@ -18,6 +18,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optiona
                     Tuple, Union)
 
 import secrets
+from types import MappingProxyType
 
 from .algebra import (
     G0_BYTES,
@@ -60,8 +61,9 @@ class PublicKey:
     egg_alpha: GTElement         # pair(g, g)^alpha
 
     def __post_init__(self):
-        # every block encryption exponentiates these three bases, so each
-        # keeps its own wide comb table, built on its first exponentiation
+        # every block encryption exponentiates these three bases, so each is
+        # a fixed base: g's and h's wide combs are kept in `algebra`'s comb
+        # cache, and egg_alpha keeps its own, built on its first power
         for name in ("g", "h", "egg_alpha"):
             object.__setattr__(self, name, getattr(self, name).fixed_base())
 
@@ -90,12 +92,15 @@ class SecretKey:
     components: Mapping[str, Tuple[G0Element, G0Element]]   # keys: the attribute set
 
     def __post_init__(self):
-        # every block's mask key pairs d, and every block after the first
-        # d_hat, so each keeps the lines of its Miller loop from its first
-        # pairing on; a component's lines are kept, within a bound, by the
-        # leaf pairing that reads them (`decrypt_leaf`)
+        # every block's mask key pairs d, every later block's d_hat and every
+        # leaf its attribute's two components, so each is a fixed base, whose
+        # lines `algebra` keeps; one key may serve many callers
+        # (`wire.decode_secret_key`), so its components are read-only
         for name in ("d", "d_hat"):
             object.__setattr__(self, name, getattr(self, name).fixed_base())
+        object.__setattr__(self, "components", MappingProxyType({
+            attr: (d_j.fixed_base(), d_j_prime.fixed_base())
+            for attr, (d_j, d_j_prime) in self.components.items()}))
 
 
 @dataclass(frozen=True)
@@ -369,9 +374,9 @@ def encrypt_message(message: bytes, tree: AccessTree, pk: PublicKey,
 def decrypt_leaf(ctb: CiphertextBlock, sk: SecretKey, node_id: int) -> Optional[Unreduced]:
     """Blinded share value for one leaf, before the hard part of its final
     exponentiation, or None when the key lacks the leaf's attribute.  The
-    key's components are the Miller points, whose tables recur across
-    messages (`algebra.unreduced_pair_ratio`), so a component outside the
-    prime-order subgroup raises `DecodeError` here.  The block's, only
+    key's components are the Miller points, fixed bases whose tables recur
+    across messages (`SecretKey`), so a component outside the prime-order
+    subgroup raises `DecodeError` here.  The block's, only
     evaluated, need only lie on the curve; either as the identity, which a
     pairing would skip, raises `DecodeError` too.  An error names the leaf,
     not the block: `add_block` passes open blocks too, which keep no index."""
@@ -493,6 +498,7 @@ class DecryptionState:
         self.node_values: Dict[int, Unreduced] = {}
         self.blocks: Dict[int, Union[CiphertextBlock, _OpenedBlock]] = {}
         self._suspects: Set[int] = set()
+        self.key_fault: Optional[DecodeError] = None
 
     def add_block(self, ctb: CiphertextBlock) -> None:
         """Ingest one block and open every block now reachable.  A repeat is
@@ -580,8 +586,8 @@ class DecryptionState:
     def _value(self, plan: Dict[int, tuple], node_id: int) -> Unreduced:
         """Evaluate a planned node, children first, pairing only unknown
         leaves.  A leaf's key components are read first, so a fault in them
-        is a `DecodeError` naming the attribute, and no held block is
-        dropped or made suspect for it."""
+        is a `DecodeError` naming the attribute, kept as `key_fault`, and no
+        held block is dropped or made suspect for it."""
         order, todo = [], [node_id]
         while todo:
             nid = todo.pop()
@@ -595,8 +601,9 @@ class DecryptionState:
                     for component in self.sk.components[d.attribute]:
                         keep_lines(component)
                 except DecodeError as exc:
-                    raise DecodeError(f"key component of attribute {d.attribute!r}: {exc}"
-                                      ) from None
+                    fault = f"key component of attribute {d.attribute!r}: {exc}"
+                    self.key_fault = DecodeError(fault)
+                    raise self.key_fault from None
                 try:
                     self.node_values[nid] = decrypt_leaf(self.blocks[j], self.sk, nid)
                 except DecodeError as exc:
@@ -619,14 +626,15 @@ def assemble_message(state: DecryptionState, sk: SecretKey) -> bytes:
     """Rebuild the plaintext after all blocks arrived.
 
     `add_block` has already opened every block the key reaches, so any
-    block still closed means the policy is not satisfied; that is always
-    block 1, since the chain from block 1 opens every later block.  `sk`
-    is the key the state was built with; the state already holds it."""
+    block still closed means the policy is not satisfied, or a key component
+    is corrupt (its `DecodeError`); that is always block 1, since the chain
+    from block 1 opens every later block.  `sk` is the key the state was
+    built with; the state already holds it."""
     if len(state.blocks) != state.block_count:
         raise ValueError("not all ciphertext blocks have been received")
     closed = [i for i, b in state.blocks.items() if not isinstance(b, _OpenedBlock)]
     if closed:
-        raise PolicyNotSatisfiedError(
+        raise state.key_fault or PolicyNotSatisfiedError(
             f"attributes do not satisfy the access policy: block {min(closed)} stays closed")
     payloads = [state.blocks[i].payload for i in range(1, state.block_count + 1)]
     return unchain_blocks(payloads, state.total_len)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache, partial
-from types import MappingProxyType
 from typing import Tuple
 
 from .algebra import G0_BYTES, GT_BYTES, SCALAR_BYTES, SUITE_ID, G0Element, GTElement, Scalar
@@ -291,10 +290,9 @@ _KEY_MEMO = 16
 @lru_cache(maxsize=_KEY_MEMO)
 def decode_secret_key(data: bytes) -> SecretKey:
     """The key in a key file, memoised on the file's bytes: decoding the
-    same bytes again returns the same key, whose points keep their checks
-    and whose d and d_hat keep their line tables, so a receiver pays for
-    them once per key file, not once per message.  A point that fails its
-    check keeps nothing and fails again on every use.  The attributes keep
+    same bytes again returns the same key, whose points keep their checks,
+    so a receiver pays for them once per key file, not once per message.
+    A point that fails its check keeps nothing and fails again on every use.  The attributes keep
     the rule `keygen` applies (`policy.check_attributes`): a key no policy
     can name is refused here, as a block naming such a leaf is."""
     r = _Reader(_key_unframe(data, _KIND_SK))
@@ -309,5 +307,4 @@ def decode_secret_key(data: bytes) -> SecretKey:
         check_attributes(components)
     except ValueError as exc:
         raise DecodeError(str(exc)) from None
-    # one key object serves every caller that decodes these bytes
-    return SecretKey(d=d, d_hat=d_hat, components=MappingProxyType(components))
+    return SecretKey(d=d, d_hat=d_hat, components=components)

@@ -432,9 +432,13 @@ def test_unreduced_values_take_their_hard_part_once():
     assert alg.pair(e, f, over=u) == ef / ab_cd
     assert alg.pair_ratio(a, b, c, d, over=u).is_identity()
     assert alg.pair(one, f, over=w) == ef.inverse()
-    # a and c are the Miller points, whose tables the bounded cache keeps
+    # plain Miller points are walked and keep nothing; fixed bases a and c,
+    # as a key's components are, are the Miller points on either side, and
+    # the bounded cache keeps their tables
     alg._kept_lines.cache_clear()
     alg.unreduced_pair_ratio(a, f, c, f)
+    assert alg._kept_lines.cache_info().currsize == 0
+    alg.unreduced_pair_ratio(f, a.fixed_base(), c.fixed_base(), f)
     assert alg._kept_lines.cache_info().currsize == 2
     alg.keep_lines(a)
     assert alg._kept_lines.cache_info().hits == 1
@@ -460,7 +464,8 @@ def test_unitary_pow_over_a_denominator():
 def test_lines_recorded_once_per_fixed_base_and_never_kept_on_a_plain_one(monkeypatch):
     # a plain Miller point is walked once per pairing, in the loop that
     # evaluates it, and keeps nothing; a fixed base's walk is recorded as
-    # its kept table on its first pairing only
+    # its point's kept table on its first pairing only
+    alg._kept_lines.cache_clear()
     walked, kept = [], []
     real_walk, real_lines = alg._walk, alg._lines
     monkeypatch.setattr(alg, "_walk", lambda p: walked.append(p) or real_walk(p))
@@ -473,9 +478,8 @@ def test_lines_recorded_once_per_fixed_base_and_never_kept_on_a_plain_one(monkey
         assert alg.pair(plain, other) == expected
         assert alg.pair_ratio(other, plain, plain, other).is_identity()
     assert len(walked) == 9 and not kept
-    assert plain._line_table is other._line_table is None
     fixed = plain.fixed_base()
-    assert fixed._line_table is alg._NOT_BUILT
+    assert alg._kept_lines.cache_info().currsize == 0
     walked.clear()
     for _ in range(3):
         assert alg.pair(other, fixed) == expected
@@ -483,13 +487,17 @@ def test_lines_recorded_once_per_fixed_base_and_never_kept_on_a_plain_one(monkey
     assert walked == kept == [fixed._p]
     # kept lines are normalised to (a/c, b/c) and packed: 160 lines, 20 KiB
     q = alg.FIELD_PRIME
-    assert len(fixed._line_table) == 160 * 2 * 64
-    assert alg._coefficients(fixed._line_table) == [
+    table = alg._kept_lines(fixed._p)
+    assert len(table) == 160 * 2 * 64 and alg._kept_lines.cache_info().currsize == 1
+    assert alg._coefficients(table) == [
         v for row in real_walk(fixed._p) for line in row if line
         for v in (line[0] * pow(line[2], -1, q) % q, line[1] * pow(line[2], -1, q) % q)]
-    assert plain._line_table is None
-    # the generator is one fixed base, so its lines are shared process-wide
-    assert len(G._line_table) == 160 * 2 * 64
+    # the table is its point's: the plain element on that point, once a fixed
+    # base, and the generator find theirs kept by their first pairing
+    assert alg.pair(other, plain.fixed_base()) == expected
+    alg.pair(other, G)
+    alg.pair(G, other)
+    assert kept == [fixed._p, G._p]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +578,7 @@ def test_one_use_power_equals_the_comb_power_and_builds_no_table(monkeypatch):
     for base, powers in zip(bases, expected):
         one_use = [base ** k for k in _exponents(67)]
         assert [p.serialize() for p in one_use] == [p.serialize() for p in powers]
-    assert all(base._table is None for base in bases)
+    assert not any(base._teeth for base in bases)
     assert G0Element.identity() ** 5 == G0Element.identity()
     corrupt = bytearray(G.serialize())
     corrupt[-1] ^= 1
@@ -581,9 +589,12 @@ def test_one_use_power_equals_the_comb_power_and_builds_no_table(monkeypatch):
 def test_verifier_base_is_the_generator_over_the_cofactor():
     g_prime = alg._G_PRIME
     assert G0Element(g_prime._p) ** alg.COFACTOR == G
-    # a fixed base that is never raised: its comb table is never built
-    assert g_prime.fixed_base() is g_prime
-    assert g_prime._table is alg._NOT_BUILT
+    # a fixed base that is never raised: a check builds no comb table
+    assert g_prime.fixed_base() is g_prime and g_prime._teeth == alg._WIDE_TEETH
+    v1, v2 = G ** 3, G ** 5
+    alg._comb_table.cache_clear()
+    alg.check_message_pairing(b"a message", v1, v2)
+    assert alg._comb_table.cache_info().currsize == 0
 
 
 def test_unitary_pow_matches_the_naf_oracle():
@@ -647,7 +658,8 @@ def test_wide_g0_comb_matches_generic_path(suite):
         for k in _exponents(41):
             assert base ** k == generic ** k
             assert (base ** k)._p == _oracle_pow(base._p, k)
-    assert len(pk.g._table) == len(pk.h._table) == 256
+    assert pk.g._teeth == pk.h._teeth == alg._WIDE_TEETH
+    assert len(alg._comb_table(pk.g._p, 8)) == len(alg._comb_table(pk.h._p, 8)) == 256
 
 
 def test_wide_gt_comb_matches_generic_path(suite):
@@ -661,18 +673,20 @@ def test_wide_gt_comb_matches_generic_path(suite):
 
 
 def test_cold_narrow_comb_matches_oracle():
-    # hashing a new attribute takes one miss of the shared LRU, and its
-    # powers walk the table it holds without a further lookup; a plain
-    # element on the same point takes the ladder and leaves the LRU alone
+    # hashing a new attribute builds nothing; its first power takes one miss
+    # of the shared LRU and each later one a hit; a plain element on the
+    # same point takes the ladder and leaves the LRU alone
     rng = random.Random(43)
+    powers = sum(1 for k in _exponents(44) if alg._exponent(k))
     for _ in range(3):
-        misses = alg._comb_table.cache_info().misses
+        before = alg._comb_table.cache_info()
         attribute = alg.hash_to_g0(alg.TAG_ATTRIBUTE, b"cold comb %d" % rng.getrandbits(64))
-        assert alg._comb_table.cache_info().misses == misses + 1
+        assert alg._comb_table.cache_info() == before
         point = attribute._p
-        info = alg._comb_table.cache_info()
         for k in _exponents(44):
             assert (attribute ** k)._p == _oracle_pow(point, k)
+        info = alg._comb_table.cache_info()
+        assert info.misses == before.misses + 1 and info.hits == before.hits + powers - 1
         plain = G0Element(point)
         for k in _exponents(44):
             assert (plain ** k)._p == _oracle_pow(point, k)
@@ -691,16 +705,17 @@ def test_fixed_base_is_equal_and_idempotent():
     plain = G ** 3
     wide = plain.fixed_base()
     assert wide == plain and hash(wide) == hash(plain) and wide.fixed_base() is wide
-    assert plain._table is None
+    assert not plain._teeth and wide._teeth == alg._WIDE_TEETH
     # the generator is one fixed base, so setup's g and every challenge's
     # generator() ** t share its table
-    assert alg.generator() is G and G.fixed_base() is G and G._table is not None
-    # an attribute hash shares the narrow LRU tables; its fixed base is a
-    # new element with a wide table of its own
+    assert alg.generator() is G and G.fixed_base() is G and G._teeth == alg._WIDE_TEETH
+    # an attribute hash is marked with the narrow comb; its fixed base is a
+    # new element marked with the wide one, a table of its own in the LRU
     attribute = alg.hash_to_g0(alg.TAG_ATTRIBUTE, b"fixed base of an attribute")
     wide = attribute.fixed_base()
     assert wide is not attribute and wide == attribute and wide.fixed_base() is wide
-    assert wide ** 5 == attribute ** 5 and len(wide._table) == 256
+    assert attribute._teeth == alg._COMB_TEETH and wide._teeth == alg._WIDE_TEETH
+    assert wide ** 5 == attribute ** 5 and len(alg._comb_table(wide._p, wide._teeth)) == 256
     egg = E_GG.fixed_base()
     assert egg == E_GG and egg.fixed_base() is egg
     assert G0Element.identity().fixed_base() ** 5 == G0Element.identity()

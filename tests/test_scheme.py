@@ -687,19 +687,22 @@ def test_plan_is_rebuilt_only_after_a_root_or_gate_unlock(bench_policy_blocks, m
 
 
 def test_secret_key_d_and_d_hat_keep_their_lines(bench_policy_blocks):
-    # a decoded key's d and d_hat are fixed bases that stay unvalidated
-    # until their first pairing, and then keep their Miller-loop lines,
-    # packed as 160 lines of two 64-byte coefficients; the attribute
-    # components keep none on themselves: the bounded `_kept_lines` does
+    # a decoded key's d, d_hat and attribute components are fixed bases that
+    # stay unvalidated until their first pairing; then the bounded
+    # `_kept_lines` keeps their Miller-loop lines, packed as 160 lines of
+    # two 64-byte coefficients: d's, d_hat's and the paired leaf's two
+    # components', and no other
     msg, ctbs, keys = bench_policy_blocks
     wire.decode_secret_key.cache_clear()     # a freshly decoded key
     sk = wire.decode_secret_key(wire.encode_secret_key(keys["spread"]))
     assert sk == keys["spread"]
-    assert sk.d._line_table is sk.d_hat._line_table is alg._NOT_BUILT
-    assert sk.d._point is sk.d_hat._point is alg._UNCHECKED
+    points = [sk.d, sk.d_hat, *(c for pair in sk.components.values() for c in pair)]
+    assert all(e._teeth == alg._WIDE_TEETH and e._point is alg._UNCHECKED for e in points)
+    alg._kept_lines.cache_clear()
     assert _decrypt(ctbs, sk) == msg
-    assert len(sk.d._line_table) == len(sk.d_hat._line_table) == 160 * 2 * 64
-    assert all(c._line_table is None for pair in sk.components.values() for c in pair)
+    assert alg._kept_lines.cache_info().currsize == 4
+    assert len(alg._kept_lines(sk.d._p)) == len(alg._kept_lines(sk.d_hat._p)) == 160 * 2 * 64
+    assert alg._kept_lines.cache_info().misses == 4
 
 
 def test_bench_policy_validates_26_points(bench_policy_blocks, monkeypatch):
@@ -906,25 +909,34 @@ def test_every_opened_payload_equals_a_reference_opening(suite):
 
 
 def test_a_wide_key_keeps_at_most_the_bound_of_component_tables(suite):
-    # a key of 200 attributes pairs each of 64 leaves: 128 component tables
-    # are recorded, and the cache keeps the most recent `_KEPT_TABLES`, so
-    # the memory it holds stays within _KEPT_TABLES x 20 KiB and its keys
+    # every kept Miller table is in `_kept_lines`, which keeps the most
+    # recent `_KEPT_TABLES`, so the memory held stays within _KEPT_TABLES x
+    # 20 KiB and the keys however many tables are recorded: a key of 200
+    # attributes pairs each of 64 leaves (128 component tables, d and d_hat),
+    # and 64 held one-attribute keys each open both blocks of one message
+    # (d, d_hat and two components each: 256 tables)
     pk, mk, ctx = suite
     rng = random.Random(46)
-    attrs = [f"wide:{i:03d}" for i in range(200)]
     msg = rng.randbytes(100)
-    _, ctbs = _encrypt_all(msg, "(" + " AND ".join(attrs[:64]) + ")", pk, ctx, rng)
-    sk = scheme.keygen(pk, mk, attrs, rng)
-    alg._kept_lines.cache_clear()
-    tracemalloc.start()
-    try:
-        assert _decrypt(ctbs, sk) == msg
-        grown, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    info = alg._kept_lines.cache_info()
-    assert info.misses == 128 and info.currsize == alg._KEPT_TABLES == 96
-    assert grown <= alg._KEPT_TABLES * 20 * 1024 + 128 * 1024
+    wide = [f"wide:{i:03d}" for i in range(200)]
+    _, wide_ctbs = _encrypt_all(msg, "(" + " AND ".join(wide[:64]) + ")", pk, ctx, rng)
+    many = [f"many:{i:02d}" for i in range(64)]
+    _, many_ctbs = _encrypt_all(msg, "(" + " OR ".join(many) + ")", pk, ctx, rng)
+    assert len(many_ctbs) == 2
+    for ctbs, keys, recorded in ((wide_ctbs, [scheme.keygen(pk, mk, wide, rng)], 130),
+                                 (many_ctbs, [scheme.keygen(pk, mk, {a}, rng) for a in many],
+                                  256)):
+        alg._kept_lines.cache_clear()
+        tracemalloc.start()
+        try:
+            for sk in keys:
+                assert _decrypt(ctbs, sk) == msg
+            grown, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        info = alg._kept_lines.cache_info()
+        assert info.misses == recorded and info.currsize == alg._KEPT_TABLES
+        assert grown <= alg._KEPT_TABLES * 20 * 1024 + 128 * 1024, len(keys)
 
 
 @pytest.mark.parametrize("fault", ["off the curve", "outside the subgroup"])
@@ -957,6 +969,9 @@ def test_a_corrupt_key_component_is_blamed_on_the_key_not_a_block(suite, fault):
     for ctb in ctbs:
         state.add_block(ctb)                 # repeats, ignored
     assert sorted(state.blocks) == [1, 2] and not state._suspects
+    # the key satisfies the policy, so assembling blames the key, not the policy
+    with pytest.raises(DecodeError, match=f"key component of attribute 'a': {match}"):
+        assemble_message(state, key)
 
 
 @pytest.mark.parametrize("text", ["(a AND b)", "(a AND (b OR c))", "(2 of (a, b, c))"])

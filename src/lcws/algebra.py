@@ -8,17 +8,16 @@ E(F_q^2), which makes the exposed map symmetric: pair(u, v) == pair(v, u)
 for all source-group elements.  Scalars live in Z mod `ORDER`.
 
 Everything here is a pure function of its inputs; elements are immutable
-and hashable (a decoded source-group element keeps its coordinates once
-its first use has checked them, and a target-group fixed base its comb
-table).  A source-group element carries only its point and a mark of the
-comb it recurs with: none, the attribute comb that `hash_to_g0` marks an
-attribute hash with, or the wide one of `fixed_base()`.  Every table of
-a source-group point lives in one of two bounded caches keyed by the
-point: a marked element's power walks its comb from `_comb_table`, and a
-pairing with a marked Miller point reads its packed lines, 20 KiB, from
-`_kept_lines`.  An unmarked base takes the x-only ladder, and an
-unmarked Miller point is walked in the loop that evaluates it; neither
-keeps anything.  So the memory of source-group tables is bounded however
+and hashable (a decoded source-group element keeps its wire bytes until a
+use shows its point in the subgroup, and then that point).  An element of
+either group carries only its value and a mark of the comb it recurs
+with: none, the attribute comb that `hash_to_g0` marks an attribute hash
+with, or the wide one of `fixed_base()`.  Every table lives in one of two
+bounded caches keyed by its base: a marked element's power walks its
+comb from `_comb_table`, and a pairing with a marked Miller point reads
+its packed lines, 20 KiB, from `_kept_lines`.  An unmarked base takes a
+ladder, and an unmarked Miller point is walked in the loop that evaluates
+it; neither keeps anything.  So the memory of tables is bounded however
 many keys a process reads.
 
 A decoded point is checked as far as its use needs.  Arithmetic (a
@@ -283,12 +282,13 @@ def _ladder(p, k: int) -> Optional[Tuple[int, int]]:
 # the base's table is the sum of the row bases [2^(span*j)]P over the bits j
 # set in b, so one exponentiation costs span - 1 doublings and at most span
 # additions.  A marked element's table is built on its first power and
-# kept in `_comb_table`, an LRU of 512 tables keyed by point and width: a
+# kept in `_comb_table`, an LRU of 512 tables keyed by base and width: a
 # fixed base's (the generator, the public key's g and h) is the wide 8 x 20
 # one (255 points, about 61 KB), and an attribute hash's, which recurs
 # across keys and blocks, the 4 x 40 one (15 points), whose build costs
 # about one ladder power.  The same comb serves the target group: the
-# public key's egg_alpha keeps an 8 x 20 table of row products.
+# public key's egg_alpha, a fixed base, walks an 8 x 20 table of row
+# products (about 64 KB, built in about 2 ms) from the same LRU.
 
 _COMB_BITS = ORDER.bit_length()          # 160
 _COMB_TEETH = 4
@@ -351,8 +351,13 @@ def _build_comb(point, teeth: int) -> tuple:
 
 
 @lru_cache(maxsize=512)
-def _comb_table(point, teeth: int) -> tuple:
-    return _build_comb(point, teeth)
+def _comb_table(base, teeth: int) -> tuple:
+    """The comb table of a source-group point, or of a target-group element
+    keyed by the element, whose hash and equality carry its group, so that
+    no key of one group equals a key of the other."""
+    if isinstance(base, GTElement):
+        return tuple(_comb_entries(_comb_rows(base._v, teeth, _fq2_sqr), _fq2_mul, _FQ2_ONE))
+    return _build_comb(base, teeth)
 
 
 def _comb_columns(k: int, teeth: int) -> list:
@@ -617,11 +622,6 @@ def _final_exponentiation(f, over=_FQ2_ONE):
 # public element types
 # ---------------------------------------------------------------------------
 
-# The `_table` of a target-group element made by `fixed_base()`, which
-# alone sets it, before its first exponentiation.  Two threads may both
-# build the table; either copy is kept.
-_NOT_BUILT = object()
-
 # The `_point` of a decoded element whose first use has not yet validated it.
 _UNCHECKED = object()
 
@@ -650,23 +650,23 @@ def _decompress(data: bytes) -> Tuple[int, int]:
 class G0Element:
     """Element of the prime-order source-group subgroup (multiplicative API).
 
-    A decoded element keeps its wire bytes and is checked on its first use,
-    which raises `DecodeError` if the bytes name no point the use accepts.
+    A decoded element keeps its wire bytes, and each use checks them as far
+    as it needs, raising `DecodeError` if they name no point it accepts.
     Arithmetic and `validate` need a subgroup point (square root and
     subgroup test); a pairing needs only a curve point with x != 0 (square
     root) where it evaluates the element, and where the element is the
-    Miller point its loop shows membership and marks it validated.
+    Miller point its loop shows membership.  Once a use has shown the point
+    in the subgroup, the element keeps it, and no later use checks again.
     Encoding, equality, hashing and `is_identity` need no check.
 
     `_teeth` marks the comb the element recurs with, 0 for none: a marked
     element's powers and pairings read the tables the module's caches keep
     for its point, an unmarked one keeps none (module docstring)."""
 
-    __slots__ = ("_point", "_curve", "_raw", "_teeth")
+    __slots__ = ("_point", "_raw", "_teeth")
 
     def __init__(self, point: Optional[Tuple[int, int]], teeth: int = 0):
         self._point = point
-        self._curve = None
         self._raw = None
         self._teeth = teeth
 
@@ -686,13 +686,10 @@ class G0Element:
     @property
     def _on_curve(self) -> Optional[Tuple[int, int]]:
         """The affine point, or None for the identity, as a pairing reads
-        it: on the curve with x != 0, in the subgroup only if shown so."""
+        it: on the curve with x != 0, in the subgroup only if shown so.  An
+        unchecked point is decompressed on each read."""
         p = self._point
-        if p is _UNCHECKED:
-            p = self._curve
-            if p is None:
-                p = self._curve = _decompress(self._raw)
-        return p
+        return _decompress(self._raw) if p is _UNCHECKED else p
 
     def validate(self) -> None:
         """Run the deferred validation now; raises `DecodeError` on failure."""
@@ -701,12 +698,12 @@ class G0Element:
     def fixed_base(self) -> "G0Element":
         """An equal element, for bases that recur throughout: its powers walk
         the wide 8 x 20 comb of its point, and it is the Miller point of its
-        pairings, which read the lines kept for its point.  A decoded element
-        stays unvalidated until its first use."""
+        pairings, which read the lines kept for its point.  The copy of a
+        decoded element keeps its wire bytes, checked by its own uses."""
         if self._teeth == _WIDE_TEETH:
             return self
         out = G0Element(self._point, _WIDE_TEETH)
-        out._curve, out._raw = self._curve, self._raw
+        out._raw = self._raw
         return out
 
     def __mul__(self, other: "G0Element") -> "G0Element":
@@ -772,22 +769,21 @@ class G0Element:
 
 
 class GTElement:
-    """Element of the order-`ORDER` subgroup of F_q^2 (the pairing target)."""
+    """Element of the order-`ORDER` subgroup of F_q^2 (the pairing target).
 
-    __slots__ = ("_v", "_table")
+    `_teeth` marks the comb the element recurs with, as on `G0Element`:
+    0, or the wide comb of `fixed_base()`."""
 
-    def __init__(self, value: Tuple[int, int]):
+    __slots__ = ("_v", "_teeth")
+
+    def __init__(self, value: Tuple[int, int], teeth: int = 0):
         self._v = value
-        self._table = None
+        self._teeth = teeth
 
     def fixed_base(self) -> "GTElement":
-        """An equal element that builds its own 8 x 20 comb table on its first
-        exponentiation and keeps it, for bases that recur throughout."""
-        if self._table is not None:
-            return self
-        out = GTElement(self._v)
-        out._table = _NOT_BUILT
-        return out
+        """An equal element, for bases that recur throughout: its powers walk
+        the wide 8 x 20 comb that `_comb_table` keeps for its value."""
+        return self if self._teeth else GTElement(self._v, _WIDE_TEETH)
 
     def __mul__(self, other: "GTElement") -> "GTElement":
         return GTElement(_fq2_mul(self._v, other._v))
@@ -796,12 +792,9 @@ class GTElement:
         e = _exponent(k)
         if e == 0:
             return GTElement(_FQ2_ONE)
-        table = self._table
-        if table is None:
+        if not self._teeth:
             return GTElement(_unitary_pow(self._v, e))
-        if table is _NOT_BUILT:
-            table = self._table = _comb_entries(
-                _comb_rows(self._v, _WIDE_TEETH, _fq2_sqr), _fq2_mul, _FQ2_ONE)
+        table = _comb_table(self, self._teeth)
         return GTElement(_comb_pow(table, e, _fq2_sqr, _fq2_mul, _FQ2_ONE))
 
     def inverse(self) -> "GTElement":

@@ -62,8 +62,8 @@ class PublicKey:
 
     def __post_init__(self):
         # every block encryption exponentiates these three bases, so each is
-        # a fixed base: g's and h's wide combs are kept in `algebra`'s comb
-        # cache, and egg_alpha keeps its own, built on its first power
+        # a fixed base, whose wide comb `algebra`'s comb cache builds on its
+        # first power and keeps for its value, so decoded copies share it
         for name in ("g", "h", "egg_alpha"):
             object.__setattr__(self, name, getattr(self, name).fixed_base())
 
@@ -468,11 +468,16 @@ def decrypt_block(ctb: CiphertextBlock, sk: SecretKey, unlock: Unlock
 
 
 class _OpenedBlock(NamedTuple):
-    """An opened block: `decrypt_block`'s results, not its masked payload."""
+    """An opened block: `decrypt_block`'s results, not its masked payload,
+    and the (element, value) it opened by, a chain element and None or a
+    gate's link and value: pair(element, d_hat), times the reduced value if
+    any, is its blinded level value.  Block 1, opened by the root, keeps
+    None."""
     descriptor: Tuple[NodeDescriptor, ...]
     leaf_components: Mapping[int, Tuple[G0Element, G0Element]]
     payload: bytes
     next_element: Optional[G0Element]     # block index + 1's chain element; None on the last
+    opened_by: Optional[Tuple[G0Element, Optional[Unreduced]]]
 
 
 class DecryptionState:
@@ -488,7 +493,15 @@ class DecryptionState:
     `AccessTree` accepts, and no parent id can loop.  An arrival checks it and
     builds the plan once, and again only after an unlock adds node values: work
     linear in the held nodes, so quadratic in the block count for a message the
-    key cannot open.  No cap bounds `block_count`; a tree may have any depth."""
+    key cannot open.  No cap bounds `block_count`; a tree may have any depth.
+
+    A block that opens after its successor has its chain element checked
+    against the successor's opening: both must give the successor's blinded
+    level value, or the opening fails.  With the slot check of the chain
+    path and the sentinel of the last block, every mask key is then checked
+    once, so a block spliced from another message under the same policy, or
+    opened with a wrong key whose slot still holds a point, is a
+    `DecodeError`, not wrong bytes."""
 
     def __init__(self, sk: SecretKey):
         self.sk = sk
@@ -539,7 +552,8 @@ class DecryptionState:
             if isinstance(block, _OpenedBlock):
                 continue
             if isinstance(self.blocks.get(idx - 1), _OpenedBlock):
-                unlock = ChainUnlock(self.blocks[idx - 1].next_element)
+                element = self.blocks[idx - 1].next_element
+                unlock, opened_by = ChainUnlock(element), (element, None)
             elif isinstance(self.blocks.get(1), _OpenedBlock):
                 continue
             else:
@@ -552,14 +566,33 @@ class DecryptionState:
                 nid = min(ready, key=lambda n: plan[n][0])
                 value = self._value(plan, nid)
                 unlock = RootUnlock(value) if idx == 1 else GateUnlock(nid, value)
+                opened_by = None if idx == 1 else (block.gate_links[nid], value)
                 plan = None
             try:
                 payload, next_element = decrypt_block(block, self.sk, unlock)
+                successor = self.blocks.get(idx + 1)
+                if (isinstance(successor, _OpenedBlock)
+                        and not self._gives(next_element, successor)):
+                    raise DecodeError(f"block {idx}: its chain element does not open "
+                                      f"block {idx + 1} as that block opened")
             except DecodeError:
                 self._fail(idx)
                 raise
             self.blocks[idx] = _OpenedBlock(block.descriptor, block.leaf_components,
-                                            payload, next_element)
+                                            payload, next_element, opened_by)
+
+    def _gives(self, element: G0Element, opened: _OpenedBlock) -> bool:
+        """Whether a chain element gives the blinded level value `opened`
+        opened by: pair(element, d_hat) against pair(link, d_hat) times the
+        reduced value, with one final exponentiation.  `opened`'s own point
+        was read when it opened, so only an element off the curve can raise,
+        and such an element gives no level value."""
+        link, value = opened.opened_by
+        try:
+            return pair_ratio(element, self.sk.d_hat, link, self.sk.d_hat,
+                              over=value).is_identity()
+        except DecodeError:
+            return False
 
     def _plan(self) -> Dict[int, tuple]:
         """(leaves to pair, block, descriptor, children) per satisfied node.

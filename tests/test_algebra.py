@@ -669,7 +669,8 @@ def test_wide_gt_comb_matches_generic_path(suite):
         assert egg_alpha ** k == generic ** k
     assert egg_alpha ** alg.ORDER == GTElement.one()
     assert egg_alpha ** 3 == generic * generic * generic
-    assert len(egg_alpha._table) == 256
+    assert not generic._teeth and egg_alpha._teeth == alg._WIDE_TEETH
+    assert len(alg._comb_table(egg_alpha, egg_alpha._teeth)) == 256
 
 
 def test_cold_narrow_comb_matches_oracle():

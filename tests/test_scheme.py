@@ -613,14 +613,18 @@ def test_bench_policy_costs_21_pairings_and_one_leaf(bench_policy_blocks, monkey
     # mask key, its value read from the gate below) and block 1 by the root
     # costs 1, so 21 on 10 blocks.  Each opening takes one final
     # exponentiation, so 10: the leaf's value stays unreduced until the
-    # opening it serves divides it out before the hard part
+    # opening it serves divides it out before the hard part.  Reversed,
+    # blocks 8 to 1 each open after their successor, so each checks its
+    # chain element against that opening: 2 pairings and one final
+    # exponentiation more apiece
     msg, ctbs, keys = bench_policy_blocks
     arrival = ctbs if order == "in-order" else ctbs[::-1]
     out, counts = _counting_decrypt(monkeypatch, arrival, keys[key])
     assert out == msg
     unlocks = ({RootUnlock: 1, GateUnlock: 0, ChainUnlock: 9} if order == "in-order"
                else {RootUnlock: 1, GateUnlock: 8, ChainUnlock: 1})
-    assert counts == {"terms": 21, "final_exp": 10, "leaf": 1, **unlocks}
+    checks = 0 if order == "in-order" else 8
+    assert counts == {"terms": 21 + 2 * checks, "final_exp": 10 + checks, "leaf": 1, **unlocks}
 
 
 def test_a_block_waits_for_the_block_before_once_block_1_is_open(bench_policy_blocks,
@@ -1488,6 +1492,76 @@ def test_a_forged_last_block_held_first_is_refused_and_the_genuine_blocks_assemb
     assert assemble_message(state, sk) == msg
 
 
+def test_blocks_spliced_from_another_message_are_refused_and_a_resend_repairs(suite):
+    # policy (a OR (x AND (b OR y))), key {a, b}, two messages under it.  B's
+    # blocks 4 and 3, relabelled as A's, open by the gate (b OR y) and the
+    # chain; A's block 1 then opens by the root and A2 by A1's chain element.
+    # A2's own chain element must give block 3 the blinded level value B3's
+    # gate gave it, and does not: A2's opening is a DecodeError, where it
+    # once assembled bytes that were neither A nor B.  Re-sending A's blocks,
+    # twice, as a forged block still held can fail a genuine one, gives A
+    pk, mk, ctx = suite
+    rng = random.Random(39)
+    messages = [rng.randbytes(800) for _ in range(2)]
+    spliced = []
+    for msg in messages:
+        _, ctbs = _encrypt_all(msg, "(a OR (x AND (b OR y)))", pk, ctx, rng)
+        spliced.append([wire.decode_ctb(wire.encode_ctb(ctb, "msg-A"))[0] for ctb in ctbs])
+    a_blocks, b_blocks = spliced
+    sk = scheme.keygen(pk, mk, {"a", "b"}, rng)
+    state = DecryptionState(sk)
+    for ctb in (b_blocks[3], b_blocks[2], a_blocks[1]):
+        state.add_block(ctb)
+    assert opened(state) == [3, 4]
+    with pytest.raises(DecodeError, match="block 2: its chain element does not open block 3"):
+        state.add_block(a_blocks[0])
+    assert opened(state) == [1, 3, 4] and 2 not in state.blocks
+    for ctb in a_blocks + a_blocks:
+        try:
+            state.add_block(ctb)
+        except DecodeError:
+            pass
+    assert assemble_message(state, sk) == messages[0]
+
+
+def test_a_forged_encapsulation_whose_wrong_key_passes_its_slot_is_refused(bench_policy_blocks):
+    # reversed, blocks 10 to 2 of the bench policy open by their gates.  A
+    # uniform curve point in place of block 5's encapsulation opens it with
+    # a wrong mask key, whose slot still holds a point in about 1 case in
+    # 200, here found by a seeded search.  Block 6 opened first, so the
+    # wrong chain element meets the cross-check, and block 5's opening is a
+    # DecodeError where it once gave wrong bytes.  Re-sending the genuine
+    # blocks, twice, gives the message
+    msg, ctbs, keys = bench_policy_blocks
+    sk = keys["spread"]
+    state = DecryptionState(sk)
+    for ctb in ctbs[:3:-1]:                             # blocks 10 to 5
+        state.add_block(ctb)
+    link, value = state.blocks[5].opened_by
+    unlock = GateUnlock(next(n for n, g in ctbs[4].gate_links.items() if g is link), value)
+    rng = random.Random(47)
+    for _ in range(2000):
+        forged = dataclasses.replace(ctbs[4], encap=_decoded(random_curve_point(rng)))
+        try:
+            decrypt_block(forged, sk, unlock)
+            break
+        except DecodeError:
+            pass
+    else:
+        pytest.fail("no forged encapsulation passed the slot check")
+    state = DecryptionState(sk)
+    for ctb in ctbs[:4:-1]:                             # blocks 10 to 6
+        state.add_block(ctb)
+    with pytest.raises(DecodeError, match="block 5: its chain element does not open block 6"):
+        state.add_block(forged)
+    for ctb in ctbs[::-1] + ctbs[::-1]:
+        try:
+            state.add_block(ctb)
+        except DecodeError:
+            pass
+    assert assemble_message(state, sk) == msg
+
+
 _FUZZ_POLICY = "((a OR x) AND ((b AND c) OR y))"
 _FUZZ_KEYS = ({"a", "b", "c"}, {"x", "y"}, {"b", "c"})
 
@@ -1590,13 +1664,10 @@ def test_resending_every_genuine_block_repairs_one_corrupt_point(resend_corpus, 
     out = assemble_message(state, keys[key])
     if kind == "payload":
         assert out != msg and not verify_message(out, v)
-    elif kind in ("encap", "gate link") or (kind == "leaf" and how == "subgroup"):
-        # an evaluated point outside the subgroup, or a leaf component that
-        # is another subgroup point, opens its block with a wrong mask key;
-        # in about 1 case in 200 the slot still passes, and if no block then
-        # opens by its chain element the bytes are wrong
-        assert out == msg or not verify_message(out, v)
     else:
+        # a wrong mask key whose slot still holds a point (about 1 case in
+        # 200) gives a wrong chain element, which the next block's slot or,
+        # if that block opened first, the cross-check of the two refuses
         assert out == msg
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -633,8 +634,9 @@ def test_policy_shape_golden_digest(policy):
 
 
 def test_decoded_public_key_builds_its_tables_on_first_use(suite, monkeypatch):
-    # g's and h's wide tables are their points' in the comb cache, emptied
-    # here; egg_alpha keeps its own
+    # the wide tables of g's and h's points and of egg_alpha's value are in
+    # the comb cache, emptied here: each is built on its first power and
+    # found there on the second
     expected = (suite[0].g ** 5, suite[0].h ** 6, suite[0].egg_alpha ** 7)
     built = []
     comb_rows = algebra._comb_rows
@@ -648,4 +650,26 @@ def test_decoded_public_key_builds_its_tables_on_first_use(suite, monkeypatch):
         assert (pk.g ** 5, pk.h ** 6, pk.egg_alpha ** 7) == expected
     assert built == [("g0", 8), ("g0", 8), ("gt", 8)]
     info = algebra._comb_table.cache_info()
-    assert (info.hits, info.misses) == (2, 2)
+    assert (info.hits, info.misses) == (3, 3)
+
+
+def test_copies_of_one_public_key_share_one_target_group_table(suite, monkeypatch):
+    # 20 decodes of one key file are 20 equal egg_alpha bases; the comb
+    # cache keys a target-group table by the element's value, so the first
+    # power builds the one table, about 64 KB, and the other 19 find it
+    key_file = wire.encode_public_key(suite[0])
+    expected = suite[0].egg_alpha ** 7
+    built = []
+    comb_rows = algebra._comb_rows
+    monkeypatch.setattr(algebra, "_comb_rows", lambda base, teeth, square: built.append(
+        square) or comb_rows(base, teeth, square))
+    algebra._comb_table.cache_clear()
+    tracemalloc.start()
+    try:
+        keys = [wire.decode_public_key(key_file) for _ in range(20)]
+        assert [pk.egg_alpha ** 7 for pk in keys] == [expected] * 20
+        grown, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built == [algebra._fq2_sqr]
+    assert grown <= 64 * 1024 + 64 * 1024
